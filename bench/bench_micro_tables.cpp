@@ -114,7 +114,10 @@ void BM_Dir24_8Lookup(benchmark::State& state) {
 BENCHMARK(BM_Dir24_8Lookup);
 
 void BM_DigestVmNcLookup(benchmark::State& state) {
-  tables::DigestVmNcTable table;
+  // 2^19 buckets: the geometry this bench has always measured.
+  tables::DigestVmNcTable::Config config;
+  config.buckets = 1 << 19;
+  tables::DigestVmNcTable table(config);
   workload::Rng rng(2);
   std::vector<tables::VmNcKey> keys;
   for (std::size_t i = 0; i < 50'000; ++i) {

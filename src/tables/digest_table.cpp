@@ -2,8 +2,6 @@
 
 namespace sf::tables {
 
-DigestVmNcTable::DigestVmNcTable() : DigestVmNcTable(Config{}) {}
-
 DigestVmNcTable::DigestVmNcTable(Config config)
     : config_(config),
       main_(typename decltype(main_)::Config{config.buckets, config.ways}) {

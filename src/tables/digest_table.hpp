@@ -33,8 +33,9 @@ namespace sf::tables {
 class DigestVmNcTable {
  public:
   struct Config {
-    /// Buckets/ways of the main pooled table.
-    std::size_t buckets = 1 << 19;
+    /// Buckets/ways of the main pooled table. Every owner declares the
+    /// bucket count it models; the unset 0 is rejected at construction.
+    std::size_t buckets = 0;
     unsigned ways = 4;
     /// Digest width in bits (the paper compresses 128 -> 32).
     unsigned digest_bits = 32;
@@ -49,7 +50,6 @@ class DigestVmNcTable {
     std::size_t false_positive_candidates = 0;  // digest collisions seen
   };
 
-  DigestVmNcTable();
   explicit DigestVmNcTable(Config config);
 
   /// Inserts or replaces a VM -> NC mapping.

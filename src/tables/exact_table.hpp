@@ -5,12 +5,19 @@
 // target bucket is occupied — real hardware tables overflow on hash
 // collisions well before 100% fill, which is why provisioning headroom
 // (and the paper's careful occupancy accounting) matters.
+//
+// Host layout: the slots live in one cache-line-aligned array, bucket after
+// bucket, each slot laid out {key, value, occupied}. For the pooled VM-NC
+// instantiation (<uint64_t, VmNcAction>) a slot is 16 B, so a 4-way bucket
+// is exactly one 64 B line and prefetch() brings in the whole bucket.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -21,6 +28,32 @@
 #include "net/hash.hpp"
 
 namespace sf::tables {
+
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+/// Hands out cache-line-aligned storage, so a bucket whose size is a
+/// multiple of the line never straddles two lines.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(
+        n * sizeof(T), std::align_val_t{kCacheLineBytes}));
+  }
+  void deallocate(T* p, std::size_t n) {
+    ::operator delete(p, n * sizeof(T), std::align_val_t{kCacheLineBytes});
+  }
+
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) {
+    return true;
+  }
+};
 
 template <typename Key, typename Value, typename Hasher = std::hash<Key>>
 class ExactTable {
@@ -38,7 +71,7 @@ class ExactTable {
     std::size_t insert_failures = 0;
   };
 
-  explicit ExactTable(Config config = {}, Hasher hasher = {})
+  explicit ExactTable(Config config, Hasher hasher = {})
       : hasher_(std::move(hasher)) {
     if (config.buckets == 0 || config.ways == 0) {
       throw std::invalid_argument("ExactTable needs buckets and ways > 0");
@@ -127,6 +160,11 @@ class ExactTable {
 
   Stats stats() const { return Stats{size_, slots_.size(), insert_failures_}; }
 
+  /// Host bytes of one slot; a bucket spans `ways * slot_bytes()`.
+  static constexpr std::size_t slot_bytes() { return sizeof(Slot); }
+  /// Start of the slot array (cache-line aligned).
+  const void* slot_data() const { return slots_.data(); }
+
   /// Visits all occupied slots.
   void for_each(const std::function<void(const Key&, const Value&)>& visit)
       const {
@@ -141,10 +179,12 @@ class ExactTable {
   }
 
  private:
+  // The flag goes last: ahead of an 8-byte key it would cost a whole
+  // padded word, behind the value it fills the value's tail padding.
   struct Slot {
-    bool occupied = false;
     Key key{};
     Value value{};
+    bool occupied = false;
   };
 
   std::span<Slot> bucket(const Key& key) {
@@ -159,7 +199,7 @@ class ExactTable {
   Hasher hasher_;
   std::size_t bucket_mask_ = 0;
   unsigned ways_ = 0;
-  std::vector<Slot> slots_;
+  std::vector<Slot, CacheLineAllocator<Slot>> slots_;
   std::size_t size_ = 0;
   std::size_t insert_failures_ = 0;
 };

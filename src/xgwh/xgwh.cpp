@@ -42,26 +42,29 @@ dataplane::DropReason reason_from_code(std::uint8_t code) {
 
 }  // namespace
 
+XgwH::Shard XgwH::make_shard(const Config& config) {
+  tables::Alpm<tables::VxlanRouteAction>::Config alpm_config;
+  alpm_config.max_bucket_entries = config.compression.alpm_max_bucket;
+  alpm_config.directory_slice_bits = config.chip.tcam_slice_bits;
+  tables::DigestVmNcTable::Config vm_config;
+  vm_config.buckets = config.vm_table_buckets;
+  return Shard{tables::Alpm<tables::VxlanRouteAction>(alpm_config),
+               tables::DigestVmNcTable(vm_config)};
+}
+
 XgwH::XgwH(Config config)
-    : config_(std::move(config)), program_(config_.chip.pipelines) {
+    : config_(std::move(config)),
+      shards_{make_shard(config_), make_shard(config_)},
+      program_(config_.chip.pipelines),
+      flow_cache_(dataplane::FlowCache<CachedWalk>::Config{
+          config_.flow_cache_entries}) {
   if (config_.chip.pipelines != 4) {
     throw std::invalid_argument("XGW-H expects a 4-pipeline chip");
-  }
-  tables::Alpm<tables::VxlanRouteAction>::Config alpm_config;
-  alpm_config.max_bucket_entries = config_.compression.alpm_max_bucket;
-  alpm_config.directory_slice_bits = config_.chip.tcam_slice_bits;
-  tables::DigestVmNcTable::Config vm_config;
-  vm_config.buckets = config_.vm_table_buckets;
-  for (Shard& shard : shards_) {
-    shard.routes = tables::Alpm<tables::VxlanRouteAction>(alpm_config);
-    shard.mappings = tables::DigestVmNcTable(vm_config);
   }
   fallback_meter_index_ = fallback_meter_.add(tables::MeterTable::Config{
       config_.fallback_rate_bps, config_.fallback_burst_bytes});
   build_program();
   walker_ = std::make_unique<asic::Walker>(config_.chip, &program_);
-  flow_cache_ = dataplane::FlowCache<CachedWalk>(
-      dataplane::FlowCache<CachedWalk>::Config{config_.flow_cache_entries});
 
   registry_ = std::make_unique<telemetry::Registry>();
   walker_->set_registry(registry_.get());

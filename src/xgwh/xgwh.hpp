@@ -213,6 +213,8 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     std::size_t maps_v4 = 0;
     std::size_t maps_v6 = 0;
   };
+  /// One shard's tables, built at the geometry `config` declares.
+  static Shard make_shard(const Config& config);
 
   struct CounterDelta {
     telemetry::Counter* counter = nullptr;

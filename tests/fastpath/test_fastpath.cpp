@@ -21,22 +21,42 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
-void* operator new(std::size_t size) {
+/// Counts one allocation of `size` bytes; `align` is 0 for the plain
+/// overloads. Aligned storage (the tables' cache-line slot arrays) goes
+/// through the std::align_val_t overloads, so those must count too.
+void* counted_alloc(std::size_t size, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  void* p = align == 0
+                ? std::malloc(size)
+                : std::aligned_alloc(align, (size + align - 1) / align * align);
+  if (p) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size, 0); }
+void* operator new[](std::size_t size) { return counted_alloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc(size, static_cast<std::size_t>(align));
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace sf {
 namespace {
@@ -101,6 +121,25 @@ TEST(FastPath, XgwX86CacheHitMakesZeroHeapAllocations) {
   for (int i = 0; i < 100; ++i) gw.forward(pkt, 2.0 + i * 1e-6);
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
+}
+
+TEST(FastPath, XgwHConstructionAllocatesOnlyItsDeclaredTables) {
+  // Each of the two shards owns one VM-NC slot array of
+  // vm_table_buckets x ways slots; everything else a device builds
+  // (ALPM roots, program, registry) fits in 1 MiB. A table first built at
+  // a default geometry and then replaced would add tens of MiB here.
+  const xgwh::XgwH::Config config;
+  const std::uint64_t slot_array =
+      config.vm_table_buckets * tables::DigestVmNcTable::Config{}.ways *
+      tables::ExactTable<std::uint64_t, tables::VmNcAction>::slot_bytes();
+
+  const std::uint64_t before =
+      g_allocated_bytes.load(std::memory_order_relaxed);
+  { const xgwh::XgwH gw(config); }
+  const std::uint64_t bytes =
+      g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(bytes, 2 * slot_array + (std::uint64_t{1} << 20))
+      << "constructing an XgwH allocated " << bytes << " bytes";
 }
 
 TEST(FastPath, NoStringKeyedPhvLookupsOnThePacketPath) {

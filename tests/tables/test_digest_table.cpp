@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <type_traits>
+
 #include "workload/rng.hpp"
 
 namespace sf::tables {
@@ -13,8 +16,22 @@ VmNcKey key4(net::Vni vni, const char* ip) {
   return VmNcKey{vni, IpAddr::must_parse(ip)};
 }
 
+// The geometry every test here declares: 1k buckets x 4 ways, far above
+// any test's entry count.
+DigestVmNcTable::Config small_config() {
+  DigestVmNcTable::Config config;
+  config.buckets = 1 << 10;
+  return config;
+}
+
+TEST(DigestVmNcTable, RequiresADeclaredGeometry) {
+  static_assert(!std::is_default_constructible_v<DigestVmNcTable>);
+  EXPECT_THROW(DigestVmNcTable{DigestVmNcTable::Config{}},
+               std::invalid_argument);
+}
+
 TEST(DigestVmNcTable, V4InsertLookupErase) {
-  DigestVmNcTable table;
+  DigestVmNcTable table(small_config());
   const VmNcKey key = key4(5, "192.168.10.2");
   EXPECT_TRUE(table.insert(key, VmNcAction{net::Ipv4Addr(10, 1, 1, 11)}));
   auto hit = table.lookup(5, IpAddr::must_parse("192.168.10.2"));
@@ -26,7 +43,7 @@ TEST(DigestVmNcTable, V4InsertLookupErase) {
 }
 
 TEST(DigestVmNcTable, V6LookupThroughDigest) {
-  DigestVmNcTable table;
+  DigestVmNcTable table(small_config());
   const VmNcKey key = key4(7, "2001:db8::42");
   table.insert(key, VmNcAction{net::Ipv4Addr(10, 2, 2, 2)});
   auto hit = table.lookup(7, IpAddr::must_parse("2001:db8::42"));
@@ -36,7 +53,7 @@ TEST(DigestVmNcTable, V6LookupThroughDigest) {
 }
 
 TEST(DigestVmNcTable, LabelSeparatesV4FromCompressedV6) {
-  DigestVmNcTable table;
+  DigestVmNcTable table(small_config());
   // A v4 address equal to some v6 digest cannot collide: label bit.
   table.insert(key4(1, "1.2.3.4"), VmNcAction{net::Ipv4Addr(10, 0, 0, 1)});
   table.insert(key4(1, "2001:db8::1"),
@@ -49,9 +66,8 @@ TEST(DigestVmNcTable, LabelSeparatesV4FromCompressedV6) {
 
 // A tiny digest width forces collisions deterministically.
 DigestVmNcTable tiny_digest_table() {
-  DigestVmNcTable::Config config;
+  DigestVmNcTable::Config config = small_config();
   config.digest_bits = 4;  // 16 slots: collisions guaranteed quickly
-  config.buckets = 1 << 10;
   return DigestVmNcTable(config);
 }
 
@@ -78,7 +94,7 @@ TEST(DigestVmNcTable, CollidingV6KeysUseConflictTable) {
 }
 
 TEST(DigestVmNcTable, ErasePromotesConflictEntry) {
-  DigestVmNcTable::Config config;
+  DigestVmNcTable::Config config = small_config();
   config.digest_bits = 1;  // two slots: second same-label key collides
   DigestVmNcTable table(config);
   workload::Rng rng(11);
@@ -108,7 +124,7 @@ TEST(DigestVmNcTable, ErasePromotesConflictEntry) {
 }
 
 TEST(DigestVmNcTable, ReplaceKeepsSingleEntry) {
-  DigestVmNcTable table;
+  DigestVmNcTable table(small_config());
   const VmNcKey key = key4(2, "2001:db8::7");
   table.insert(key, VmNcAction{net::Ipv4Addr(1)});
   table.insert(key, VmNcAction{net::Ipv4Addr(2)});
@@ -149,7 +165,7 @@ TEST(DigestVmNcTable, DocumentedFalsePositiveForUnknownV6) {
 }
 
 TEST(DigestVmNcTable, RejectsBadDigestWidth) {
-  DigestVmNcTable::Config config;
+  DigestVmNcTable::Config config = small_config();
   config.digest_bits = 0;
   EXPECT_THROW(DigestVmNcTable{config}, std::invalid_argument);
   config.digest_bits = 33;

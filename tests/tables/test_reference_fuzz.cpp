@@ -4,15 +4,153 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "net/hash.hpp"
+#include "tables/entry.hpp"
 #include "tables/exact_table.hpp"
 #include "tables/masked_key_map.hpp"
 #include "workload/rng.hpp"
 
 namespace sf::tables {
 namespace {
+
+// The pooled VM-NC instantiation (DigestVmNcTable's main table): 64-bit
+// label‖VNI‖ip32 keys hashed with mix64.
+struct Mix64Hasher {
+  std::uint64_t operator()(std::uint64_t key) const { return net::mix64(key); }
+};
+using PooledTable = ExactTable<std::uint64_t, VmNcAction, Mix64Hasher>;
+
+TEST(ExactTableLayout, PooledBucketIsOneAlignedCacheLine) {
+  EXPECT_EQ(PooledTable::slot_bytes(), 16u);
+  EXPECT_EQ(4 * PooledTable::slot_bytes(), kCacheLineBytes);
+  for (std::size_t buckets : {1u, 16u, 1u << 14}) {
+    PooledTable table({buckets, 4});
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(table.slot_data()) %
+                  kCacheLineBytes,
+              0u)
+        << buckets << " buckets";
+  }
+}
+
+// A deliberately naive set-associative table: one vector of ways per
+// bucket, the same hash and way count, first free way wins.
+class BucketModel {
+ public:
+  BucketModel(std::size_t buckets, unsigned ways)
+      : buckets_(buckets, std::vector<Way>(ways)) {}
+
+  bool insert(std::uint64_t key, VmNcAction value) {
+    std::vector<Way>& ways = bucket(key);
+    for (Way& way : ways) {
+      if (way && way->first == key) {
+        way->second = value;
+        return true;
+      }
+    }
+    for (Way& way : ways) {
+      if (!way) {
+        way.emplace(key, value);
+        return true;
+      }
+    }
+    ++insert_failures_;
+    return false;
+  }
+
+  bool erase(std::uint64_t key) {
+    for (Way& way : bucket(key)) {
+      if (way && way->first == key) {
+        way.reset();
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::optional<VmNcAction> lookup(std::uint64_t key) {
+    for (const Way& way : bucket(key)) {
+      if (way && way->first == key) return way->second;
+    }
+    return std::nullopt;
+  }
+
+  /// Occupied ways, bucket by bucket, way by way.
+  std::vector<std::pair<std::uint64_t, VmNcAction>> entries() const {
+    std::vector<std::pair<std::uint64_t, VmNcAction>> out;
+    for (const std::vector<Way>& ways : buckets_) {
+      for (const Way& way : ways) {
+        if (way) out.push_back(*way);
+      }
+    }
+    return out;
+  }
+
+  std::size_t insert_failures() const { return insert_failures_; }
+
+ private:
+  using Way = std::optional<std::pair<std::uint64_t, VmNcAction>>;
+
+  std::vector<Way>& bucket(std::uint64_t key) {
+    return buckets_[net::mix64(key) % buckets_.size()];
+  }
+
+  std::vector<std::vector<Way>> buckets_;
+  std::size_t insert_failures_ = 0;
+};
+
+std::vector<std::pair<std::uint64_t, VmNcAction>> table_entries(
+    const PooledTable& table) {
+  std::vector<std::pair<std::uint64_t, VmNcAction>> out;
+  table.for_each([&](const std::uint64_t& key, const VmNcAction& value) {
+    out.emplace_back(key, value);
+  });
+  return out;
+}
+
+TEST(ExactTableFuzz, MatchesPerBucketReferenceModel) {
+  // 256 buckets x 4 ways against ~2k live keys: buckets overflow often,
+  // so the failure path and the erase-then-refill path both run.
+  constexpr std::size_t kBuckets = 256;
+  constexpr unsigned kWays = 4;
+  PooledTable table({kBuckets, kWays});
+  BucketModel model(kBuckets, kWays);
+  workload::Rng rng(41);
+
+  auto pooled_key = [&rng] {
+    const std::uint64_t label = rng.uniform(2);
+    const std::uint64_t vni = rng.uniform(16);
+    const std::uint64_t ip = rng.uniform(128);
+    return (label << 56) | (vni << 32) | ip;
+  };
+
+  for (int op = 0; op < 100'000; ++op) {
+    const std::uint64_t key = pooled_key();
+    const int roll = static_cast<int>(rng.uniform(10));
+    if (roll < 5) {
+      const VmNcAction value{
+          net::Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64()))};
+      ASSERT_EQ(table.insert(key, value), model.insert(key, value)) << op;
+    } else if (roll < 7) {
+      ASSERT_EQ(table.erase(key), model.erase(key)) << op;
+    } else {
+      ASSERT_EQ(table.lookup(key), model.lookup(key)) << op;
+    }
+    if (op % 10'000 == 0) {
+      ASSERT_EQ(table_entries(table), model.entries()) << op;
+    }
+  }
+  EXPECT_EQ(table_entries(table), model.entries());
+  EXPECT_EQ(table.stats().insert_failures, model.insert_failures());
+  EXPECT_GT(model.insert_failures(), 0u);
+  EXPECT_EQ(table.size(), model.entries().size());
+}
 
 TEST(ExactTableFuzz, AgreesWithUnorderedMap) {
   ExactTable<std::uint64_t, int> table({1 << 12, 4});
