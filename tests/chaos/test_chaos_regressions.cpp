@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/sailfish.hpp"
+#include "golden.hpp"
 
 namespace sf::chaos {
 namespace {
@@ -25,6 +26,24 @@ core::SailfishOptions chaos_options() {
 ChaosInjector::Config injector_config() {
   ChaosInjector::Config config;
   config.settle_s = 20.0;
+  return config;
+}
+
+ChaosSchedule::RandomConfig random_shape(std::size_t events,
+                                         double horizon_s) {
+  ChaosSchedule::RandomConfig random;
+  random.events = events;
+  random.horizon_s = horizon_s;
+  random.devices_per_cluster = 4;  // primaries + backups in quickstart
+  random.ports_per_device = 4;
+  return random;
+}
+
+// The interval-sampled config the 0x5eed schedule replays under.
+ChaosInjector::Config sampled_config() {
+  ChaosInjector::Config config = injector_config();
+  config.interval_bps = 1e11;
+  config.interval_every = 4;
   return config;
 }
 
@@ -182,16 +201,9 @@ TEST(ChaosRegressions, MidUpgradeFailureAbortsCleanly) {
 // same event log, same convergence-metrics JSON — whether the interval
 // engine runs on 1 thread or 8.
 TEST(ChaosDeterminism, SeededRunByteIdenticalAcrossThreadCounts) {
-  ChaosSchedule::RandomConfig random;
-  random.events = 8;
-  random.horizon_s = 20.0;
-  random.devices_per_cluster = 4;  // primaries + backups in quickstart
-  random.ports_per_device = 4;
-  const ChaosSchedule schedule = ChaosSchedule::random(0x5eedULL, random);
-
-  ChaosInjector::Config config = injector_config();
-  config.interval_bps = 1e11;
-  config.interval_every = 4;
+  const ChaosSchedule schedule =
+      ChaosSchedule::random(0x5eedULL, random_shape(8, 20.0));
+  const ChaosInjector::Config config = sampled_config();
 
   core::SailfishSystem one = core::make_system(chaos_options());
   core::SailfishSystem eight = core::make_system(chaos_options());
@@ -212,18 +224,12 @@ TEST(ChaosDeterminism, SeededRunByteIdenticalAcrossThreadCounts) {
 
 // And the same (seed, region) pair re-run from scratch reproduces itself.
 TEST(ChaosDeterminism, SameSeedSameRun) {
-  ChaosSchedule::RandomConfig random;
-  random.events = 6;
-  random.horizon_s = 15.0;
-  random.devices_per_cluster = 4;
-  random.ports_per_device = 4;
-
   std::string first;
   for (int round = 0; round < 2; ++round) {
     core::SailfishSystem system = core::make_system(chaos_options());
     ChaosInjector injector(*system.region, system.flows, injector_config());
     const ChaosReport report =
-        injector.run(ChaosSchedule::random(0xabcdULL, random));
+        injector.run(ChaosSchedule::random(0xabcdULL, random_shape(6, 15.0)));
     const std::string rendered =
         report.to_json() + injector.log().to_string();
     if (round == 0) {
@@ -232,6 +238,26 @@ TEST(ChaosDeterminism, SameSeedSameRun) {
       EXPECT_EQ(rendered, first);
     }
   }
+}
+
+// Goldens: both seeded schedules above, pinned byte for byte (report JSON
+// followed by the replay log).
+TEST(ChaosGolden, Seed5eedReportAndLog) {
+  core::SailfishSystem system = core::make_system(chaos_options());
+  ChaosInjector injector(*system.region, system.flows, sampled_config());
+  const ChaosReport report =
+      injector.run(ChaosSchedule::random(0x5eedULL, random_shape(8, 20.0)));
+  expect_golden("chaos_seed_5eed.txt",
+                report.to_json() + injector.log().to_string());
+}
+
+TEST(ChaosGolden, SeedAbcdReportAndLog) {
+  core::SailfishSystem system = core::make_system(chaos_options());
+  ChaosInjector injector(*system.region, system.flows, injector_config());
+  const ChaosReport report =
+      injector.run(ChaosSchedule::random(0xabcdULL, random_shape(6, 15.0)));
+  expect_golden("chaos_seed_abcd.txt",
+                report.to_json() + injector.log().to_string());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "chaos/injector.hpp"
 #include "cluster/controller.hpp"
 #include "core/sailfish.hpp"
+#include "golden.hpp"
 
 namespace sf::chaos {
 namespace {
@@ -167,6 +168,15 @@ TEST(ControllerBrownout, InjectorReplayIsDeterministic) {
   const ChaosReport rb = injector_b.run(scripted_brownouts());
   EXPECT_EQ(ra.to_json(), rb.to_json());
   EXPECT_EQ(injector_a.log().to_string(), injector_b.log().to_string());
+}
+
+TEST(ChaosGolden, ScriptedBrownoutReportAndLog) {
+  core::SailfishSystem system =
+      core::make_system(breaker_region_options(/*trip_after=*/2));
+  ChaosInjector injector(*system.region, system.flows, ChaosInjector::Config{});
+  const ChaosReport report = injector.run(scripted_brownouts());
+  expect_golden("chaos_scripted_brownout.txt",
+                report.to_json() + injector.log().to_string());
 }
 
 TEST(ControllerBrownout, BreakerlessControllerRidesTheRetryQueue) {

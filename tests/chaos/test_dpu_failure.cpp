@@ -10,6 +10,7 @@
 #include "chaos/injector.hpp"
 #include "core/sailfish.hpp"
 #include "dpu/xgw_dpu.hpp"
+#include "golden.hpp"
 
 namespace sf::chaos {
 namespace {
@@ -95,6 +96,14 @@ TEST(ChaosDpuFailure, ReplayIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.to_json(), b.to_json());
   EXPECT_EQ(injector_one.log().to_string(),
             injector_eight.log().to_string());
+}
+
+TEST(ChaosGolden, ScriptedDpuFailureReportAndLog) {
+  core::SailfishSystem system = core::make_system(tiered_options());
+  ChaosInjector injector(*system.region, system.flows, injector_config());
+  const ChaosReport report = injector.run(scripted_dpu_failure());
+  expect_golden("chaos_scripted_dpu_failure.txt",
+                report.to_json() + injector.log().to_string());
 }
 
 TEST(ChaosDpuFailure, RegionWithoutDpuTierSkipsGracefully) {

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/sailfish.hpp"
+#include "golden.hpp"
 #include "guard/guard.hpp"
 
 namespace sf::chaos {
@@ -85,6 +86,17 @@ TEST(ChaosTenantStorm, StormTenantDegradesTierByTierAndVictimsStayBounded) {
   EXPECT_EQ(system.region->tenant_guard()->tier_of(storm_vni),
             guard::Tier::kFull);
   EXPECT_EQ(injector.log().count("tenant-storm"), 1u);
+}
+
+TEST(ChaosGolden, ScriptedTenantStormReportAndLog) {
+  core::SailfishSystem system = core::make_system(storm_options());
+  ChaosInjector injector(*system.region, system.flows,
+                         storm_injector_config());
+  ChaosSchedule schedule;
+  schedule.add(storm_event(2.0, /*magnitude=*/4.0, /*duration=*/8.0));
+  const ChaosReport report = injector.run(schedule);
+  expect_golden("chaos_scripted_tenant_storm.txt",
+                report.to_json() + injector.log().to_string());
 }
 
 TEST(ChaosTenantStorm, RegionWithoutGuardSkipsTheStormCleanly) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "golden.hpp"
+
 namespace sf::soak {
 namespace {
 
@@ -65,6 +67,11 @@ TEST(SoakEngine, ReportIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(a.find("\"region_reports\""), std::string::npos);
   EXPECT_NE(a.find("\"tenants\""), std::string::npos);
   EXPECT_NE(a.find("\"pass\": true"), std::string::npos);
+}
+
+TEST(SoakGolden, ShortSoakReport) {
+  SoakEngine engine(short_config(1));
+  expect_golden("soak_short_report.json", engine.run().to_json());
 }
 
 }  // namespace

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/sailfish.hpp"
+#include "golden.hpp"
 
 namespace sf::soak {
 namespace {
@@ -99,6 +103,39 @@ TEST(ChaosTimeline, FullDayStepsFireEverythingAndSettleLeakFree) {
   if (timeline.event_counts().count("tenant-storm") > 0) {
     EXPECT_GT(stormed_intervals, 0u);
   }
+}
+
+// Golden: the seed-11 day above as a byte-stable trace — the drawn
+// schedule, one line per step (horizon plus settle), then the final audit.
+TEST(SoakGolden, OneDayTimelineTrace) {
+  core::SailfishSystem system = core::make_system(core::quickstart_options());
+  const ChaosTimeline::Config config = day_config(system, 11);
+  ChaosTimeline timeline(*system.region, config);
+
+  std::string trace = timeline.schedule().to_string();
+  const std::size_t steps =
+      static_cast<std::size_t>(config.horizon_s / config.interval_s) + 12;
+  double t = 0;
+  for (std::size_t i = 0; i < steps; ++i) {
+    t = static_cast<double>(i) * config.interval_s;
+    const ChaosTimeline::StepResult step = timeline.step(t);
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "t=%.0f fired=%zu device=%d control=%d deferred=%zu", t,
+                  step.events_fired, step.device_faults_active ? 1 : 0,
+                  step.control_faults_active ? 1 : 0, step.deferred_ops);
+    trace += line;
+    for (const StormSpec& storm : step.active_storms) {
+      std::snprintf(line, sizeof(line), " storm=%u:%.6f",
+                    static_cast<unsigned>(storm.vni), storm.multiplier);
+      trace += line;
+    }
+    trace += "\n";
+  }
+  for (const std::string& leak : timeline.final_audit(t)) {
+    trace += "leak: " + leak + "\n";
+  }
+  expect_golden("soak_timeline_day_seed11.txt", trace);
 }
 
 }  // namespace
