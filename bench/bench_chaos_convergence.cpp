@@ -45,7 +45,6 @@ core::SailfishOptions chaos_options() {
 chaos::ChaosInjector::Config injector_config() {
   chaos::ChaosInjector::Config config;
   config.interval_bps = 1e11;
-  config.interval_every = 4;
   config.settle_s = 30.0;
   return config;
 }
@@ -102,17 +101,10 @@ SeedResult run_seed(std::uint64_t seed) {
   return result;
 }
 
-std::string sci(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.2e", value);
-  return buffer;
-}
+std::string sci(double value) { return sim::format("%.2e", value); }
 
 std::string hex_seed(std::uint64_t seed) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "0x%llX",
-                static_cast<unsigned long long>(seed));
-  return buffer;
+  return sim::format("0x%llX", static_cast<unsigned long long>(seed));
 }
 
 }  // namespace

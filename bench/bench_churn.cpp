@@ -221,21 +221,16 @@ std::size_t first_difference(std::span<const dataplane::Verdict> a,
 /// counters. Byte-compared across thread counts.
 std::string fleet_report(const Fleet& fleet) {
   std::string report;
-  char line[160];
   for (std::size_t s = 0; s < kShards; ++s) {
     const x86::XgwX86& node = *fleet[s];
-    std::snprintf(line, sizeof(line),
-                  "shard=%zu version=%llu routes=%zu mappings=%zu in=%llu "
-                  "fwd=%llu drop=%llu\n",
-                  s, static_cast<unsigned long long>(node.table_version()),
-                  node.route_count(), node.mapping_count(),
-                  static_cast<unsigned long long>(
-                      node.telemetry().packets_in),
-                  static_cast<unsigned long long>(
-                      node.telemetry().packets_forwarded),
-                  static_cast<unsigned long long>(
-                      node.telemetry().packets_dropped));
-    report += line;
+    report += sim::format(
+        "shard=%zu version=%llu routes=%zu mappings=%zu in=%llu fwd=%llu "
+        "drop=%llu\n",
+        s, static_cast<unsigned long long>(node.table_version()),
+        node.route_count(), node.mapping_count(),
+        static_cast<unsigned long long>(node.telemetry().packets_in),
+        static_cast<unsigned long long>(node.telemetry().packets_forwarded),
+        static_cast<unsigned long long>(node.telemetry().packets_dropped));
   }
   return report;
 }

@@ -81,18 +81,12 @@ double blended_cost(const core::SailfishRegion::IntervalReport& report,
          served;
 }
 
-std::string sci(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.2e", value);
-  return buffer;
-}
+std::string sci(double value) { return sim::format("%.2e", value); }
 
 /// Byte-stable rendering of everything the interval model computes, for
 /// the thread-identity comparison.
 std::string render(const core::SailfishRegion::IntervalReport& report) {
-  char line[512];
-  std::snprintf(
-      line, sizeof(line),
+  return sim::format(
       "offered=%.9e dropped=%.9e fallback=%.9e/%.9e overflow=%.9e "
       "dpu=%.9e/%.9e overflow_x86=%.9e occ=%.9e p99=%.9e entries=%zu "
       "tblocc=%.9e promo=%zu demo=%zu\n",
@@ -102,7 +96,6 @@ std::string render(const core::SailfishRegion::IntervalReport& report) {
       report.p99_latency_us, report.dpu_flow_entries,
       report.dpu_table_occupancy, report.dpu_promotions,
       report.dpu_demotions);
-  return line;
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "net/packet.hpp"
 #include "tables/alpm.hpp"
-#include "tables/dir24_8.hpp"
 #include "tables/digest_table.hpp"
 #include "tables/lpm_trie.hpp"
 #include "tables/route_table.hpp"
@@ -89,29 +88,6 @@ void BM_AlpmLookup(benchmark::State& state) {
   state.SetLabel("bucket=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_AlpmLookup)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_Dir24_8Lookup(benchmark::State& state) {
-  // The DPDK-class structure a production XGW-x86 uses for IPv4: one or
-  // two array reads per lookup — the core of the ~1 Mpps/core budget.
-  tables::Dir24_8 lpm;
-  workload::Rng rng(6);
-  for (int i = 0; i < 50'000; ++i) {
-    lpm.insert(net::Ipv4Prefix(
-                   net::Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())),
-                   24),
-               static_cast<std::uint32_t>(i));
-  }
-  std::vector<net::Ipv4Addr> addrs;
-  for (int i = 0; i < 1024; ++i) {
-    addrs.push_back(
-        net::Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lpm.lookup(addrs[i++ & 1023]));
-  }
-}
-BENCHMARK(BM_Dir24_8Lookup);
 
 void BM_DigestVmNcLookup(benchmark::State& state) {
   // 2^19 buckets: the geometry this bench has always measured.

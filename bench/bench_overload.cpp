@@ -49,7 +49,6 @@ core::SailfishOptions guarded_options() {
 chaos::ChaosInjector::Config injector_config() {
   chaos::ChaosInjector::Config config;
   config.interval_bps = kIntervalBps;
-  config.interval_every = 4;
   config.settle_s = 30.0;
   return config;
 }
@@ -66,11 +65,7 @@ chaos::ChaosSchedule scripted_storm() {
   return schedule;
 }
 
-std::string sci(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.2e", value);
-  return buffer;
-}
+std::string sci(double value) { return sim::format("%.2e", value); }
 
 }  // namespace
 

@@ -2,82 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
-#include <limits>
 
+#include "chaos/fault_plane.hpp"
 #include "cluster/upgrade.hpp"
 #include "guard/guard.hpp"
 #include "net/packet.hpp"
+#include "sim/table_printer.hpp"
 #include "tables/entry.hpp"
-#include "workload/topology.hpp"
 
 namespace sf::chaos {
+
+using sim::format;
+
 namespace {
-
-// Stable printf-style formatting — every number the injector renders goes
-// through here so logs and reports are byte-identical across runs.
-std::string format(const char* fmt, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  return buffer;
-}
-
-std::uint64_t slot_key(std::size_t cluster, std::size_t device) {
-  return (static_cast<std::uint64_t>(cluster) << 32) | device;
-}
-
-/// A down-window on one device slot: heartbeats are missed while it is
-/// active. Crashes produce one, flaps a train of them.
-struct DownWindow {
-  double start = 0;
-  double end = 0;
-  std::size_t fault = 0;  // owning FaultRecord index
-};
-
-/// A port with outstanding injected error reports. While `bad_remaining`
-/// is positive the probe tick reports `error_rate`; afterwards it reports
-/// clean until the monitor lets the port back in and the track retires.
-struct PortTrack {
-  std::size_t cluster = 0;
-  std::size_t device = 0;
-  unsigned port = 0;
-  unsigned bad_remaining = 0;
-  double error_rate = 0;
-  std::vector<std::size_t> faults;
-};
-
-/// Sits between DisasterRecovery and the HealthMonitor so the injector
-/// observes every device-level transition — including the ones recovery
-/// decides on its own (escalation, cold-standby replacement) — at the
-/// exact instant they happen, then forwards them to the monitor.
-struct RecoveryTap : cluster::RecoveryListener {
-  struct Transition {
-    std::size_t cluster = 0;
-    std::size_t device = 0;
-    bool failed = false;
-    double time = 0;
-  };
-
-  cluster::RecoveryListener* next = nullptr;
-  std::vector<Transition> transitions;
-
-  void on_device_marked_failed(std::size_t cluster, std::size_t device,
-                               double now) override {
-    transitions.push_back({cluster, device, true, now});
-    if (next != nullptr) next->on_device_marked_failed(cluster, device, now);
-  }
-  void on_device_marked_recovered(std::size_t cluster, std::size_t device,
-                                  double now) override {
-    transitions.push_back({cluster, device, false, now});
-    if (next != nullptr) {
-      next->on_device_marked_recovered(cluster, device, now);
-    }
-  }
-};
 
 bool is_port_fault(FaultKind kind) {
   return kind == FaultKind::kPortErrorBurst || kind == FaultKind::kLinkLoss;
@@ -87,26 +24,12 @@ bool is_device_fault(FaultKind kind) {
   return kind == FaultKind::kDeviceCrash || kind == FaultKind::kDeviceFlap;
 }
 
-/// A synthetic tenant for update storms: one subnet route and two VM
-/// mappings, addressed out of 10/8 so it never collides with generated
-/// topologies (which allocate under distinct per-VPC blocks).
+// Storm tenants take /24s out of 10.0/9 and NCs out of 172.16/16.
+constexpr std::uint32_t kStormBlock = 0x0a000000u;
+constexpr std::uint32_t kStormNcBase = 0xac100000u;
+
 workload::VpcRecord storm_vpc(net::Vni vni, unsigned ordinal) {
-  workload::VpcRecord vpc;
-  vpc.vni = vni;
-  const std::uint32_t base =
-      0x0a000000u | ((static_cast<std::uint32_t>(ordinal) & 0xffffu) << 8);
-  workload::RouteRecord route;
-  route.prefix = net::Ipv4Prefix(net::Ipv4Addr(base), 24);
-  route.action =
-      tables::VxlanRouteAction{tables::RouteScope::kLocal, 0, net::Ipv4Addr()};
-  vpc.routes.push_back(route);
-  for (std::uint32_t vm_index = 0; vm_index < 2; ++vm_index) {
-    workload::VmRecord vm;
-    vm.ip = net::IpAddr(net::Ipv4Addr(base + 1 + vm_index));
-    vm.nc_ip = net::Ipv4Addr(0xac100000u + ordinal);
-    vpc.vms.push_back(vm);
-  }
-  return vpc;
+  return synthetic_vpc(vni, ordinal, kStormBlock, kStormNcBase);
 }
 
 /// Appends a storm tenant's flood to a flow population: `flow_count`
@@ -116,8 +39,7 @@ workload::VpcRecord storm_vpc(net::Vni vni, unsigned ordinal) {
 void append_storm_flows(std::vector<workload::Flow>& out, net::Vni vni,
                         unsigned ordinal, unsigned flow_count,
                         double weight_total, double zipf_exponent) {
-  const std::uint32_t base =
-      0x0a000000u | ((static_cast<std::uint32_t>(ordinal) & 0xffffu) << 8);
+  const std::uint32_t base = kStormBlock | ((ordinal & 0xffffu) << 8);
   double norm = 0;
   for (unsigned k = 0; k < flow_count; ++k) {
     norm += 1.0 / std::pow(static_cast<double>(k + 1), zipf_exponent);
@@ -126,7 +48,7 @@ void append_storm_flows(std::vector<workload::Flow>& out, net::Vni vni,
     workload::Flow flow;
     flow.vni = vni;
     flow.scope = tables::RouteScope::kLocal;
-    flow.dst_nc = net::Ipv4Addr(0xac100000u + ordinal);
+    flow.dst_nc = net::Ipv4Addr(kStormNcBase + ordinal);
     flow.tuple.src = net::IpAddr(net::Ipv4Addr(base + 1));
     flow.tuple.dst = net::IpAddr(net::Ipv4Addr(base + 2));
     flow.tuple.proto = 17;
@@ -141,7 +63,6 @@ void append_storm_flows(std::vector<workload::Flow>& out, net::Vni vni,
 }  // namespace
 
 struct ChaosInjector::ActiveFault {
-  ChaosEvent event;
   bool done = false;
   /// Injection keeps running until this instant (down windows, report
   /// bursts); recovery is then verified against the live machinery.
@@ -159,43 +80,27 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
   report.schedule_seed = schedule.seed();
 
   cluster::Controller& controller = region_.controller();
-  cluster::DisasterRecovery& recovery = region_.disaster_recovery();
+  const cluster::DisasterRecovery& recovery = region_.disaster_recovery();
+  FaultPlane plane(region_, cluster::HealthMonitor::Config{},
+                   kProbeIntervalS);
+  const cluster::HealthMonitor& monitor = plane.monitor();
 
-  // The monitor registers itself as DR's listener; the tap then takes the
-  // slot and forwards, so both the monitor and the injector see every
-  // recovery-initiated transition.
-  cluster::HealthMonitor monitor(&recovery, config_.health);
-  RecoveryTap tap;
-  tap.next = &monitor;
-  recovery.set_listener(&tap);
-
-  const double dt = config_.probe_interval_s;
   const auto& events = schedule.events();
   std::vector<ActiveFault> faults;
   faults.reserve(events.size());
   report.faults.reserve(events.size());
+  bool has_brownout_events = false;
+  bool has_dpu_events = false;
   for (const ChaosEvent& event : events) {
     report.faults.push_back(FaultRecord{event});
-    faults.push_back(ActiveFault{event, false, 0});
-  }
-
-  // slot -> down windows (std::map for deterministic iteration).
-  std::map<std::uint64_t, std::vector<DownWindow>> windows;
-  // port key -> outstanding error-report track.
-  std::map<std::uint64_t, PortTrack> tracks;
-  double channel_down_until = -1;
-  std::size_t channel_fault = 0;
-  bool channel_down = false;
-  // Controller brownouts: the channel stays nominally up but refuses every
-  // attempt, so a configured breaker trips / probes / closes. Transitions
-  // are observed by diffing the breaker's stats tick over tick.
-  double brownout_until = -1;
-  bool browned_out = false;
-  bool has_brownout_events = false;
-  for (const ChaosEvent& event : events) {
+    faults.push_back(ActiveFault{});
     has_brownout_events =
         has_brownout_events || event.kind == FaultKind::kControllerBrownout;
+    has_dpu_events = has_dpu_events || event.kind == FaultKind::kDpuFailure;
   }
+
+  // Brownout transitions are observed by diffing the breaker's stats tick
+  // over tick.
   const guard::CircuitBreaker* breaker = controller.breaker();
   report.breaker_tracked = has_brownout_events && breaker != nullptr;
   guard::CircuitBreaker::Stats breaker_base{};
@@ -203,136 +108,86 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
   guard::CircuitBreaker::Stats breaker_prev = breaker_base;
 
   // Tenant storms armed this run (the flood blends into interval samples
-  // while [start, end) covers the tick).
+  // while the owning fault's [time, end) covers the tick).
   struct Storm {
     std::size_t fault = 0;  // owning FaultRecord index
     net::Vni vni = 0;
     unsigned ordinal = 0;
     unsigned flow_count = 0;
     double magnitude = 0;  // offered rate as a multiple of interval_bps
-    double start = 0;
-    double end = 0;
   };
   std::vector<Storm> storms;
-  const auto storm_active = [](const Storm& storm, double now) {
-    return storm.start <= now + 1e-9 && now < storm.end - 1e-9;
+  const auto storm_active = [&](const Storm& storm, double now) {
+    return report.faults[storm.fault].event.time <= now + kTimeEpsilon &&
+           now < faults[storm.fault].end - kTimeEpsilon;
   };
 
-  // DPU node failures armed this run. The node is held dark until `end`,
-  // then restored; recovery is verified by watching the interval samples
-  // for the placer re-promoting elephants onto the returned node.
-  struct DpuFault {
-    std::size_t fault = 0;  // owning FaultRecord index
-    std::size_t node = 0;
-    double end = 0;
-    bool restored = false;
-  };
-  std::vector<DpuFault> dpu_faults;
-  bool has_dpu_events = false;
-  for (const ChaosEvent& event : events) {
-    has_dpu_events = has_dpu_events || event.kind == FaultKind::kDpuFailure;
-  }
-  // Last interval sample's DPU-served rate and its timestamp, for the
-  // re-promotion check after a node restore.
+  // DPU node each armed kDpuFailure took dark (by FaultRecord index), and
+  // the last interval sample's DPU-served rate: recovery is the placer
+  // re-promoting elephants onto the node after the plane restores it.
+  std::map<std::size_t, std::size_t> dpu_nodes;
   double last_dpu_pps = 0;
   double last_dpu_sample_at = -1;
 
-  const auto slot_down = [&](std::uint64_t key, double now,
-                             std::size_t* fault_out = nullptr) {
-    auto it = windows.find(key);
-    if (it == windows.end()) return false;
-    for (const DownWindow& w : it->second) {
-      if (w.start <= now + 1e-9 && now < w.end - 1e-9) {
-        if (fault_out != nullptr) *fault_out = w.fault;
-        return true;
+  // Provisions `count` storm tenants through the update channel.
+  const auto onboard = [&](unsigned count) {
+    std::size_t admitted = 0;
+    for (unsigned v = 0; v < count; ++v) {
+      const unsigned ordinal = storm_vni_next_++;
+      if (controller.add_vpc(storm_vpc(kStormVniBase + ordinal, ordinal))) {
+        ++admitted;
       }
     }
-    return false;
+    return admitted;
   };
 
-  const double horizon = schedule.horizon();
-  const double deadline = horizon + config_.settle_s;
+  // Retires fault `i` as recovered at `at`, with the log line saying why.
+  const auto recover = [&](std::size_t i, double at, double now,
+                           const std::string& why) {
+    report.faults[i].recovered_at = at;
+    faults[i].done = true;
+    log_.append(now, "recover", why);
+  };
+  // Retires fault `i` at injection: detected and recovered on the spot.
+  const auto retire = [&](std::size_t i, double now) {
+    report.faults[i].detected_at = now;
+    report.faults[i].recovered_at = now;
+    faults[i].done = true;
+  };
+
+  const bool sampling = config_.interval_bps > 0;
+  const double deadline = schedule.horizon() + config_.settle_s;
   std::size_t next_event = 0;
-  std::size_t probe_count = std::min(config_.probe_flows, flows_.size());
+  const std::size_t probe_count = std::min(kProbeFlows, flows_.size());
 
   for (std::uint64_t tick = 0;; ++tick) {
-    const double now = static_cast<double>(tick) * dt;
+    const double now = static_cast<double>(tick) * kProbeIntervalS;
 
     // ---- 1. fire schedule events due at this tick -------------------------
     while (next_event < events.size() &&
-           events[next_event].time <= now + 1e-9) {
+           events[next_event].time <= now + kTimeEpsilon) {
       const std::size_t index = next_event++;
       const ChaosEvent& event = events[index];
       ActiveFault& fault = faults[index];
+      FaultRecord& record = report.faults[index];
       log_.append(now, "inject", event.to_string());
       switch (event.kind) {
-        case FaultKind::kDeviceCrash: {
-          fault.end = event.time + event.duration;
-          windows[slot_key(event.cluster, event.device)].push_back(
-              DownWindow{event.time, fault.end, index});
-          break;
-        }
-        case FaultKind::kDeviceFlap: {
-          auto& slot = windows[slot_key(event.cluster, event.device)];
-          for (unsigned cycle = 0; cycle < event.count; ++cycle) {
-            const double start =
-                event.time + 2.0 * cycle * event.duration;
-            slot.push_back(
-                DownWindow{start, start + event.duration, index});
-          }
-          fault.end = event.time + 2.0 * event.count * event.duration;
-          break;
-        }
+        case FaultKind::kDeviceCrash:
+        case FaultKind::kDeviceFlap:
         case FaultKind::kPortErrorBurst:
-        case FaultKind::kLinkLoss: {
-          // A burst hits one named port; link loss takes out the first
-          // `count` ports together (a cut trunk) with enough bad reports
-          // to cross the isolation threshold.
-          const unsigned burst =
-              event.kind == FaultKind::kPortErrorBurst
-                  ? event.count
-                  : config_.health.isolate_port_after + 1;
-          const unsigned first =
-              event.kind == FaultKind::kPortErrorBurst ? event.port : 0;
-          const unsigned span =
-              event.kind == FaultKind::kPortErrorBurst ? 1 : event.count;
-          for (unsigned p = first; p < first + span; ++p) {
-            const std::uint64_t key =
-                (slot_key(event.cluster, event.device) << 12) | p;
-            PortTrack& track = tracks[key];
-            track.cluster = event.cluster;
-            track.device = event.device;
-            track.port = p;
-            track.bad_remaining += burst;
-            track.error_rate = event.error_rate;
-            track.faults.push_back(index);
-          }
-          fault.end = event.time + burst * dt;
+        case FaultKind::kLinkLoss:
+          fault.end = plane.arm(event, index);
           break;
-        }
         case FaultKind::kChannelOutage: {
-          fault.end = event.time + event.duration;
-          if (!channel_down) {
-            controller.set_update_channel_up(false);
-            channel_down = true;
-            log_.append(now, "channel", "update channel down");
-          }
-          channel_down_until = std::max(channel_down_until, fault.end);
-          channel_fault = index;
-          report.faults[index].detected_at = now;
+          const bool was_down = plane.channel_down();
+          fault.end = plane.arm(event, index);
+          if (!was_down) log_.append(now, "channel", "update channel down");
+          record.detected_at = now;
           break;
         }
         case FaultKind::kUpdateStorm: {
-          std::size_t admitted = 0;
-          for (unsigned v = 0; v < event.count; ++v) {
-            const unsigned ordinal = storm_vni_next_++;
-            if (controller.add_vpc(storm_vpc(
-                    config_.storm_vni_base + ordinal, ordinal))) {
-              ++admitted;
-            }
-          }
-          report.faults[index].detected_at = now;
-          fault.end = event.time;
+          const std::size_t admitted = onboard(event.count);
+          record.detected_at = now;
           log_.append(now, "storm",
                       format("%zu vpcs admitted, %zu table ops deferred",
                              admitted, controller.deferred_op_count()));
@@ -350,11 +205,8 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
               [&](const cluster::XgwHCluster& cc) {
                 return !cc.failed_over();
               });
-          report.faults[index].detected_at = now;
-          report.faults[index].rerouted_at = now;
-          report.faults[index].recovered_at = now;
-          fault.done = true;
-          fault.end = event.time;
+          retire(index, now);
+          record.rerouted_at = now;
           log_.append(now, "upgrade",
                       result.completed
                           ? "roll completed"
@@ -363,29 +215,23 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
         }
         case FaultKind::kTenantStorm: {
           const unsigned ordinal = storm_vni_next_++;
-          const net::Vni vni =
-              config_.storm_vni_base + static_cast<net::Vni>(ordinal);
+          const net::Vni vni = kStormVniBase + static_cast<net::Vni>(ordinal);
           controller.add_vpc(storm_vpc(vni, ordinal));
           guard::TenantGuard* guard = region_.tenant_guard();
-          if (guard == nullptr || config_.interval_bps <= 0 ||
-              config_.interval_every == 0) {
+          if (guard == nullptr || !sampling) {
             // Without a guard (or interval sampling to meter against)
             // there is nothing to degrade or verify — retire immediately.
-            report.faults[index].detected_at = now;
-            report.faults[index].recovered_at = now;
-            fault.done = true;
-            fault.end = event.time;
+            retire(index, now);
             log_.append(now, "tenant-storm",
                         "skipped: region has no guard or interval sampling");
             break;
           }
-          const double limit_bps =
-              config_.storm_limit_fraction * config_.interval_bps;
+          const double limit_bps = kStormLimitFraction * config_.interval_bps;
           guard->set_limit(guard::TenantLimit{vni, limit_bps, 0.0});
           fault.end = event.time + event.duration;
-          storms.push_back(Storm{index, vni, ordinal, event.count,
-                                 event.error_rate, event.time, fault.end});
-          report.faults[index].detected_at = now;
+          storms.push_back(
+              Storm{index, vni, ordinal, event.count, event.error_rate});
+          record.detected_at = now;
           log_.append(now, "tenant-storm",
                       format("vni %u armed: limit %.3e bps, flood %.1fx "
                              "region rate over %u flows for %.1fs",
@@ -396,30 +242,22 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
         case FaultKind::kChurnStorm: {
           // Tenant-onboarding wave: a burst of new VPCs through the
           // update channel (each is several route/mapping table ops)...
-          std::size_t admitted = 0;
           const unsigned first_ordinal = storm_vni_next_;
-          for (unsigned v = 0; v < event.count; ++v) {
-            const unsigned ordinal = storm_vni_next_++;
-            if (controller.add_vpc(storm_vpc(
-                    config_.storm_vni_base + ordinal, ordinal))) {
-              ++admitted;
-            }
-          }
+          const std::size_t admitted = onboard(event.count);
           // ...then a VM-migration wave: the freshly onboarded tenants
           // immediately re-place onto other clusters, churning both the
           // source and target cluster tables mid-run.
           std::size_t migrated = 0;
           if (controller.cluster_count() > 1) {
             for (unsigned v = 0; v < event.count; ++v) {
-              const net::Vni vni = config_.storm_vni_base +
-                                   static_cast<net::Vni>(first_ordinal + v);
+              const net::Vni vni =
+                  kStormVniBase + static_cast<net::Vni>(first_ordinal + v);
               const std::uint32_t target = static_cast<std::uint32_t>(
                   (event.cluster + 1 + v) % controller.cluster_count());
               if (controller.migrate_vpc(vni, target)) ++migrated;
             }
           }
-          report.faults[index].detected_at = now;
-          fault.end = event.time;
+          record.detected_at = now;
           log_.append(now, "churn-storm",
                       format("%zu vpcs onboarded, %zu migrated, %zu table "
                              "ops deferred",
@@ -430,10 +268,7 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
         case FaultKind::kDpuFailure: {
           if (region_.dpu_node_count() == 0) {
             // No DPU tier in this region — nothing to fail or verify.
-            report.faults[index].detected_at = now;
-            report.faults[index].recovered_at = now;
-            fault.done = true;
-            fault.end = event.time;
+            retire(index, now);
             log_.append(now, "dpu-failure",
                         "skipped: region has no DPU tier");
             break;
@@ -441,14 +276,13 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
           const std::size_t node = event.device % region_.dpu_node_count();
           const std::uint64_t placed_before =
               region_.dpu_node(node).flow_count();
-          region_.set_dpu_failed(node, true);
-          fault.end = event.time + event.duration;
-          dpu_faults.push_back(DpuFault{index, node, fault.end, false});
+          fault.end = plane.arm(event, index);
+          dpu_nodes[index] = node;
           // The failure is injected below the health plane: the region
           // fails the node over synchronously (placement misses fall back
           // to x86), so detect and reroute coincide with injection.
-          report.faults[index].detected_at = now;
-          report.faults[index].rerouted_at = now;
+          record.detected_at = now;
+          record.rerouted_at = now;
           log_.append(now, "dpu-failure",
                       format("node %zu dark for %.1fs, %llu placed flows "
                              "failing over to x86",
@@ -457,29 +291,19 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
           break;
         }
         case FaultKind::kControllerBrownout: {
-          fault.end = event.time + event.duration;
-          if (!browned_out) {
-            controller.set_update_channel_degraded(true);
-            browned_out = true;
+          const bool was_browned_out = plane.browned_out();
+          fault.end = plane.arm(event, index);
+          if (!was_browned_out) {
             log_.append(now, "brownout", "update channel browned out");
           }
-          brownout_until = std::max(brownout_until, fault.end);
           // Provisioning keeps arriving during the brownout: a small wave
           // of onboardings whose pushes get refused, feeding the breaker
           // (or piling onto the retry queue when none is configured).
-          const unsigned wave = std::max(4u, event.count);
-          std::size_t admitted = 0;
-          for (unsigned v = 0; v < wave; ++v) {
-            const unsigned ordinal = storm_vni_next_++;
-            if (controller.add_vpc(storm_vpc(
-                    config_.storm_vni_base + ordinal, ordinal))) {
-              ++admitted;
-            }
-          }
-          report.faults[index].detected_at = now;
+          const std::size_t admitted = onboard(std::max(4u, event.count));
+          record.detected_at = now;
           // The control plane rides the retry queue until the brownout
           // lifts — the deferral itself is the reroute.
-          report.faults[index].rerouted_at = now;
+          record.rerouted_at = now;
           log_.append(now, "brownout",
                       format("%zu vpcs admitted into the brownout, %zu "
                              "table ops deferred",
@@ -489,79 +313,44 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
       }
     }
 
-    // ---- 2. heartbeat probes (fixed cluster-major order) ------------------
-    tap.transitions.clear();
-    for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
-      const std::size_t devices = controller.cluster(c).device_count();
-      for (std::size_t d = 0; d < devices; ++d) {
-        const bool ok = !slot_down(slot_key(c, d), now);
-        monitor.report_heartbeat(c, d, ok, now);
-      }
-    }
-
-    // ---- 3. port error probes (sorted port-key order) ---------------------
-    for (auto it = tracks.begin(); it != tracks.end();) {
-      PortTrack& track = it->second;
-      if (track.bad_remaining > 0) {
-        --track.bad_remaining;
-        monitor.report_port_errors(track.cluster, track.device, track.port,
-                                   track.error_rate, now);
-        ++it;
-        continue;
-      }
-      monitor.report_port_errors(track.cluster, track.device, track.port,
-                                 0.0, now);
-      if (!monitor.port_considered_isolated(track.cluster, track.device,
-                                            track.port)) {
-        it = tracks.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    // ---- 2-3. heartbeat and port error probes -----------------------------
+    plane.deliver_heartbeats(now);
+    plane.deliver_port_reports(now);
 
     // ---- 4. recovery transitions observed this tick -----------------------
-    for (const RecoveryTap::Transition& tr : tap.transitions) {
-      const std::uint64_t key = slot_key(tr.cluster, tr.device);
+    for (const FaultPlane::Transition& tr : plane.transitions()) {
       log_.append(now, "recovery",
                   format("cluster %zu device %zu marked %s", tr.cluster,
                          tr.device, tr.failed ? "failed" : "recovered"));
       for (std::size_t i = 0; i < faults.size(); ++i) {
         ActiveFault& fault = faults[i];
         FaultRecord& record = report.faults[i];
-        if (fault.done || fault.event.time > now + 1e-9) continue;
-        if (slot_key(fault.event.cluster, fault.event.device) != key) {
+        if (fault.done || record.event.time > now + kTimeEpsilon) continue;
+        if (record.event.cluster != tr.cluster ||
+            record.event.device != tr.device) {
           continue;
         }
         if (tr.failed) {
           if (record.detected_at < 0) record.detected_at = tr.time;
           if (record.rerouted_at < 0) record.rerouted_at = tr.time;
-          if (is_port_fault(fault.event.kind)) record.escalated = true;
-        } else if (is_device_fault(fault.event.kind) && now < fault.end) {
+          if (is_port_fault(record.event.kind)) record.escalated = true;
+        } else if (is_device_fault(record.event.kind) && now < fault.end) {
           // The slot came back while the schedule still holds the device
-          // down: a cold standby took over. Fresh hardware — truncate the
-          // remaining down windows so its heartbeats arrive clean.
+          // down: a cold standby took over (the plane has already cut the
+          // remaining down windows).
           record.replaced = true;
           record.recovered_at = tr.time;
           fault.done = true;
-          auto wit = windows.find(key);
-          if (wit != windows.end()) {
-            for (DownWindow& w : wit->second) {
-              if (w.fault == i) w.end = std::min(w.end, now);
-            }
-          }
         }
       }
     }
 
-    // ---- 5. control-plane clock: drain deferred pushes --------------------
-    if (channel_down && now + 1e-9 >= channel_down_until) {
-      controller.set_update_channel_up(true);
-      channel_down = false;
+    // ---- 5. control-plane clock: lift expired windows, drain pushes -------
+    const FaultPlane::Restored restored = plane.restore_expired(now);
+    if (restored.channel) {
       log_.append(now, "channel", "update channel restored");
     }
-    if (browned_out && now + 1e-9 >= brownout_until) {
-      controller.set_update_channel_degraded(false);
-      browned_out = false;
+    if (restored.brownout) {
       log_.append(now, "brownout", "update channel brownout cleared");
     }
     const std::size_t replayed = controller.advance_clock(now);
@@ -586,47 +375,35 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
       }
       breaker_prev = bs;
     }
+    for (const std::size_t node : restored.dpu_nodes) {
+      log_.append(now, "dpu-failure", format("node %zu restored", node));
+    }
 
     // ---- 6. fault lifecycle updates (level-triggered) ---------------------
     for (std::size_t i = 0; i < faults.size(); ++i) {
       ActiveFault& fault = faults[i];
       FaultRecord& record = report.faults[i];
-      if (fault.done || fault.event.time > now + 1e-9) continue;
-      const std::size_t ec = fault.event.cluster;
-      const std::size_t ed = fault.event.device;
-      switch (fault.event.kind) {
+      if (fault.done || record.event.time > now + kTimeEpsilon) continue;
+      const std::size_t ec = record.event.cluster;
+      const std::size_t ed = record.event.device;
+      switch (record.event.kind) {
         case FaultKind::kDeviceCrash:
         case FaultKind::kDeviceFlap: {
-          if (now + 1e-9 >= fault.end &&
+          if (now + kTimeEpsilon >= fault.end &&
               !monitor.device_considered_failed(ec, ed) &&
               controller.cluster(ec).device_health(ed) ==
                   cluster::DeviceHealth::kHealthy) {
             // Either fully recovered, or so brief the debounce never
             // acted — both count as converged.
-            record.recovered_at =
-                record.detected_at < 0 ? fault.end : now;
-            fault.done = true;
-            log_.append(now, "recover",
-                        format("cluster %zu device %zu converged", ec, ed));
+            recover(i, record.detected_at < 0 ? fault.end : now, now,
+                    format("cluster %zu device %zu converged", ec, ed));
           }
           break;
         }
         case FaultKind::kPortErrorBurst:
         case FaultKind::kLinkLoss: {
-          bool any_isolated = false;
-          bool any_tracked = false;
-          for (const auto& [key, track] : tracks) {
-            if (track.cluster != ec || track.device != ed) continue;
-            if (std::find(track.faults.begin(), track.faults.end(), i) ==
-                track.faults.end()) {
-              continue;
-            }
-            any_tracked = true;
-            if (monitor.port_considered_isolated(ec, ed, track.port)) {
-              any_isolated = true;
-            }
-          }
-          if (record.detected_at < 0 && any_isolated) {
+          const FaultPlane::PortState ports = plane.port_state(i);
+          if (record.detected_at < 0 && ports.isolated) {
             record.detected_at = now;
           }
           if (record.rerouted_at < 0 &&
@@ -634,12 +411,10 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
                monitor.device_considered_failed(ec, ed))) {
             record.rerouted_at = now;
           }
-          if (!any_tracked && !monitor.device_considered_failed(ec, ed) &&
+          if (!ports.tracked && !monitor.device_considered_failed(ec, ed) &&
               recovery.isolated_port_count(ec, ed) == 0) {
-            record.recovered_at = now;
-            fault.done = true;
-            log_.append(now, "recover",
-                        format("cluster %zu device %zu ports clean", ec, ed));
+            recover(i, now, now,
+                    format("cluster %zu device %zu ports clean", ec, ed));
           }
           break;
         }
@@ -647,11 +422,10 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
         case FaultKind::kUpdateStorm:
         case FaultKind::kChurnStorm: {
           const bool outage_over =
-              fault.event.kind != FaultKind::kChannelOutage || !channel_down;
+              record.event.kind != FaultKind::kChannelOutage ||
+              !plane.channel_down();
           if (outage_over && controller.deferred_op_count() == 0) {
-            record.recovered_at = now;
-            fault.done = true;
-            log_.append(now, "recover", "control plane drained");
+            recover(i, now, now, "control plane drained");
           }
           break;
         }
@@ -661,12 +435,10 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
           const bool closed =
               breaker == nullptr ||
               breaker->state(now) == guard::CircuitBreaker::State::kClosed;
-          if (!browned_out && now + 1e-9 >= fault.end && closed &&
-              controller.deferred_op_count() == 0) {
-            record.recovered_at = now;
-            fault.done = true;
-            log_.append(now, "recover",
-                        "brownout cleared; breaker closed and queue drained");
+          if (!plane.browned_out() && now + kTimeEpsilon >= fault.end &&
+              closed && controller.deferred_op_count() == 0) {
+            recover(i, now, now,
+                    "brownout cleared; breaker closed and queue drained");
           }
           break;
         }
@@ -675,7 +447,7 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
         case FaultKind::kTenantStorm: {
           // Done when the flood is over AND the guard has walked the
           // tenant back down the ladder to full service.
-          if (now + 1e-9 < fault.end) break;
+          if (now + kTimeEpsilon < fault.end) break;
           const guard::TenantGuard* guard = region_.tenant_guard();
           net::Vni vni = 0;
           for (const Storm& storm : storms) {
@@ -683,39 +455,26 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
           }
           if (guard == nullptr ||
               guard->tier_of(vni) == guard::Tier::kFull) {
-            record.recovered_at = now;
-            fault.done = true;
-            log_.append(now, "recover",
-                        format("storm tenant %u back to full service",
-                               static_cast<unsigned>(vni)));
+            recover(i, now, now,
+                    format("storm tenant %u back to full service",
+                           static_cast<unsigned>(vni)));
           }
           break;
         }
         case FaultKind::kDpuFailure: {
-          DpuFault* armed = nullptr;
-          for (DpuFault& df : dpu_faults) {
-            if (df.fault == i) armed = &df;
-          }
-          if (armed == nullptr) break;  // skipped at injection
-          if (!armed->restored && now + 1e-9 >= armed->end) {
-            region_.set_dpu_failed(armed->node, false);
-            armed->restored = true;
-            log_.append(now, "dpu-failure",
-                        format("node %zu restored", armed->node));
-          }
-          if (!armed->restored) break;
+          const auto armed = dpu_nodes.find(i);
+          if (armed == dpu_nodes.end()) break;  // skipped at injection
+          const std::size_t node = armed->second;
+          const double restored_at = plane.dpu_dark_until(node);
+          if (now + kTimeEpsilon < restored_at) break;  // still dark
           // Recovered once the placer has re-promoted elephants after the
-          // restore — the interval samples show the tier serving again.
-          // Without interval sampling there is nothing to watch; the
-          // restore itself is the recovery.
-          const bool sampling =
-              config_.interval_bps > 0 && config_.interval_every > 0;
-          if (!sampling || (last_dpu_sample_at > armed->end - 1e-9 &&
-                            last_dpu_pps > 0)) {
-            record.recovered_at = now;
-            fault.done = true;
-            log_.append(now, "recover",
-                        format("dpu node %zu serving again", armed->node));
+          // node's last dark window — the interval samples show the tier
+          // serving again. Without interval sampling there is nothing to
+          // watch; the restore itself is the recovery.
+          if (!sampling ||
+              (last_dpu_sample_at > restored_at - kTimeEpsilon &&
+               last_dpu_pps > 0)) {
+            recover(i, now, now, format("dpu node %zu serving again", node));
           }
           break;
         }
@@ -733,7 +492,7 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
         std::size_t owner = 0;
         if (device.has_value() &&
             c.device_health(*device) == cluster::DeviceHealth::kHealthy &&
-            slot_down(slot_key(*cluster_id, *device), now, &owner)) {
+            plane.slot_down(*cluster_id, *device, now, &owner)) {
           // ECMP still steers into a device the schedule has killed but
           // the monitor has not yet failed: the packet blackholes.
           ++report.faults[owner].blackholed;
@@ -750,8 +509,7 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
     }
 
     // ---- 8. interval-simulator sample (the fig19-under-failure series) ----
-    if (config_.interval_bps > 0 && config_.interval_every > 0 &&
-        tick % config_.interval_every == 0) {
+    if (sampling && tick % kIntervalEvery == 0) {
       // While a tenant storm rages, the flood rides on top of the base
       // population: the base keeps its absolute offered rate and each
       // storm adds `magnitude` x interval_bps of Zipf-skewed flows.
@@ -768,7 +526,7 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
           if (!storm_active(storm, now)) continue;
           append_storm_flows(blended, storm.vni, storm.ordinal,
                              storm.flow_count, storm.magnitude * scale,
-                             config_.storm_zipf_exponent);
+                             kStormZipfExponent);
         }
         interval = region_.simulate_interval(
             blended, config_.interval_bps * (1.0 + storm_total), tick);
@@ -782,14 +540,10 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
       last_dpu_pps = interval.dpu_pps;
       last_dpu_sample_at = now;
       if (has_dpu_events && region_.dpu_node_count() > 0) {
-        ChaosReport::DpuSample sample;
-        sample.time = now;
-        sample.dpu_pps = interval.dpu_pps;
-        sample.overflow_x86_pps = interval.overflow_x86_pps;
-        sample.punt_queue_occupancy = interval.punt_queue_occupancy;
-        sample.p99_latency_us = interval.p99_latency_us;
-        sample.dpu_flow_entries = interval.dpu_flow_entries;
-        report.dpu_samples.push_back(sample);
+        report.dpu_samples.push_back(ChaosReport::DpuSample{
+            now, interval.dpu_pps, interval.overflow_x86_pps,
+            interval.punt_queue_occupancy, interval.p99_latency_us,
+            interval.dpu_flow_entries});
       }
 
       // Storm isolation samples: the storm tenant's ladder tier and the
@@ -827,16 +581,18 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
       }
     }
 
+
     // ---- 9. termination ---------------------------------------------------
     bool all_done = next_event == events.size();
     for (const ActiveFault& fault : faults) {
       all_done = all_done && fault.done;
     }
-    if (all_done && !channel_down && controller.deferred_op_count() == 0) {
+    if (all_done && !plane.channel_down() &&
+        controller.deferred_op_count() == 0) {
       log_.append(now, "converged", "all faults recovered");
       break;
     }
-    if (now + 1e-9 >= deadline) {
+    if (now + kTimeEpsilon >= deadline) {
       log_.append(now, "deadline", "settle window exhausted");
       break;
     }
@@ -845,67 +601,9 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
   report.events_applied = next_event;
 
   // ---- leak audit: nothing may survive a fully recovered schedule --------
-  for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
-    const cluster::XgwHCluster& cl = controller.cluster(c);
-    if (cl.failed_over()) {
-      report.leaks.push_back(
-          format("cluster %zu still failed over to backups", c));
-    }
-    for (std::size_t d = 0; d < cl.device_count(); ++d) {
-      if (cl.device_health(d) != cluster::DeviceHealth::kHealthy) {
-        report.leaks.push_back(
-            format("cluster %zu device %zu still out of ECMP", c, d));
-      }
-      if (monitor.device_considered_failed(c, d)) {
-        report.leaks.push_back(
-            format("cluster %zu device %zu still failed in monitor", c, d));
-      }
-      if (recovery.isolated_port_count(c, d) != 0) {
-        report.leaks.push_back(
-            format("cluster %zu device %zu has %u ports still isolated", c,
-                   d, recovery.isolated_port_count(c, d)));
-      }
-    }
-    const cluster::Controller::ConsistencyReport audit =
-        controller.check_consistency(c);
-    if (audit.missing_on_device != 0) {
-      report.leaks.push_back(
-          format("cluster %zu missing %zu entries on device", c,
-                 audit.missing_on_device));
-    }
-  }
-  if (!recovery.quiescent()) {
-    report.leaks.push_back("disaster recovery holds stale isolated-port state");
-  }
-  if (const guard::TenantGuard* guard = region_.tenant_guard()) {
-    for (const Storm& storm : storms) {
-      if (guard->tier_of(storm.vni) != guard::Tier::kFull) {
-        report.leaks.push_back(
-            format("storm tenant %u still degraded to %s",
-                   static_cast<unsigned>(storm.vni),
-                   guard::name(guard->tier_of(storm.vni))));
-      }
-    }
-  }
-  for (std::size_t n = 0; n < region_.dpu_node_count(); ++n) {
-    if (region_.dpu_node(n).failed()) {
-      report.leaks.push_back(format("dpu node %zu left failed", n));
-    }
-  }
-  if (controller.deferred_op_count() != 0) {
-    report.leaks.push_back(format("%zu table ops still deferred",
-                                  controller.deferred_op_count()));
-  }
-  if (!controller.update_channel_up()) {
-    report.leaks.push_back("update channel left down");
-  }
-  if (controller.update_channel_degraded()) {
-    report.leaks.push_back("update channel left degraded");
-  }
-  if (report.breaker_tracked &&
-      breaker->state(deadline) != guard::CircuitBreaker::State::kClosed) {
-    report.leaks.push_back("update-channel breaker left open");
-  }
+  std::vector<net::Vni> storm_vnis;
+  for (const Storm& storm : storms) storm_vnis.push_back(storm.vni);
+  report.leaks = FaultPlane::audit(region_, deadline, &monitor, storm_vnis);
   if (report.breaker_tracked) {
     const guard::CircuitBreaker::Stats& bs = breaker->stats();
     report.breaker_trips = bs.trips - breaker_base.trips;
@@ -917,6 +615,7 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
   for (const std::string& leak : report.leaks) {
     log_.append(deadline, "leak", leak);
   }
+
 
   // ---- aggregates --------------------------------------------------------
   std::size_t detected = 0;
@@ -942,8 +641,6 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
     report.mean_time_to_reroute /= static_cast<double>(rerouted);
   }
 
-  // Detach the tap before it goes out of scope; the monitor dies with it.
-  recovery.set_listener(nullptr);
   return report;
 }
 

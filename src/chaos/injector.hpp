@@ -1,11 +1,11 @@
 // sf::chaos — the fault injector and recovery verifier.
 //
-// The injector replays a ChaosSchedule against a full SailfishRegion: it
-// owns the HealthMonitor, delivers heartbeat and port-error probes on a
-// fixed tick, translates schedule events into the observations the
-// monitor would see (missed heartbeats, error bursts, channel outages,
-// provisioning storms, aborted upgrades), and watches the recovery
-// machinery converge. For every fault it measures time-to-detect,
+// The injector replays a ChaosSchedule against a full SailfishRegion on a
+// fixed 0.5 s probe tick. Device, port, channel, brownout and DPU faults go
+// through the FaultPlane (fault_plane.hpp), which turns them into the
+// observations the health monitor would see; the injector owns the other
+// faces (update, tenant and churn storms, aborted upgrades) and watches
+// the recovery machinery converge. For every fault it measures time-to-detect,
 // time-to-reroute and time-to-recover, counts the probe packets lost
 // inside the convergence window (blackholed at a dead-but-not-yet-failed
 // device, or dropped with a verdict reason), and samples the interval
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "chaos/schedule.hpp"
-#include "cluster/health.hpp"
 #include "core/region.hpp"
 #include "sim/event_log.hpp"
 #include "workload/flowgen.hpp"
@@ -128,28 +127,28 @@ struct ChaosReport {
 
 class ChaosInjector {
  public:
+  /// Probe tick: heartbeat and port-scrape cadence (seconds). Schedule
+  /// times should be multiples of it.
+  static constexpr double kProbeIntervalS = 0.5;
+  /// Hardware-scope flows probed through the functional path per tick.
+  static constexpr std::size_t kProbeFlows = 24;
+  /// Ticks between interval-simulator samples (one every 2 s).
+  static constexpr std::size_t kIntervalEvery = 4;
+  /// Base VNI for storm-provisioned tenants (outside topology VNIs).
+  static constexpr net::Vni kStormVniBase = 0xC0DE00;
+  /// Tenant-storm shape (kTenantStorm). The storm tenant's byte-rate limit
+  /// is armed on the region's guard as this fraction of `interval_bps`; the
+  /// flood itself is Zipf-skewed over the event's `count` flows with this
+  /// exponent.
+  static constexpr double kStormLimitFraction = 0.05;
+  static constexpr double kStormZipfExponent = 1.2;
+
   struct Config {
-    /// Probe tick (heartbeat + port scrape cadence, seconds). Schedule
-    /// times should be multiples of this.
-    double probe_interval_s = 0.5;
-    /// Health thresholds driving detection latency.
-    cluster::HealthMonitor::Config health;
-    /// Hardware-scope flows probed through the functional path per tick.
-    std::size_t probe_flows = 24;
     /// When > 0, run the interval simulator at this offered rate every
-    /// `interval_every` ticks and record the drop-rate series.
+    /// kIntervalEvery ticks and record the drop-rate series.
     double interval_bps = 0;
-    std::size_t interval_every = 4;
     /// Extra time after the last scheduled fault for recovery to finish.
     double settle_s = 30.0;
-    /// Base VNI for storm-provisioned tenants (outside topology VNIs).
-    net::Vni storm_vni_base = 0xC0DE00;
-    /// Tenant-storm shape (kTenantStorm). The storm tenant's byte-rate
-    /// limit is armed on the region's guard as this fraction of
-    /// `interval_bps`; the flood itself is Zipf-skewed over the event's
-    /// `count` flows with this exponent.
-    double storm_limit_fraction = 0.05;
-    double storm_zipf_exponent = 1.2;
   };
 
   ChaosInjector(core::SailfishRegion& region,
@@ -163,8 +162,6 @@ class ChaosInjector {
 
   /// The replay log of the last run() — byte-identical for equal inputs.
   const sim::EventLog& log() const { return log_; }
-
-  const Config& config() const { return config_; }
 
  private:
   struct ActiveFault;

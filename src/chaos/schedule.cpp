@@ -1,8 +1,8 @@
 #include "chaos/schedule.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "sim/table_printer.hpp"
 #include "workload/rng.hpp"
 
 namespace sf::chaos {
@@ -36,13 +36,11 @@ std::string to_string(FaultKind kind) {
 }
 
 std::string ChaosEvent::to_string() const {
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "t=%.3f %s cluster=%zu device=%zu port=%u count=%u "
-                "duration=%.3f error_rate=%.3e",
-                time, chaos::to_string(kind).c_str(), cluster, device, port,
-                count, duration, error_rate);
-  return line;
+  return sim::format(
+      "t=%.3f %s cluster=%zu device=%zu port=%u count=%u duration=%.3f "
+      "error_rate=%.3e",
+      time, chaos::to_string(kind).c_str(), cluster, device, port, count,
+      duration, error_rate);
 }
 
 ChaosSchedule& ChaosSchedule::add(ChaosEvent event) {

@@ -258,34 +258,37 @@ bool Controller::add_vpc(const workload::VpcRecord& vpc) {
 
 std::size_t Controller::install_topology(
     const workload::RegionTopology& region) {
-  // Admit peer-connected components contiguously: add_vpc co-locates a
-  // VPC with an *already assigned* peer, so a component must not be
-  // interleaved with others (its members could otherwise seed different
-  // clusters before the connecting vertex arrives).
+  std::size_t admitted = 0;
+  for (std::size_t index : admission_order(region)) {
+    if (add_vpc(region.vpcs[index])) ++admitted;
+  }
+  return admitted;
+}
+
+std::vector<std::size_t> Controller::admission_order(
+    const workload::RegionTopology& region) {
   std::unordered_map<net::Vni, std::size_t> index_of;
   for (std::size_t i = 0; i < region.vpcs.size(); ++i) {
     index_of[region.vpcs[i].vni] = i;
   }
   std::vector<bool> visited(region.vpcs.size(), false);
-  std::size_t admitted = 0;
+  std::vector<std::size_t> order;
   for (std::size_t start = 0; start < region.vpcs.size(); ++start) {
     if (visited[start]) continue;
-    std::vector<std::size_t> component{start};
+    const std::size_t first = order.size();
+    order.push_back(start);
     visited[start] = true;
-    for (std::size_t i = 0; i < component.size(); ++i) {
-      for (net::Vni peer : region.vpcs[component[i]].peers) {
+    for (std::size_t i = first; i < order.size(); ++i) {
+      for (net::Vni peer : region.vpcs[order[i]].peers) {
         auto it = index_of.find(peer);
         if (it != index_of.end() && !visited[it->second]) {
           visited[it->second] = true;
-          component.push_back(it->second);
+          order.push_back(it->second);
         }
       }
     }
-    for (std::size_t index : component) {
-      if (add_vpc(region.vpcs[index])) ++admitted;
-    }
   }
-  return admitted;
+  return order;
 }
 
 dataplane::BatchResult Controller::apply(const dataplane::TableOpBatch& batch) {

@@ -94,8 +94,16 @@ class Controller : public dataplane::TableProgrammer {
   /// capacity (sales closed).
   bool add_vpc(const workload::VpcRecord& vpc);
 
-  /// Installs a whole region topology.
+  /// Installs a whole region topology, in admission_order().
   std::size_t install_topology(const workload::RegionTopology& region);
+
+  /// VPC indices with each peer-connected component admitted contiguously:
+  /// add_vpc co-locates a VPC with an *already assigned* peer, so a
+  /// component must not be interleaved with others (its members could
+  /// otherwise seed different clusters before the connecting vertex
+  /// arrives).
+  static std::vector<std::size_t> admission_order(
+      const workload::RegionTopology& region);
 
   /// Desired-state edits (dataplane::TableProgrammer v2). Every op in the
   /// batch runs the full admission pipeline independently and gets its own

@@ -1,6 +1,6 @@
 #include "sim/event_log.hpp"
 
-#include <cstdio>
+#include "sim/table_printer.hpp"
 
 namespace sf::sim {
 
@@ -28,10 +28,8 @@ std::size_t EventLog::count(const std::string& category) const {
 
 std::string EventLog::to_string() const {
   std::string out;
-  char stamp[32];
   for (const Entry& entry : entries_) {
-    std::snprintf(stamp, sizeof(stamp), "[t=%.3f] ", entry.time);
-    out += stamp;
+    out += format("[t=%.3f] ", entry.time);
     out += entry.category;
     out += ": ";
     out += entry.message;

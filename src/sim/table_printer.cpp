@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <sstream>
 
@@ -43,16 +44,25 @@ std::string TablePrinter::render() const {
 
 void TablePrinter::print() const { std::fputs(render().c_str(), stdout); }
 
+std::string format(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list sizing;
+  va_copy(sizing, args);
+  const int size = std::vsnprintf(nullptr, 0, fmt, sizing);
+  va_end(sizing);
+  std::string out(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
+  std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  va_end(args);
+  return out;
+}
+
 std::string format_double(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, value);
-  return buf;
+  return format("%.*f", precision, value);
 }
 
 std::string format_percent(double fraction, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f%%", precision, fraction * 100.0);
-  return buf;
+  return format("%.*f%%", precision, fraction * 100.0);
 }
 
 std::string format_si(double value, const std::string& unit) {
@@ -63,10 +73,7 @@ std::string format_si(double value, const std::string& unit) {
     v /= 1000.0;
     ++index;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3g %s%s", v, kPrefixes[index],
-                unit.c_str());
-  return buf;
+  return format("%.3g %s%s", v, kPrefixes[index], unit.c_str());
 }
 
 }  // namespace sf::sim

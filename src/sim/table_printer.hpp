@@ -26,6 +26,10 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// printf-style formatting into a string — the renderer for every log line
+/// and report that must come out byte-identical across runs.
+[[gnu::format(printf, 1, 2)]] std::string format(const char* fmt, ...);
+
 /// Formats helpers for bench output.
 std::string format_double(double value, int precision = 2);
 std::string format_percent(double fraction, int precision = 1);

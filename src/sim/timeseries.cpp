@@ -1,9 +1,10 @@
 #include "sim/timeseries.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <sstream>
+
+#include "sim/table_printer.hpp"
 
 namespace sf::sim {
 
@@ -54,11 +55,9 @@ std::string sparkline(const TimeSeries& series, std::size_t width) {
     bars += kLevels[std::min<std::size_t>(7, static_cast<std::size_t>(
                                                  norm * 7.999))];
   }
-  char note[128];
-  std::snprintf(note, sizeof note, "  [min %.3g  mean %.3g  max %.3g]",
-                series.min_value(), series.mean_value(),
-                series.max_value());
-  return series.name() + ": " + bars + note;
+  return series.name() + ": " + bars +
+         format("  [min %.3g  mean %.3g  max %.3g]", series.min_value(),
+                series.mean_value(), series.max_value());
 }
 
 std::string to_csv(const std::vector<const TimeSeries*>& series) {

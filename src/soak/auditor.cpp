@@ -1,21 +1,11 @@
 #include "soak/auditor.hpp"
 
-#include <cstdarg>
-#include <cstdio>
+#include "chaos/fault_plane.hpp"
+#include "sim/table_printer.hpp"
 
 namespace sf::soak {
-namespace {
 
-std::string format(const char* fmt, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  return buffer;
-}
-
-}  // namespace
+using sim::format;
 
 InvariantAuditor::InvariantAuditor(core::SailfishRegion& region,
                                    std::span<const workload::Flow> flows,
@@ -40,7 +30,7 @@ std::vector<std::string> InvariantAuditor::audit(
   check_placement(out);
   if (strict) {
     ++strict_audits_run_;
-    check_quiescent(out);
+    check_quiescent(now, out);
   }
   all_violations_.insert(all_violations_.end(), out.begin(), out.end());
   return out;
@@ -133,48 +123,11 @@ void InvariantAuditor::check_placement(std::vector<std::string>& out) const {
   }
 }
 
-void InvariantAuditor::check_quiescent(std::vector<std::string>& out) const {
-  const cluster::Controller& controller = region_.controller();
-  if (controller.deferred_op_count() != 0) {
-    out.push_back(format("%zu table ops still deferred at quiescence",
-                         controller.deferred_op_count()));
-    // Consistency below would report every parked op as missing; the
-    // deferral itself is already the violation.
-    return;
-  }
-  if (!controller.update_channel_up()) {
-    out.push_back("update channel down at quiescence");
-  }
-  if (controller.update_channel_degraded()) {
-    out.push_back("update channel degraded at quiescence");
-  }
-  const cluster::DisasterRecovery& recovery = region_.disaster_recovery();
-  if (!recovery.quiescent()) {
-    out.push_back("disaster recovery holds stale isolated-port state");
-  }
-  for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
-    const cluster::XgwHCluster& cl = controller.cluster(c);
-    if (cl.failed_over()) {
-      out.push_back(format("cluster %zu still failed over", c));
-    }
-    for (std::size_t d = 0; d < cl.device_count(); ++d) {
-      if (cl.device_health(d) != cluster::DeviceHealth::kHealthy) {
-        out.push_back(
-            format("cluster %zu device %zu still out of ECMP", c, d));
-      }
-    }
-    const cluster::Controller::ConsistencyReport audit =
-        controller.check_consistency(c);
-    if (audit.missing_on_device != 0) {
-      out.push_back(format("cluster %zu missing %zu entries on device", c,
-                           audit.missing_on_device));
-    }
-  }
-  for (std::size_t n = 0; n < region_.dpu_node_count(); ++n) {
-    if (region_.dpu_node(n).failed()) {
-      out.push_back(format("dpu node %zu left failed", n));
-    }
-  }
+void InvariantAuditor::check_quiescent(double now,
+                                       std::vector<std::string>& out) const {
+  const std::vector<std::string> leaks =
+      chaos::FaultPlane::audit(region_, now, nullptr, {});
+  out.insert(out.end(), leaks.begin(), leaks.end());
 }
 
 }  // namespace sf::soak

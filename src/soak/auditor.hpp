@@ -20,13 +20,16 @@
 //     infeasibly);
 //
 // plus, in *strict* mode (valid only when no fault is active and the
-// retry queue has drained):
+// retry queue has drained), the chaos harnesses' own region leak audit
+// (chaos::FaultPlane::audit):
 //
 //   * no leaked DR ledgers — disaster recovery quiescent, every device
-//     healthy and in ECMP, no ports isolated, no cluster failed over;
+//     healthy and in ECMP, no ports isolated, no cluster failed over, no
+//     DPU node left failed;
 //   * controller/device consistency — desired state fully installed
 //     (check_consistency reports nothing missing);
-//   * control plane drained — no deferred ops, channel up and undegraded.
+//   * control plane drained — no deferred ops, channel up and undegraded,
+//     breaker closed.
 //
 // The auditor only reports; the SoakEngine decides whether a violation is
 // fatal.
@@ -75,7 +78,7 @@ class InvariantAuditor {
       const core::SailfishRegion::IntervalReport& interval,
       std::vector<std::string>& out) const;
   void check_placement(std::vector<std::string>& out) const;
-  void check_quiescent(std::vector<std::string>& out) const;
+  void check_quiescent(double now, std::vector<std::string>& out) const;
 
   core::SailfishRegion& region_;
   std::span<const workload::Flow> flows_;

@@ -2,29 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
 #include "core/sailfish.hpp"
 #include "net/hash.hpp"
 #include "sim/sim_clock.hpp"
+#include "sim/table_printer.hpp"
 #include "workload/rng.hpp"
 #include "workload/traffic_pattern.hpp"
 
 namespace sf::soak {
+
+using sim::format;
+
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
-
-std::string format(const char* fmt, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  return buffer;
-}
 
 /// Per-tenant diurnal modulation on top of the region envelope: a ±30%
 /// sine whose phase is hashed from the VNI, so tenants peak at different
@@ -262,33 +256,13 @@ void SoakEngine::install_with_live_clock(RegionState& state) {
   // with a live clock — each VPC waits out its own ops' channel budget —
   // lets the squeezed water levels actually close clusters, so ~25% of
   // the tenant universe really overflows into the software tier. Same
-  // component-contiguous order install_topology uses (peered VPCs must
-  // not interleave with other components).
+  // admission order install_topology uses.
   cluster::Controller& controller = state.region->controller();
   const auto& vpcs = state.topology.vpcs;
-  std::map<net::Vni, std::size_t> index_of;
-  for (std::size_t i = 0; i < vpcs.size(); ++i) index_of[vpcs[i].vni] = i;
-  std::vector<bool> visited(vpcs.size(), false);
-  std::vector<std::size_t> order;
-  for (std::size_t start = 0; start < vpcs.size(); ++start) {
-    if (visited[start]) continue;
-    std::vector<std::size_t> component{start};
-    visited[start] = true;
-    for (std::size_t i = 0; i < component.size(); ++i) {
-      for (net::Vni peer : vpcs[component[i]].peers) {
-        auto it = index_of.find(peer);
-        if (it != index_of.end() && !visited[it->second]) {
-          visited[it->second] = true;
-          component.push_back(it->second);
-        }
-      }
-    }
-    order.insert(order.end(), component.begin(), component.end());
-  }
   const double rate =
       std::max(1.0, state.region->config().controller.table_op_rate_limit);
   double t_install = 0;
-  for (std::size_t i : order) {
+  for (std::size_t i : cluster::Controller::admission_order(state.topology)) {
     controller.advance_clock(t_install);
     controller.add_vpc(vpcs[i]);
     const double ops =
@@ -401,30 +375,23 @@ SoakEngine::Report SoakEngine::run() {
   }
   ran_ = true;
 
+  // Warmup, the recorded week, then a fault-free settle in which recovery
+  // hysteresis unwinds, storm tenants de-escalate, and the retry queue and
+  // breaker finish converging.
   const std::size_t main_intervals =
       config_.warmup_intervals + week_intervals_;
+  const std::size_t total_intervals = main_intervals + config_.settle_intervals;
   std::vector<std::string> violations;
-  for (std::size_t i = 0; i < main_intervals; ++i) {
-    const bool record = i >= config_.warmup_intervals;
+  for (std::size_t i = 0; i < total_intervals; ++i) {
+    const bool record = i >= config_.warmup_intervals && i < main_intervals;
     for (auto& region : regions_) {
       run_interval(*region, i, record, violations);
       handle_violations(violations, region->index,
                         static_cast<double>(i + 1) * config_.interval_s);
     }
   }
-  // Fault-free settle: recovery hysteresis unwinds, storm tenants
-  // de-escalate, the retry queue and breaker finish converging.
-  for (std::size_t s = 0; s < config_.settle_intervals; ++s) {
-    const std::size_t i = main_intervals + s;
-    for (auto& region : regions_) {
-      run_interval(*region, i, false, violations);
-      handle_violations(violations, region->index,
-                        static_cast<double>(i + 1) * config_.interval_s);
-    }
-  }
   const double t_end =
-      static_cast<double>(main_intervals + config_.settle_intervals) *
-      config_.interval_s;
+      static_cast<double>(total_intervals) * config_.interval_s;
   for (auto& region : regions_) {
     const std::vector<std::string> leaks = region->timeline->final_audit(t_end);
     handle_violations(leaks, region->index, t_end);

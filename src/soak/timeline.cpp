@@ -1,93 +1,34 @@
 #include "soak/timeline.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 
-#include "guard/guard.hpp"
+#include "sim/table_printer.hpp"
 #include "workload/rng.hpp"
-#include "workload/topology.hpp"
 
 namespace sf::soak {
 namespace {
 
-std::string format(const char* fmt, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  return buffer;
-}
+/// Health thresholds at interval granularity: a crash spanning two
+/// boundaries is detected.
+constexpr cluster::HealthMonitor::Config kHealth{
+    /*fail_after_missed=*/2, /*recover_after_ok=*/1,
+    /*port_error_rate_threshold=*/1e-6,
+    /*isolate_port_after=*/2, /*recover_port_after_ok=*/2};
 
-std::uint64_t slot_key(std::size_t cluster, std::size_t device) {
-  return (static_cast<std::uint64_t>(cluster) << 32) | device;
-}
+/// Base VNI for churn-onboarded synthetic tenants.
+constexpr net::Vni kChurnVniBase = 0xB0A000;
 
-/// A synthetic tenant for churn waves: one subnet route and two VM
-/// mappings out of 10.128/9 — disjoint from generated topologies and from
-/// the injector's 10.0/9 storm block, so the two harnesses can share a
-/// region without colliding.
-workload::VpcRecord churn_vpc(net::Vni vni, unsigned ordinal) {
-  workload::VpcRecord vpc;
-  vpc.vni = vni;
-  const std::uint32_t base =
-      0x0a800000u | ((static_cast<std::uint32_t>(ordinal) & 0xffffu) << 8);
-  workload::RouteRecord route;
-  route.prefix = net::Ipv4Prefix(net::Ipv4Addr(base), 24);
-  route.action =
-      tables::VxlanRouteAction{tables::RouteScope::kLocal, 0, net::Ipv4Addr()};
-  vpc.routes.push_back(route);
-  for (std::uint32_t vm_index = 0; vm_index < 2; ++vm_index) {
-    workload::VmRecord vm;
-    vm.ip = net::IpAddr(net::Ipv4Addr(base + 1 + vm_index));
-    vm.nc_ip = net::Ipv4Addr(0xac200000u + ordinal);
-    vpc.vms.push_back(vm);
-  }
-  return vpc;
-}
+// Churn tenants take /24s out of 10.128/9 and NCs out of 172.32/16.
+constexpr std::uint32_t kChurnBlock = 0x0a800000u;
+constexpr std::uint32_t kChurnNcBase = 0xac200000u;
 
 }  // namespace
-
-/// Observes recovery-initiated device transitions (escalation, cold
-/// standby) and forwards them to the monitor — same chain the injector
-/// builds.
-struct ChaosTimeline::Tap : cluster::RecoveryListener {
-  cluster::RecoveryListener* next = nullptr;
-  ChaosTimeline* owner = nullptr;
-
-  void on_device_marked_failed(std::size_t cluster, std::size_t device,
-                               double now) override {
-    if (next != nullptr) next->on_device_marked_failed(cluster, device, now);
-  }
-  void on_device_marked_recovered(std::size_t cluster, std::size_t device,
-                                  double now) override {
-    // The slot serves again (recovery debounce or a cold standby). If the
-    // schedule still holds this device down, truncate the window — the
-    // replacement is fresh hardware whose heartbeats arrive clean.
-    auto it = owner->windows_.find(slot_key(cluster, device));
-    if (it != owner->windows_.end()) {
-      for (DownWindow& w : it->second) w.end = std::min(w.end, now);
-    }
-    if (next != nullptr) {
-      next->on_device_marked_recovered(cluster, device, now);
-    }
-  }
-};
 
 ChaosTimeline::ChaosTimeline(core::SailfishRegion& region, Config config)
     : region_(region),
       config_(std::move(config)),
-      monitor_(&region.disaster_recovery(), config_.health) {
-  tap_ = std::make_unique<Tap>();
-  tap_->next = &monitor_;
-  tap_->owner = this;
-  region_.disaster_recovery().set_listener(tap_.get());
+      plane_(region, kHealth, config_.interval_s) {
   draw_schedule();
-}
-
-ChaosTimeline::~ChaosTimeline() {
-  region_.disaster_recovery().set_listener(nullptr);
 }
 
 void ChaosTimeline::draw_schedule() {
@@ -102,9 +43,9 @@ void ChaosTimeline::draw_schedule() {
   const std::size_t devices =
       clusters > 0 ? region_.controller().cluster(0).device_count() : 0;
   const unsigned ports = region_.config().recovery.ports_per_device;
-  const bool dpu = config_.dpu_faults && region_.dpu_node_count() > 0;
 
-  // Faces in a fixed order; disabled faces fall through to device crash.
+  // Faces in a fixed order; a storm without tenants or a DPU fault
+  // without a DPU tier falls back to a device crash.
   for (std::size_t i = 0; i < events; ++i) {
     chaos::ChaosEvent event;
     // Leave the first few and last ~2% of intervals fault-free so the
@@ -126,49 +67,29 @@ void ChaosTimeline::draw_schedule() {
                                                rng.uniform(3)));
         break;
       case 1:
-        if (!config_.port_faults) {
-          event.kind = chaos::FaultKind::kDeviceCrash;
-          event.duration = interval * 2.0;
-          break;
-        }
         event.kind = chaos::FaultKind::kPortErrorBurst;
         event.count = 3 + static_cast<unsigned>(rng.uniform(3));
         event.error_rate = 1e-4;
         break;
       case 2:
-        if (!config_.port_faults) {
-          event.kind = chaos::FaultKind::kDeviceCrash;
-          event.duration = interval * 2.0;
-          break;
-        }
         event.kind = chaos::FaultKind::kLinkLoss;
         event.count = 2 + static_cast<unsigned>(
                               rng.uniform(std::max(1u, ports / 2)));
         event.error_rate = 1e-3;
         break;
       case 3:
-        if (!config_.channel_outages) {
-          event.kind = chaos::FaultKind::kDeviceCrash;
-          event.duration = interval * 2.0;
-          break;
-        }
         event.kind = chaos::FaultKind::kChannelOutage;
         event.duration = interval * (1.0 + static_cast<double>(
                                                rng.uniform(2)));
         break;
       case 4:
-        if (!config_.controller_brownouts) {
-          event.kind = chaos::FaultKind::kDeviceCrash;
-          event.duration = interval * 2.0;
-          break;
-        }
         event.kind = chaos::FaultKind::kControllerBrownout;
         event.duration = interval * (1.0 + static_cast<double>(
                                                rng.uniform(3)));
         event.count = 4 + static_cast<unsigned>(rng.uniform(8));
         break;
       case 5:
-        if (!config_.tenant_storms || config_.tenant_vnis.empty()) {
+        if (config_.tenant_vnis.empty()) {
           event.kind = chaos::FaultKind::kDeviceCrash;
           event.duration = interval * 2.0;
           break;
@@ -180,21 +101,15 @@ void ChaosTimeline::draw_schedule() {
         event.duration = interval * (3.0 + static_cast<double>(
                                                rng.uniform(5)));
         event.error_rate =
-            config_.storm_multiplier_min +
-            (config_.storm_multiplier_max - config_.storm_multiplier_min) *
-                rng.uniform_real();
+            kStormMultiplierMin +
+            (kStormMultiplierMax - kStormMultiplierMin) * rng.uniform_real();
         break;
       case 6:
-        if (!config_.churn_storms) {
-          event.kind = chaos::FaultKind::kDeviceCrash;
-          event.duration = interval * 2.0;
-          break;
-        }
         event.kind = chaos::FaultKind::kChurnStorm;
         event.count = 6 + static_cast<unsigned>(rng.uniform(18));
         break;
       case 7:
-        if (!dpu) {
+        if (region_.dpu_node_count() == 0) {
           event.kind = chaos::FaultKind::kDeviceCrash;
           event.duration = interval * 2.0;
           break;
@@ -227,67 +142,17 @@ void ChaosTimeline::retarget_wave(unsigned count) {
   }
 }
 
-bool ChaosTimeline::slot_down(std::uint64_t key, double now) const {
-  auto it = windows_.find(key);
-  if (it == windows_.end()) return false;
-  for (const DownWindow& w : it->second) {
-    if (w.start <= now + 1e-6 && now < w.end - 1e-6) return true;
-  }
-  return false;
-}
-
-void ChaosTimeline::fire_event(const chaos::ChaosEvent& event, double now) {
-  cluster::Controller& controller = region_.controller();
+void ChaosTimeline::fire_event(const chaos::ChaosEvent& event,
+                               std::size_t index) {
+  plane_.arm(event, index);
   switch (event.kind) {
-    case chaos::FaultKind::kDeviceCrash: {
-      windows_[slot_key(event.cluster, event.device)].push_back(
-          DownWindow{event.time, event.time + event.duration});
-      break;
-    }
-    case chaos::FaultKind::kPortErrorBurst:
-    case chaos::FaultKind::kLinkLoss: {
-      const unsigned burst = event.kind == chaos::FaultKind::kPortErrorBurst
-                                 ? event.count
-                                 : config_.health.isolate_port_after + 1;
-      const unsigned first =
-          event.kind == chaos::FaultKind::kPortErrorBurst ? event.port : 0;
-      const unsigned span =
-          event.kind == chaos::FaultKind::kPortErrorBurst ? 1 : event.count;
-      for (unsigned p = first; p < first + span; ++p) {
-        const std::uint64_t key =
-            (slot_key(event.cluster, event.device) << 12) | p;
-        PortTrack& track = tracks_[key];
-        track.cluster = event.cluster;
-        track.device = event.device;
-        track.port = p;
-        track.bad_remaining += burst;
-        track.error_rate = event.error_rate;
-      }
-      break;
-    }
-    case chaos::FaultKind::kChannelOutage: {
-      if (!channel_down_) {
-        controller.set_update_channel_up(false);
-        channel_down_ = true;
-      }
-      channel_down_until_ =
-          std::max(channel_down_until_, event.time + event.duration);
-      break;
-    }
-    case chaos::FaultKind::kControllerBrownout: {
-      if (!browned_out_) {
-        controller.set_update_channel_degraded(true);
-        browned_out_ = true;
-      }
-      brownout_until_ =
-          std::max(brownout_until_, event.time + event.duration);
+    case chaos::FaultKind::kControllerBrownout:
       // Provisioning keeps arriving into the brownout. The wave must be
       // hardware-tier work — software-tier onboarding never consumes the
       // update channel — so it re-targets live hardware mappings; every
       // attempt is refused, feeding the breaker trip / short-circuit path.
       retarget_wave(std::max(4u, event.count));
       break;
-    }
     case chaos::FaultKind::kTenantStorm: {
       const net::Vni vni =
           config_.tenant_vnis[event.device % config_.tenant_vnis.size()];
@@ -295,33 +160,22 @@ void ChaosTimeline::fire_event(const chaos::ChaosEvent& event, double now) {
                               event.time + event.duration});
       break;
     }
-    case chaos::FaultKind::kChurnStorm: {
+    case chaos::FaultKind::kChurnStorm:
       // Onboarding wave: fresh tenants pushed through the rate-limited
       // channel (overflow-admitted once hardware is at its water levels;
       // the ops still mirror to x86 and exercise the retry queue).
       for (unsigned v = 0; v < event.count; ++v) {
         const unsigned ordinal = churn_ordinal_next_++;
-        controller.add_vpc(
-            churn_vpc(config_.churn_vni_base + ordinal, ordinal));
+        region_.controller().add_vpc(chaos::synthetic_vpc(
+            kChurnVniBase + ordinal, ordinal, kChurnBlock, kChurnNcBase));
       }
       // VM-migration wave on *live* tenants: each re-target is a
       // hardware-table update that rides the RCU publish path, bumps
       // generations on the x86 mirrors, and feeds the placement engine.
       retarget_wave(event.count);
       break;
-    }
-    case chaos::FaultKind::kDpuFailure: {
-      if (region_.dpu_node_count() == 0) break;
-      const std::size_t node = event.device % region_.dpu_node_count();
-      region_.set_dpu_failed(node, true);
-      dpu_dark_.push_back(
-          DpuDark{node, event.time + event.duration, false});
-      break;
-    }
-    case chaos::FaultKind::kDeviceFlap:
-    case chaos::FaultKind::kUpdateStorm:
-    case chaos::FaultKind::kMidUpgradeFailure:
-      // Never drawn by draw_schedule(); the injector owns these.
+    default:
+      // The plane owns every other drawn kind.
       break;
   }
 }
@@ -333,8 +187,8 @@ ChaosTimeline::StepResult ChaosTimeline::step(double now) {
   // 1. Fire events due at this boundary.
   const auto& events = schedule_.events();
   while (next_event_ < events.size() &&
-         events[next_event_].time <= now + 1e-6) {
-    fire_event(events[next_event_], now);
+         events[next_event_].time <= now + chaos::kTimeEpsilon) {
+    fire_event(events[next_event_], next_event_);
     ++next_event_;
     ++result.events_fired;
   }
@@ -343,59 +197,20 @@ ChaosTimeline::StepResult ChaosTimeline::step(double now) {
   // hardware-tier re-targets every boundary. Once the breaker has
   // tripped, these are short-circuited straight onto the retry queue
   // without burning a channel attempt.
-  if (browned_out_) retarget_wave(2);
+  if (plane_.browned_out()) retarget_wave(2);
 
-  // 2. Heartbeats, fixed cluster-major order.
-  for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
-    const std::size_t devices = controller.cluster(c).device_count();
-    for (std::size_t d = 0; d < devices; ++d) {
-      monitor_.report_heartbeat(c, d, !slot_down(slot_key(c, d), now), now);
-    }
-  }
-
-  // 3. Port error reports, sorted key order. Clean reports continue until
-  // the monitor has let the port back in, then the track retires.
-  for (auto it = tracks_.begin(); it != tracks_.end();) {
-    PortTrack& track = it->second;
-    if (track.bad_remaining > 0) {
-      --track.bad_remaining;
-      monitor_.report_port_errors(track.cluster, track.device, track.port,
-                                  track.error_rate, now);
-      ++it;
-      continue;
-    }
-    monitor_.report_port_errors(track.cluster, track.device, track.port, 0.0,
-                                now);
-    if (!monitor_.port_considered_isolated(track.cluster, track.device,
-                                           track.port)) {
-      it = tracks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // 4. Level-triggered restores.
-  if (channel_down_ && now + 1e-6 >= channel_down_until_) {
-    controller.set_update_channel_up(true);
-    channel_down_ = false;
-  }
-  if (browned_out_ && now + 1e-6 >= brownout_until_) {
-    controller.set_update_channel_degraded(false);
-    browned_out_ = false;
-  }
-  for (DpuDark& dark : dpu_dark_) {
-    if (!dark.restored && now + 1e-6 >= dark.end) {
-      region_.set_dpu_failed(dark.node, false);
-      dark.restored = true;
-    }
-  }
+  // 2-4. Probes, then level-triggered restores.
+  plane_.deliver_heartbeats(now);
+  plane_.deliver_port_reports(now);
+  plane_.restore_expired(now);
 
   // 5. Drain the control plane.
   controller.advance_clock(now);
 
   // 6. Report what is active.
   for (const Storm& storm : storms_) {
-    if (storm.start <= now + 1e-6 && now < storm.end - 1e-6) {
+    if (storm.start <= now + chaos::kTimeEpsilon &&
+        now < storm.end - chaos::kTimeEpsilon) {
       result.active_storms.push_back(StormSpec{storm.vni, storm.multiplier});
     }
   }
@@ -403,81 +218,22 @@ ChaosTimeline::StepResult ChaosTimeline::step(double now) {
             [](const StormSpec& a, const StormSpec& b) {
               return a.vni < b.vni;
             });
-
-  bool device_active = !tracks_.empty();
-  for (const auto& [key, slot_windows] : windows_) {
-    for (const DownWindow& w : slot_windows) {
-      device_active = device_active || now < w.end - 1e-6;
-    }
-  }
-  for (const DpuDark& dark : dpu_dark_) {
-    device_active = device_active || !dark.restored;
-  }
-  // Recovery hysteresis still unwinding counts as active too.
-  for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
-    const cluster::XgwHCluster& cl = controller.cluster(c);
-    for (std::size_t d = 0; d < cl.device_count(); ++d) {
-      device_active = device_active ||
-                      cl.device_health(d) != cluster::DeviceHealth::kHealthy ||
-                      monitor_.device_considered_failed(c, d);
-    }
-  }
-  result.device_faults_active = device_active;
+  result.device_faults_active = plane_.device_faults_active(now);
   result.deferred_ops = controller.deferred_op_count();
-  result.control_faults_active = channel_down_ || browned_out_ ||
+  result.control_faults_active = plane_.channel_down() ||
+                                 plane_.browned_out() ||
                                  result.deferred_ops != 0;
   return result;
 }
 
 std::vector<std::string> ChaosTimeline::final_audit(double now) {
-  cluster::Controller& controller = region_.controller();
-  std::vector<std::string> leaks;
+  std::vector<net::Vni> storm_vnis;
+  for (const Storm& storm : storms_) storm_vnis.push_back(storm.vni);
+  std::vector<std::string> leaks =
+      chaos::FaultPlane::audit(region_, now, &plane_.monitor(), storm_vnis);
   if (next_event_ != schedule_.size()) {
-    leaks.push_back(format("%zu scheduled events never fired",
-                           schedule_.size() - next_event_));
-  }
-  if (channel_down_) leaks.push_back("update channel left down");
-  if (browned_out_) leaks.push_back("update channel left degraded");
-  if (controller.deferred_op_count() != 0) {
-    leaks.push_back(format("%zu table ops still deferred",
-                           controller.deferred_op_count()));
-  }
-  if (const guard::CircuitBreaker* breaker = controller.breaker()) {
-    if (breaker->state(now) != guard::CircuitBreaker::State::kClosed) {
-      leaks.push_back("update-channel breaker left open");
-    }
-  }
-  for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
-    const cluster::XgwHCluster& cl = controller.cluster(c);
-    if (cl.failed_over()) {
-      leaks.push_back(format("cluster %zu still failed over", c));
-    }
-    for (std::size_t d = 0; d < cl.device_count(); ++d) {
-      if (cl.device_health(d) != cluster::DeviceHealth::kHealthy) {
-        leaks.push_back(
-            format("cluster %zu device %zu still out of ECMP", c, d));
-      }
-      if (monitor_.device_considered_failed(c, d)) {
-        leaks.push_back(
-            format("cluster %zu device %zu still failed in monitor", c, d));
-      }
-    }
-  }
-  if (!region_.disaster_recovery().quiescent()) {
-    leaks.push_back("disaster recovery holds stale isolated-port state");
-  }
-  for (std::size_t n = 0; n < region_.dpu_node_count(); ++n) {
-    if (region_.dpu_node(n).failed()) {
-      leaks.push_back(format("dpu node %zu left failed", n));
-    }
-  }
-  if (const guard::TenantGuard* guard = region_.tenant_guard()) {
-    for (const Storm& storm : storms_) {
-      if (guard->tier_of(storm.vni) != guard::Tier::kFull) {
-        leaks.push_back(format("storm tenant %u still degraded",
-                               static_cast<unsigned>(storm.vni)));
-      }
-    }
+    leaks.insert(leaks.begin(), sim::format("%zu scheduled events never fired",
+                                            schedule_.size() - next_event_));
   }
   return leaks;
 }

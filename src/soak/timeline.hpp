@@ -6,19 +6,13 @@
 // faults whose lifecycles are visible at that granularity, so the
 // timeline draws its own seeded schedule — reusing ChaosEvent/FaultKind
 // and the schedule container — with durations measured in whole
-// intervals, and drives the same health/recovery machinery the injector
-// does: heartbeats in fixed cluster-major order, port error reports in
-// sorted key order, level-triggered restore of channel outages, controller
-// brownouts and DPU nodes, and cold-standby replacement observed through
-// a RecoveryListener tap.
-//
-// Fault kinds composed here: device crashes, port error bursts, link
-// loss, channel outages, controller brownouts (breaker open/half-open/
-// close), tenant storms (weight multipliers on *existing* metered
-// tenants), churn storms (onboarding + migration waves through the RCU
-// publish path), and DPU node loss. Upgrade failures and second-scale
-// flaps stay with the injector — their lifecycles are invisible between
-// 600 s boundaries.
+// intervals. Device, port, channel, brownout and DPU faults go through the
+// same chaos::FaultPlane the injector drives; the timeline adds its
+// cadence, the schedule draw, tenant storms (weight multipliers on
+// *existing* metered tenants) and churn storms (onboarding plus VM-mapping
+// re-target waves through the RCU publish path). Upgrade failures and
+// second-scale flaps stay with the injector — their lifecycles are
+// invisible between 600 s boundaries.
 //
 // Determinism: a pure function of (region construction inputs, config).
 // Every container iterated is ordered, every random draw comes from one
@@ -28,12 +22,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "chaos/fault_plane.hpp"
 #include "chaos/schedule.hpp"
-#include "cluster/health.hpp"
 #include "core/region.hpp"
 
 namespace sf::soak {
@@ -47,40 +40,24 @@ struct StormSpec {
 
 class ChaosTimeline {
  public:
+  /// Storm shape: the tenant's flow weights are multiplied by a draw from
+  /// [kStormMultiplierMin, kStormMultiplierMax].
+  static constexpr double kStormMultiplierMin = 20.0;
+  static constexpr double kStormMultiplierMax = 50.0;
+
   struct Config {
     std::uint64_t seed = 1;
     double interval_s = 600.0;
     double horizon_s = 7.0 * 86400.0;
     /// Mean scheduled faults per simulated day.
     double events_per_day = 8.0;
-    /// Fault faces drawn (each adds variety; all deterministic).
-    bool device_faults = true;
-    bool port_faults = true;
-    bool channel_outages = true;
-    bool controller_brownouts = true;
-    bool tenant_storms = true;
-    bool churn_storms = true;
-    /// DPU faults are drawn only when the region has a DPU tier.
-    bool dpu_faults = true;
-    /// Storm shape: the tenant's flow weights are multiplied by a draw
-    /// from [multiplier_min, multiplier_max].
-    double storm_multiplier_min = 20.0;
-    double storm_multiplier_max = 50.0;
     /// Tenants eligible for storms (the region's real topology VNIs).
     std::vector<net::Vni> tenant_vnis;
-    /// Base VNI for churn-onboarded synthetic tenants.
-    net::Vni churn_vni_base = 0xB0A000;
     /// Live VM mappings churn storms re-target (VM migration waves
     /// through the rate-limited update channel — whole-VPC migration is
     /// refused once every cluster sits at its water level, so mapping
     /// re-targets are the churn that always lands on hardware tables).
     std::vector<tables::VmNcKey> migratable_vms;
-    /// Health thresholds at interval granularity: a crash spanning
-    /// `fail_after_missed` boundaries is detected.
-    cluster::HealthMonitor::Config health{
-        /*fail_after_missed=*/2, /*recover_after_ok=*/1,
-        /*port_error_rate_threshold=*/1e-6,
-        /*isolate_port_after=*/2, /*recover_port_after_ok=*/2};
   };
 
   struct StepResult {
@@ -95,11 +72,9 @@ class ChaosTimeline {
     std::size_t deferred_ops = 0;
   };
 
+  /// Draws the schedule and takes over the region's recovery listener
+  /// (through the plane) for the timeline's lifetime.
   ChaosTimeline(core::SailfishRegion& region, Config config);
-  ~ChaosTimeline();
-
-  ChaosTimeline(const ChaosTimeline&) = delete;
-  ChaosTimeline& operator=(const ChaosTimeline&) = delete;
 
   /// Advances the timeline to the interval boundary at `now` (call with
   /// strictly increasing boundaries): fires due events, delivers probes,
@@ -116,51 +91,25 @@ class ChaosTimeline {
   std::map<std::string, std::size_t> event_counts() const;
 
  private:
-  struct DownWindow {
-    double start = 0;
-    double end = 0;
-  };
-  struct PortTrack {
-    std::size_t cluster = 0;
-    std::size_t device = 0;
-    unsigned port = 0;
-    unsigned bad_remaining = 0;
-    double error_rate = 0;
-  };
   struct Storm {
     net::Vni vni = 0;
     double multiplier = 1.0;
     double start = 0;
     double end = 0;
   };
-  struct DpuDark {
-    std::size_t node = 0;
-    double end = 0;
-    bool restored = false;
-  };
-  struct Tap;
 
   void draw_schedule();
-  void fire_event(const chaos::ChaosEvent& event, double now);
+  void fire_event(const chaos::ChaosEvent& event, std::size_t index);
   /// A wave of VM-mapping re-targets over migratable_vms — hardware-tier
   /// updates that consume the (possibly refused) update channel.
   void retarget_wave(unsigned count);
-  bool slot_down(std::uint64_t key, double now) const;
 
   core::SailfishRegion& region_;
   Config config_;
   chaos::ChaosSchedule schedule_;
-  cluster::HealthMonitor monitor_;
-  std::unique_ptr<Tap> tap_;
+  chaos::FaultPlane plane_;
   std::size_t next_event_ = 0;
-  std::map<std::uint64_t, std::vector<DownWindow>> windows_;
-  std::map<std::uint64_t, PortTrack> tracks_;
   std::vector<Storm> storms_;
-  std::vector<DpuDark> dpu_dark_;
-  double channel_down_until_ = -1;
-  bool channel_down_ = false;
-  double brownout_until_ = -1;
-  bool browned_out_ = false;
   unsigned churn_ordinal_next_ = 0;
   /// VM-migration waves: next mapping to re-target and the wave ordinal
   /// (each wave lands the VM on a fresh synthetic NC).

@@ -43,7 +43,6 @@ ChaosSchedule::RandomConfig random_shape(std::size_t events,
 ChaosInjector::Config sampled_config() {
   ChaosInjector::Config config = injector_config();
   config.interval_bps = 1e11;
-  config.interval_every = 4;
   return config;
 }
 

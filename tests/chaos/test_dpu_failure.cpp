@@ -22,7 +22,6 @@ core::SailfishOptions tiered_options(bool with_dpu = true) {
 ChaosInjector::Config injector_config() {
   ChaosInjector::Config config;
   config.interval_bps = 1e11;
-  config.interval_every = 4;
   config.settle_s = 30.0;
   return config;
 }
@@ -96,6 +95,25 @@ TEST(ChaosDpuFailure, ReplayIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.to_json(), b.to_json());
   EXPECT_EQ(injector_one.log().to_string(),
             injector_eight.log().to_string());
+}
+
+// Two overlapping failures on node 0 (t=4 for 4 s, then t=6 for 6 s): the
+// node stays dark until the later one ends at t=12, not the earlier.
+TEST(ChaosDpuFailure, OverlappingFailuresHoldTheNodeDarkUntilTheLatestEnd) {
+  core::SailfishSystem system = core::make_system(tiered_options());
+  ChaosInjector injector(*system.region, system.flows, injector_config());
+  ChaosSchedule schedule = scripted_dpu_failure();
+  schedule.add(ChaosEvent{6.0, FaultKind::kDpuFailure, 0, 0, 0, 0, 6.0, 0});
+  const ChaosReport report = injector.run(schedule);
+
+  EXPECT_TRUE(report.converged()) << report.to_json();
+  const auto restores = injector.log().entries("dpu-failure");
+  ASSERT_EQ(restores.back().message, "node 0 restored");
+  EXPECT_DOUBLE_EQ(restores.back().time, 12.0);
+  EXPECT_EQ(restores.size(), 3u);  // two injections, one restore
+  for (const FaultRecord& fault : report.faults) {
+    EXPECT_GT(fault.recovered_at, 12.0);
+  }
 }
 
 TEST(ChaosGolden, ScriptedDpuFailureReportAndLog) {

@@ -31,7 +31,6 @@ ChaosInjector::Config storm_injector_config() {
   ChaosInjector::Config config;
   config.settle_s = 30.0;
   config.interval_bps = 1e11;
-  config.interval_every = 4;  // an interval sample every 2s of probe time
   return config;
 }
 
@@ -179,14 +178,18 @@ TEST(ChaosTenantStorm, SeededStormScheduleReplaysItself) {
 TEST(ChaosTenantStorm, RandomSchedulesGateStormsBehindOptIn) {
   ChaosSchedule::RandomConfig off;
   off.events = 80;
-  for (const ChaosEvent& event : ChaosSchedule::random(9, off).events()) {
+  // Bind each schedule first: a range-for over a temporary's events()
+  // would iterate a destroyed vector.
+  const ChaosSchedule without = ChaosSchedule::random(9, off);
+  for (const ChaosEvent& event : without.events()) {
     EXPECT_NE(event.kind, FaultKind::kTenantStorm);
   }
 
   ChaosSchedule::RandomConfig on = off;
   on.tenant_storms = true;
   std::size_t storms = 0;
-  for (const ChaosEvent& event : ChaosSchedule::random(9, on).events()) {
+  const ChaosSchedule with = ChaosSchedule::random(9, on);
+  for (const ChaosEvent& event : with.events()) {
     if (event.kind != FaultKind::kTenantStorm) continue;
     ++storms;
     EXPECT_GE(event.count, 16u);

@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "core/sailfish.hpp"
 #include "dpu/xgw_dpu.hpp"
+#include "sim/table_printer.hpp"
 
 namespace sf::core {
 namespace {
@@ -30,14 +30,11 @@ SailfishRegion::IntervalReport warm(SailfishSystem& system, int intervals,
 }
 
 std::string render(const SailfishRegion::IntervalReport& report) {
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "%.17e %.17e %.17e %.17e %.17e %.17e %zu %zu %zu\n",
-                report.offered_pps, report.dropped_pps, report.dpu_pps,
-                report.overflow_x86_pps, report.punt_queue_occupancy,
-                report.p99_latency_us, report.dpu_flow_entries,
-                report.dpu_promotions, report.dpu_demotions);
-  return line;
+  return sim::format("%.17e %.17e %.17e %.17e %.17e %.17e %zu %zu %zu\n",
+                     report.offered_pps, report.dropped_pps, report.dpu_pps,
+                     report.overflow_x86_pps, report.punt_queue_occupancy,
+                     report.p99_latency_us, report.dpu_flow_entries,
+                     report.dpu_promotions, report.dpu_demotions);
 }
 
 TEST(DpuRegion, TierAbsorbsOverflowElephants) {

@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "core/sailfish.hpp"
 #include "golden.hpp"
+#include "sim/table_printer.hpp"
 
 namespace sf::soak {
 namespace {
@@ -83,8 +83,8 @@ TEST(ChaosTimeline, FullDayStepsFireEverythingAndSettleLeakFree) {
         EXPECT_LT(step.active_storms[s - 1].vni, step.active_storms[s].vni);
       }
       for (const StormSpec& storm : step.active_storms) {
-        EXPECT_GE(storm.multiplier, config.storm_multiplier_min);
-        EXPECT_LE(storm.multiplier, config.storm_multiplier_max);
+        EXPECT_GE(storm.multiplier, ChaosTimeline::kStormMultiplierMin);
+        EXPECT_LE(storm.multiplier, ChaosTimeline::kStormMultiplierMax);
       }
     }
   }
@@ -119,16 +119,12 @@ TEST(SoakGolden, OneDayTimelineTrace) {
   for (std::size_t i = 0; i < steps; ++i) {
     t = static_cast<double>(i) * config.interval_s;
     const ChaosTimeline::StepResult step = timeline.step(t);
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "t=%.0f fired=%zu device=%d control=%d deferred=%zu", t,
-                  step.events_fired, step.device_faults_active ? 1 : 0,
-                  step.control_faults_active ? 1 : 0, step.deferred_ops);
-    trace += line;
+    trace += sim::format("t=%.0f fired=%zu device=%d control=%d deferred=%zu",
+                         t, step.events_fired, step.device_faults_active,
+                         step.control_faults_active, step.deferred_ops);
     for (const StormSpec& storm : step.active_storms) {
-      std::snprintf(line, sizeof(line), " storm=%u:%.6f",
-                    static_cast<unsigned>(storm.vni), storm.multiplier);
-      trace += line;
+      trace += sim::format(" storm=%u:%.6f", static_cast<unsigned>(storm.vni),
+                           storm.multiplier);
     }
     trace += "\n";
   }
