@@ -228,9 +228,12 @@ std::string fleet_report(const Fleet& fleet) {
         "drop=%llu\n",
         s, static_cast<unsigned long long>(node.table_version()),
         node.route_count(), node.mapping_count(),
-        static_cast<unsigned long long>(node.telemetry().packets_in),
-        static_cast<unsigned long long>(node.telemetry().packets_forwarded),
-        static_cast<unsigned long long>(node.telemetry().packets_dropped));
+        static_cast<unsigned long long>(
+            node.registry().counter_value("x86.packets_in")),
+        static_cast<unsigned long long>(
+            node.registry().counter_value("x86.packets_forwarded")),
+        static_cast<unsigned long long>(
+            node.registry().counter_value("x86.packets_dropped")));
   }
   return report;
 }

@@ -6,8 +6,9 @@
 // and the millions that follow replay the cached result. This is the
 // simulator's equivalent: an open-addressing, linear-probe table keyed on
 // a packed (VNI, 5-tuple) 128-bit digest, storing whatever per-flow
-// summary the gateway chooses (verdict + mutation summary + counter
-// deltas).
+// summary the gateway chooses (XGW-H keeps the flow's outcome path, its
+// route-hit count and its rewrite target; XGW-x86 its verdict and rewrite
+// target).
 //
 // Coherence is epoch-based. The cache never invalidates eagerly: every
 // control-plane mutation (TableProgrammer ops, DR standby swaps, health
@@ -161,11 +162,10 @@ class FlowCache {
   /// Admission check, called on a miss: a flow earns a cache entry on its
   /// SECOND miss, not its first (microflow promotion). One-packet flows —
   /// the bulk of a realistic mix — then cost a single filter write instead
-  /// of a full capture + insert, which keeps a 0%-hit workload at parity
-  /// with an uncached gateway. Returns true when the caller should capture
-  /// and insert this flow now. Purely key-driven, so behaviour stays
-  /// deterministic and cache-on/off byte-identity is unaffected (admission
-  /// only delays when an entry appears, never what it replays).
+  /// of an insert. Returns true when the caller should insert this flow
+  /// now. Purely key-driven, so behaviour stays deterministic and
+  /// cache-on/off byte-identity is unaffected (admission only delays when
+  /// an entry appears, never what it replays).
   /// The filter is 2-way set-associative: with one tag per bucket, two
   /// flows sharing a bucket alternate overwriting each other and neither
   /// is ever admitted — a permanent miss. Two ways let a colliding pair

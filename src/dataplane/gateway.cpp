@@ -4,15 +4,22 @@
 
 namespace sf::dataplane {
 
+namespace {
+
+std::vector<std::uint32_t> identity_indices(std::size_t n) {
+  std::vector<std::uint32_t> indices(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    indices[i] = static_cast<std::uint32_t>(i);
+  }
+  return indices;
+}
+
+}  // namespace
+
 void Gateway::process_batch(std::span<const net::OverlayPacket> packets,
                             double now, std::span<Verdict> out) {
-  if (out.size() < packets.size()) {
-    throw std::invalid_argument(
-        "process_batch: output span smaller than the batch");
-  }
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    out[i] = process(packets[i], now);
-  }
+  process_batch_indexed(packets, {}, identity_indices(packets.size()), now,
+                        out);
 }
 
 void Gateway::process_batch(std::span<const net::OverlayPacket> packets,
@@ -22,7 +29,8 @@ void Gateway::process_batch(std::span<const net::OverlayPacket> packets,
     throw std::invalid_argument(
         "process_batch: flow_hashes.size() must equal packets.size()");
   }
-  process_batch(packets, now, out);
+  process_batch_indexed(packets, flow_hashes,
+                        identity_indices(packets.size()), now, out);
 }
 
 void Gateway::process_batch_indexed(

@@ -1,11 +1,13 @@
 // The common packet-processing interface: one packet or a batch.
 //
-// The batch form is the API the region engine and the benches feed;
-// `std::span` keeps callers free to batch from any contiguous storage. The
-// default implementation walks the batch through process() in order, so an
-// implementation that does nothing special is automatically equivalent to
-// the single-packet path — verdicts and telemetry included (the batch
-// equivalence tests hold every implementation to that).
+// The indexed batch form is the one batch entry point a gateway
+// implements; the sharded engine feeds it, and the contiguous forms call
+// it over an identity index list. `std::span` keeps callers free to batch
+// from any contiguous storage. The default implementation walks the batch
+// through process() in order, so an implementation that does nothing
+// special is automatically equivalent to the single-packet path —
+// verdicts and telemetry included (the batch equivalence tests hold every
+// implementation to that).
 
 #pragma once
 
@@ -26,17 +28,14 @@ class Gateway {
   virtual Verdict process(const net::OverlayPacket& packet, double now) = 0;
 
   /// Batch form: writes packets.size() verdicts into `out` (which must be
-  /// at least that large). Implementations must keep verdicts and
-  /// telemetry identical to looping process().
+  /// at least that large). The default runs process_batch_indexed() over
+  /// the identity index list.
   virtual void process_batch(std::span<const net::OverlayPacket> packets,
                              double now, std::span<Verdict> out);
 
   /// Hash-threaded batch form: `flow_hashes[i]` must equal
-  /// `packets[i].inner.hash()` — the sharded engine computes the RSS hash
-  /// once per packet to pick a shard and passes it down, so batch-aware
-  /// gateways derive their flow-cache keys and pipe steering from it
-  /// without rehashing. The default ignores the hashes and defers to the
-  /// 3-arg overload, so plain gateways stay correct automatically.
+  /// `packets[i].inner.hash()`, and the spans must be the same length. The
+  /// default runs process_batch_indexed() over the identity index list.
   virtual void process_batch(std::span<const net::OverlayPacket> packets,
                              std::span<const std::uint64_t> flow_hashes,
                              double now, std::span<Verdict> out);
@@ -46,8 +45,12 @@ class Gateway {
   /// indexed by the same positions — the sharded engine hands each shard
   /// sub-spans of one shared index list, so no per-burst gather/scatter
   /// copies of packets or verdicts ever happen. `flow_hashes[k]` must
-  /// equal `packets[k].inner.hash()` for every referenced k (it may be
-  /// empty for gateways that do not use it). The default loops process().
+  /// equal `packets[k].inner.hash()` for every referenced k — the sharded
+  /// engine computes the RSS hash once per packet to pick a shard and
+  /// passes it down, so batch-aware gateways derive their flow-cache keys
+  /// and pipe steering from it without rehashing. It may be empty for
+  /// gateways that do not use it. Implementations must keep verdicts and
+  /// telemetry identical to looping process(); the default loops it.
   virtual void process_batch_indexed(
       std::span<const net::OverlayPacket> packets,
       std::span<const std::uint64_t> flow_hashes,

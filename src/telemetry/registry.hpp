@@ -169,8 +169,7 @@ class Registry {
   std::size_t counter_count() const { return counters_.size(); }
 
   /// Visits every counter in name order. The Counter& handles are stable
-  /// for the registry's lifetime — callers may keep the pointers (the flow
-  /// cache snapshots counter values around a walk to capture its deltas).
+  /// for the registry's lifetime — callers may keep the pointers.
   template <typename Fn>
   void for_each_counter(Fn&& fn) const {
     for (const auto& [name, counter] : counters_) fn(name, *counter);

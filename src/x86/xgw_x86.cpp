@@ -134,32 +134,6 @@ X86Result XgwX86::forward_punted(const net::OverlayPacket& packet,
   return forward_impl(packet, now, /*allow_cache=*/false);
 }
 
-void XgwX86::process_batch(std::span<const net::OverlayPacket> packets,
-                           std::span<const std::uint64_t> flow_hashes,
-                           double now, std::span<dataplane::Verdict> out) {
-  if (flow_hashes.size() != packets.size()) {
-    throw std::invalid_argument(
-        "process_batch: flow_hashes.size() must equal packets.size()");
-  }
-  if (out.size() < packets.size()) {
-    throw std::invalid_argument(
-        "process_batch: output span smaller than the batch");
-  }
-  // Run-to-completion per packet (the SNAT engine and the RCU pin are
-  // inherently sequential), but with the batch's lookahead: each packet's
-  // cache slot is prefetched a few packets before its turn.
-  constexpr std::size_t kAhead = 8;
-  const bool cached = flow_cache_.enabled();
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    if (cached && i + kAhead < packets.size()) {
-      flow_cache_.prefetch(dataplane::make_flow_key(
-          packets[i + kAhead].vni, flow_hashes[i + kAhead]));
-    }
-    out[i] = forward_impl(packets[i], now, /*allow_cache=*/true,
-                          &flow_hashes[i]);
-  }
-}
-
 void XgwX86::process_batch_indexed(std::span<const net::OverlayPacket> packets,
                                    std::span<const std::uint64_t> flow_hashes,
                                    std::span<const std::uint32_t> indices,
@@ -169,9 +143,14 @@ void XgwX86::process_batch_indexed(std::span<const net::OverlayPacket> packets,
     throw std::invalid_argument(
         "process_batch_indexed: output span smaller than the packet array");
   }
-  // Same run-to-completion loop as the contiguous form, striding the
-  // shared index list: packet, verdict slot and cache slot of index
-  // indices[k + kAhead] are all requested while packet indices[k] runs.
+  if (!flow_hashes.empty() && flow_hashes.size() != packets.size()) {
+    throw std::invalid_argument(
+        "process_batch_indexed: flow_hashes must be empty or one per packet");
+  }
+  // Run-to-completion per packet (the SNAT engine and the RCU pin are
+  // inherently sequential), striding the shared index list: packet,
+  // verdict slot and cache slot of index indices[k + kAhead] are all
+  // requested while packet indices[k] runs.
   constexpr std::size_t kAhead = 8;
   const bool cached = flow_cache_.enabled();
   const bool hashed = !flow_hashes.empty();
@@ -194,7 +173,6 @@ void XgwX86::process_batch_indexed(std::span<const net::OverlayPacket> packets,
 X86Result XgwX86::forward_impl(const net::OverlayPacket& packet, double now,
                                bool allow_cache,
                                const std::uint64_t* flow_hash) {
-  ++telemetry_.packets_in;
   ctr_packets_in_->add();
   ctr_bytes_in_->add(packet.wire_size());
   X86Result result;
@@ -206,7 +184,6 @@ X86Result XgwX86::forward_impl(const net::OverlayPacket& packet, double now,
   // Shared epilogues — the slow path lands here after the lookup chain,
   // and a cache hit replays the same bumps without walking the chain.
   auto drop = [&](dataplane::DropReason reason) -> X86Result& {
-    ++telemetry_.packets_dropped;
     ctr_dropped_->add();
     result.drop_reason = reason;
     return result;
@@ -216,7 +193,6 @@ X86Result XgwX86::forward_impl(const net::OverlayPacket& packet, double now,
     result.packet.outer_src_ip = net::IpAddr(config_.device_ip);
     result.packet.outer_dst_ip = outer_dst;
     result.action = action;
-    ++telemetry_.packets_forwarded;
     ctr_forwarded_->add();
     return result;
   };
@@ -296,7 +272,6 @@ X86Result XgwX86::forward_impl(const net::OverlayPacket& packet, double now,
       AllocFailure failure = AllocFailure::kNone;
       auto binding = snat_.translate(packet.inner, now, &failure);
       if (!binding) {
-        ++telemetry_.packets_dropped;
         ctr_dropped_->add();
         ctr_snat_failures_->add();
         if (failure == AllocFailure::kPortBlockExhausted) {
@@ -319,7 +294,6 @@ X86Result XgwX86::forward_impl(const net::OverlayPacket& packet, double now,
       result.packet.outer_dst_ip = packet.inner.dst;
       result.snat = binding;
       result.action = dataplane::Action::kSnatToInternet;
-      ++telemetry_.packets_snat;
       ctr_snat_->add();
       return result;
     }

@@ -150,24 +150,20 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
     return forward(packet, now);
   }
 
-  /// Hash-threaded batch form: derives each packet's flow-cache key from
-  /// the precomputed RSS hash (`flow_hashes[i] == packets[i].inner.hash()`)
-  /// and prefetches cache slots a few packets ahead. Byte-identical to
-  /// looping process().
-  void process_batch(std::span<const net::OverlayPacket> packets,
-                     std::span<const std::uint64_t> flow_hashes, double now,
-                     std::span<dataplane::Verdict> out) override;
-
-  /// Index-list form the sharded engine feeds: same per-packet loop,
-  /// striding the shared index list with packet/verdict/cache-slot
-  /// lookahead. `flow_hashes` may be empty (tuples are then rehashed).
+  /// The one batch entry point (the sharded engine feeds it; the
+  /// contiguous forms reach it through Gateway's defaults): the per-packet
+  /// loop of process(), striding the shared index list with packet,
+  /// verdict and cache-slot lookahead, and deriving each flow-cache key
+  /// from the precomputed RSS hash. `flow_hashes` is empty (tuples are
+  /// then rehashed) or packets.size() long; anything else throws
+  /// std::invalid_argument. Byte-identical to looping process().
   void process_batch_indexed(std::span<const net::OverlayPacket> packets,
                              std::span<const std::uint64_t> flow_hashes,
                              std::span<const std::uint32_t> indices,
                              double now,
                              std::span<dataplane::Verdict> out) override;
 
-  using dataplane::Gateway::process_batch;  // 3-arg + allocating forms
+  using dataplane::Gateway::process_batch;
 
   /// Internet response path: a packet addressed to a SNAT binding is
   /// translated back and re-encapsulated toward the VM's NC.
@@ -185,14 +181,6 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
   IntervalReport simulate_interval(std::span<const FlowRate> flows) const;
 
   const Config& config() const { return config_; }
-
-  struct Telemetry {
-    std::uint64_t packets_in = 0;
-    std::uint64_t packets_forwarded = 0;
-    std::uint64_t packets_snat = 0;
-    std::uint64_t packets_dropped = 0;
-  };
-  const Telemetry& telemetry() const { return telemetry_; }
 
   /// This node's counter registry: packet/byte outcomes, table ops, SNAT
   /// session events and a latency histogram ("x86.*" names).
@@ -260,7 +248,6 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
   std::atomic<std::uint64_t> lookup_seq_{kLookupLatest};
   SnatEngine snat_;
   RssIndirection rss_;
-  Telemetry telemetry_;
 
   dataplane::FlowCache<CachedVerdict> flow_cache_;
 

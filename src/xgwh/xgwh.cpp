@@ -1,6 +1,7 @@
 #include "xgwh/xgwh.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "net/hash.hpp"
@@ -8,37 +9,20 @@
 namespace sf::xgwh {
 namespace {
 
-// Metadata field names used across gresses. Widths reflect what a P4
-// program would carry in its bridged header. build_program() interns each
-// name to a dense FieldId once; the per-packet stages below only ever
-// index the PHV slot array.
-constexpr const char* kShard = "shard";              // 1 bit
-constexpr const char* kScope = "scope";              // 3 bits
-constexpr const char* kFallback = "fallback";        // 1 bit
-constexpr const char* kResolvedVni = "resolved_vni"; // 24 bits
-constexpr const char* kTunnelIp = "tunnel_ip";       // 32 bits
-constexpr const char* kNcIp = "nc_ip";               // 32 bits
-constexpr const char* kAction = "fwd_action";        // 2 bits
+// The PHV metadata fields, indexed by XgwH::Field: names and the widths a
+// P4 program would carry in its bridged header. build_program() interns
+// each name to a dense FieldId once; the stages write every field at this
+// width and the path table sums these widths, so neither restates them.
+struct FieldDecl {
+  const char* name;
+  unsigned bits;
+};
+constexpr FieldDecl kFieldDecls[] = {{"shard", 1},     {"scope", 3},
+                                     {"fallback", 1},  {"resolved_vni", 24},
+                                     {"tunnel_ip", 32}, {"nc_ip", 32}};
 
-constexpr std::uint64_t kActForward = 0;
-constexpr std::uint64_t kActTunnel = 1;
-constexpr std::uint64_t kActFallback = 2;
-
-// Drops carry the typed reason through the gateway-agnostic asic layer as
-// a (static note, code) pair; forward() recovers the enum from the code.
-// dataplane::name() strings have static storage, so this never allocates.
-void drop_with(asic::PacketContext& ctx, dataplane::DropReason reason) {
-  ctx.drop(dataplane::name(reason), static_cast<std::uint8_t>(reason));
-}
-
-dataplane::DropReason reason_from_code(std::uint8_t code) {
-  // Code 0 means the asic layer itself aborted (no stage gave a reason).
-  if (code == 0 ||
-      code > static_cast<std::uint8_t>(dataplane::DropReason::kUnhandledScope)) {
-    return dataplane::DropReason::kPipelineFault;
-  }
-  return static_cast<dataplane::DropReason>(code);
-}
+// The program's stages, in walk order.
+enum Stage : std::uint8_t { kEntry, kAcl, kRoute, kVmNc, kRewrite };
 
 }  // namespace
 
@@ -63,11 +47,8 @@ XgwH::XgwH(Config config)
   }
   fallback_meter_index_ = fallback_meter_.add(tables::MeterTable::Config{
       config_.fallback_rate_bps, config_.fallback_burst_bytes});
-  build_program();
-  walker_ = std::make_unique<asic::Walker>(config_.chip, &program_);
 
   registry_ = std::make_unique<telemetry::Registry>();
-  walker_->set_registry(registry_.get());
   ctr_packets_in_ = &registry_->counter("xgwh.packets_in");
   ctr_bytes_in_ = &registry_->counter("xgwh.bytes_in");
   ctr_forwarded_ = &registry_->counter("xgwh.packets_forwarded");
@@ -87,11 +68,14 @@ XgwH::XgwH(Config config)
       "xgwh.latency_us", telemetry::Histogram::Config{
                              /*min_value=*/0.25, /*growth=*/2.0,
                              /*buckets=*/16, /*reservoir=*/256});
-  // The walker registered "asic.passes" in set_registry() above; a cache
-  // hit replays the per-walk record into the same histogram.
+
+  build_program();
+  walker_ = std::make_unique<asic::Walker>(config_.chip, &program_);
+  walker_->set_registry(registry_.get());
+  // The walker registered its instruments in set_registry(); resolve them
+  // by name (no new registrations) so cache hits and the SoA walk can
+  // charge them without walking.
   hist_passes_ = &registry_->histogram("asic.passes");
-  // Same deal for the walker's packet counters: resolved by name (no new
-  // registrations) so the SoA batch walk can bump them in bulk.
   ctr_asic_packets_ = &registry_->counter("asic.packets");
   ctr_asic_drops_ = &registry_->counter("asic.drops");
   for (unsigned pipe = 0; pipe < 4; ++pipe) {
@@ -241,77 +225,148 @@ void XgwH::build_program() {
   // Compile step: intern every metadata field name once. The stages below
   // only touch the PHV through these dense ids — no string hashing per
   // packet. freeze() turns any runtime intern into a hard error.
+  static_assert(std::size(kFieldDecls) == kFieldCount);
   asic::PhvLayout& layout = program_.phv_layout();
-  fid_shard_ = layout.intern(kShard);
-  fid_scope_ = layout.intern(kScope);
-  fid_fallback_ = layout.intern(kFallback);
-  fid_resolved_vni_ = layout.intern(kResolvedVni);
-  fid_tunnel_ip_ = layout.intern(kTunnelIp);
-  fid_nc_ip_ = layout.intern(kNcIp);
-  fid_action_ = layout.intern(kAction);
+  for (unsigned field = 0; field < kFieldCount; ++field) {
+    fid_[field] = layout.intern(kFieldDecls[field].name);
+  }
   layout.freeze();
 
+  // The program as data: the stages each gress runs, in walk order —
+  // entry ingress, loopback egress, loopback ingress, exit egress
+  // (Figs. 13/14; index i is Visit bit 1 << i). Unfolded, the entry
+  // ingress runs the whole lookup chain and the loopback gresses are
+  // absent. The Walker binding and the path table below both read it.
   const bool folded = config_.compression.fold;
-  auto bind = [this](void (XgwH::*fn)(asic::PacketContext&)) {
-    return [this, fn](asic::PacketContext& ctx) { (this->*fn)(ctx); };
+  struct Gress {
+    const char* name;
+    std::vector<Stage> stages;
   };
-  auto bind_shard = [this](void (XgwH::*fn)(asic::PacketContext&, unsigned),
-                           unsigned shard) {
-    return [this, fn, shard](asic::PacketContext& ctx) {
-      (this->*fn)(ctx, shard);
-    };
-  };
+  const std::array<Gress, 4> gresses =
+      folded ? std::array<Gress, 4>{{{"entry", {kEntry, kAcl}},
+                                     {"route", {kRoute}},
+                                     {"vm_nc", {kVmNc}},
+                                     {"rewrite", {kRewrite}}}}
+             : std::array<Gress, 4>{{{"full", {kEntry, kAcl, kRoute, kVmNc}},
+                                     {"", {}},
+                                     {"", {}},
+                                     {"rewrite", {kRewrite}}}};
 
-  if (folded) {
-    // Entry pipes 0/2: ACL + shard steering.
-    for (unsigned pipe : {0u, 2u}) {
-      asic::GressProgram entry{"entry", {bind(&XgwH::stage_entry),
-                                         bind(&XgwH::stage_acl)}};
-      program_.set_ingress(pipe, std::move(entry));
-      program_.set_egress(
-          pipe, asic::GressProgram{"rewrite", {bind(&XgwH::stage_rewrite)}});
-      program_.set_loopback(pipe, false);
+  auto bind = [this](const Gress& gress) {
+    using StageFn = void (XgwH::*)(asic::PacketContext&);
+    constexpr StageFn kStageFns[] = {
+        &XgwH::stage_entry, &XgwH::stage_acl, &XgwH::stage_route_lookup,
+        &XgwH::stage_vm_nc_lookup, &XgwH::stage_rewrite};
+    asic::GressProgram program{gress.name, {}};
+    for (const Stage stage : gress.stages) {
+      const StageFn fn = kStageFns[stage];
+      program.stages.push_back(
+          [this, fn](asic::PacketContext& ctx) { (this->*fn)(ctx); });
     }
-    // Loopback pipes 1/3: shard-local route + VM-NC lookups.
-    for (unsigned shard : {0u, 1u}) {
-      const unsigned pipe = 1 + 2 * shard;
-      program_.set_egress(
-          pipe, asic::GressProgram{
-                    "route",
-                    {bind_shard(&XgwH::stage_route_lookup, shard)}});
-      program_.set_ingress(
-          pipe, asic::GressProgram{
-                    "vm_nc",
-                    {bind_shard(&XgwH::stage_vm_nc_lookup, shard)}});
-      program_.set_loopback(pipe, true);
-    }
-  } else {
-    // Unfolded: the full program in one pass on every pipe; tables are not
-    // sharded (shard 0 holds everything).
-    for (unsigned pipe = 0; pipe < config_.chip.pipelines; ++pipe) {
-      program_.set_ingress(
-          pipe, asic::GressProgram{
-                    "full",
-                    {bind(&XgwH::stage_entry), bind(&XgwH::stage_acl),
-                     bind_shard(&XgwH::stage_route_lookup, 0),
-                     bind_shard(&XgwH::stage_vm_nc_lookup, 0)}});
-      program_.set_egress(
-          pipe, asic::GressProgram{"rewrite", {bind(&XgwH::stage_rewrite)}});
-      program_.set_loopback(pipe, false);
+    return program;
+  };
+  // Folded, pipes 1/3 are the loopback pipes and 0/2 the entry/exit
+  // pipes. Unfolded, every pipe runs the full program in one pass and the
+  // tables are not sharded (shard 0 holds everything).
+  for (unsigned pipe = 0; pipe < config_.chip.pipelines; ++pipe) {
+    const bool loopback = folded && pipe % 2 == 1;
+    program_.set_ingress(pipe, bind(gresses[loopback ? 2 : 0]));
+    program_.set_egress(pipe, bind(gresses[loopback ? 1 : 3]));
+    program_.set_loopback(pipe, loopback);
+  }
+
+  // What each outcome path is, indexed by Path: the stage that decides it
+  // (kRewrite: the packet leaves), its drop reason or action, the fields
+  // its route stage bridges and its VM-NC stage adds, and the one table
+  // counter it bumps besides route hits.
+  struct PathSpec {
+    Stage last;
+    dataplane::DropReason drop;
+    dataplane::Action action;
+    unsigned route_fields;
+    unsigned vm_fields;
+    telemetry::Counter* table_counter;
+  };
+  using dataplane::Action;
+  using dataplane::DropReason;
+  constexpr unsigned kFallbackVerdict = 1u << kFallback | 1u << kResolvedVni;
+  constexpr unsigned kScopeVerdict = kFallbackVerdict | 1u << kScope;
+  constexpr unsigned kTunnelVerdict = kScopeVerdict | 1u << kTunnelIp;
+  const std::array<PathSpec, kPathCount> specs = {{
+      {kEntry, DropReason::kInvalidVni, Action::kDrop, 0, 0, nullptr},
+      {kAcl, DropReason::kAclDeny, Action::kDrop, 0, 0, ctr_acl_deny_},
+      {kRoute, DropReason::kPeerResolutionLoop, Action::kDrop, 0, 0, nullptr},
+      {kRewrite, DropReason::kNone, Action::kFallbackToX86, kFallbackVerdict,
+       0, ctr_route_miss_},  // route miss
+      {kRewrite, DropReason::kNone, Action::kFallbackToX86, kFallbackVerdict,
+       0, nullptr},  // internet
+      {kRewrite, DropReason::kNone, Action::kForwardTunnel, kTunnelVerdict, 0,
+       nullptr},
+      {kRewrite, DropReason::kNone, Action::kFallbackToX86, kScopeVerdict, 0,
+       ctr_vm_miss_},  // VM miss
+      {kRewrite, DropReason::kNone, Action::kForwardToNc, kScopeVerdict,
+       1u << kNcIp, ctr_vm_hit_},
+  }};
+
+  // Walk each path through the gress layout. A path visits every gress up
+  // to the one holding its deciding stage; each completed egress is a
+  // pass; each crossing it makes carries exactly the fields bridged in
+  // the gress it leaves (the Phv drops a field not re-bridged since the
+  // previous crossing). The entry stage bridges the shard bit, the route
+  // stage its verdict, and the VM-NC stage re-bridges that verdict plus
+  // what it adds.
+  for (std::size_t p = 0; p < kPathCount; ++p) {
+    const PathSpec& spec = specs[p];
+    PathInfo& info = paths_[p];
+    info.drop = spec.drop;
+    info.action = spec.action;
+    info.table_counter = spec.table_counter;
+    for (unsigned g = 0; g < gresses.size(); ++g) {
+      if (gresses[g].stages.empty()) continue;
+      info.visits |= static_cast<std::uint8_t>(1u << g);
+      unsigned bridged = 0;
+      bool decided = false;
+      for (const Stage stage : gresses[g].stages) {
+        if (stage == kEntry) bridged |= 1u << kShard;
+        if (stage == kRoute) bridged |= spec.route_fields;
+        if (stage == kVmNc) bridged |= spec.route_fields | spec.vm_fields;
+        if (stage == spec.last) {
+          decided = true;
+          break;
+        }
+      }
+      if (g % 2 == 1) ++info.passes;  // gresses 1 and 3 are egress
+      if (decided) break;
+      for (unsigned field = 0; field < kFieldCount; ++field) {
+        if (bridged & 1u << field) {
+          info.bridged_bits += kFieldDecls[field].bits;
+        }
+      }
     }
   }
 }
 
+void XgwH::set_field(asic::PacketContext& ctx, Field field,
+                     std::uint64_t value, bool bridged) const {
+  ctx.meta.set(fid_[field], value, kFieldDecls[field].bits, bridged);
+}
+
+void XgwH::drop_on(asic::PacketContext& ctx, Path path) {
+  walk_.path = path;
+  const dataplane::DropReason reason = path_info(path).drop;
+  // dataplane::name() strings have static storage: a drop never allocates.
+  ctx.drop(dataplane::name(reason), static_cast<std::uint8_t>(reason));
+}
+
 void XgwH::stage_entry(asic::PacketContext& ctx) {
   if (ctx.packet.vni > net::kMaxVni) {
-    drop_with(ctx, dataplane::DropReason::kInvalidVni);
+    drop_on(ctx, Path::kInvalidVni);
     return;
   }
-  const unsigned shard = shard_of(ctx.packet.vni);
-  ctx.meta.set(fid_shard_, shard, 1, /*bridged=*/true);
+  set_field(ctx, kShard, shard_of(ctx.packet.vni));
   if (config_.compression.fold) {
     // Steer through the loopback pipe owning this shard (Fig. 14).
-    ctx.egress_pipe = 1 + 2 * shard;
+    ctx.egress_pipe = loopback_pipe_of(ctx.packet.vni);
   }
 }
 
@@ -319,12 +374,11 @@ void XgwH::stage_acl(asic::PacketContext& ctx) {
   if (acl_.evaluate(ctx.packet.vni, ctx.packet.inner) ==
       tables::AclVerdict::kDeny) {
     ctr_acl_deny_->add();
-    drop_with(ctx, dataplane::DropReason::kAclDeny);
+    drop_on(ctx, Path::kAclDeny);
   }
 }
 
-void XgwH::stage_route_lookup(asic::PacketContext& ctx, unsigned shard) {
-  (void)shard;  // the pipe this stage runs in; see the note below
+void XgwH::stage_route_lookup(asic::PacketContext& ctx) {
   net::Vni vni = ctx.packet.vni;
   // Iterative lookup until the scope leaves "Peer" (Fig. 2's walkthrough).
   // Each hop resolves in the shard owning the *current* VNI: peered VPCs
@@ -339,333 +393,223 @@ void XgwH::stage_route_lookup(asic::PacketContext& ctx, unsigned shard) {
     (route ? ctr_route_hit_ : ctr_route_miss_)->add();
     if (!route) {
       // Long-tail/volatile tables live in XGW-x86: steer, don't drop.
-      ctx.meta.set(fid_fallback_, 1, 1, true);
-      ctx.meta.set(fid_resolved_vni_, vni, 24, true);
+      walk_.path = Path::kRouteMiss;
+      set_field(ctx, kFallback, 1);
+      set_field(ctx, kResolvedVni, vni);
       return;
     }
+    ++walk_.route_hits;
     switch (route->scope) {
       case tables::RouteScope::kLocal:
-        ctx.meta.set(fid_scope_, static_cast<std::uint64_t>(route->scope), 3,
-                     true);
-        ctx.meta.set(fid_fallback_, 0, 1, true);
-        ctx.meta.set(fid_resolved_vni_, vni, 24, true);
+        walk_.path = Path::kLocal;  // unless the VM-NC stage misses
+        set_field(ctx, kScope, static_cast<std::uint64_t>(route->scope));
+        set_field(ctx, kFallback, 0);
+        set_field(ctx, kResolvedVni, vni);
         return;
       case tables::RouteScope::kPeer:
         vni = route->next_hop_vni;
         continue;
       case tables::RouteScope::kIdc:
       case tables::RouteScope::kCrossRegion:
-        ctx.meta.set(fid_scope_, static_cast<std::uint64_t>(route->scope), 3,
-                     true);
-        ctx.meta.set(fid_fallback_, 0, 1, true);
-        ctx.meta.set(fid_resolved_vni_, vni, 24, true);
-        ctx.meta.set(fid_tunnel_ip_, route->remote_endpoint.value(), 32,
-                     true);
+        walk_.path = Path::kTunnel;
+        set_field(ctx, kScope, static_cast<std::uint64_t>(route->scope));
+        set_field(ctx, kFallback, 0);
+        set_field(ctx, kResolvedVni, vni);
+        set_field(ctx, kTunnelIp, route->remote_endpoint.value());
         return;
       case tables::RouteScope::kInternet:
         // South-north: SNAT happens at XGW-x86 (Fig. 11).
-        ctx.meta.set(fid_fallback_, 1, 1, true);
-        ctx.meta.set(fid_resolved_vni_, vni, 24, true);
+        walk_.path = Path::kInternet;
+        set_field(ctx, kFallback, 1);
+        set_field(ctx, kResolvedVni, vni);
         return;
     }
   }
-  drop_with(ctx, dataplane::DropReason::kPeerResolutionLoop);
+  drop_on(ctx, Path::kPeerLoop);
 }
 
-void XgwH::stage_vm_nc_lookup(asic::PacketContext& ctx, unsigned shard) {
+void XgwH::stage_vm_nc_lookup(asic::PacketContext& ctx) {
   // Re-bridge the routing verdict across the remaining crossings.
-  for (asic::FieldId field :
-       {fid_scope_, fid_fallback_, fid_resolved_vni_, fid_tunnel_ip_}) {
-    ctx.meta.bridge(field);
+  for (Field field : {kScope, kFallback, kResolvedVni, kTunnelIp}) {
+    ctx.meta.bridge(fid_[field]);
   }
   if (config_.compression.fold) {
-    // Exit through the entry-side pipe paired with this loopback pipe
-    // (Ingress 1 -> Egress 0, Ingress 3 -> Egress 2; Fig. 13).
-    ctx.egress_pipe = ctx.pipe == 1 ? 0 : 2;
+    // Exit through the entry-side pipe paired with this loopback pipe.
+    ctx.egress_pipe = exit_pipe(/*entry_pipe=*/0, /*loopback_pipe=*/ctx.pipe);
   }
 
-  if (ctx.meta.get_or(fid_fallback_) == 1) return;
+  if (ctx.meta.get_or(fid_[kFallback]) == 1) return;
   const auto scope =
-      static_cast<tables::RouteScope>(ctx.meta.get_or(fid_scope_));
+      static_cast<tables::RouteScope>(ctx.meta.get_or(fid_[kScope]));
   if (scope != tables::RouteScope::kLocal) return;  // tunnel scopes skip
 
-  const net::Vni vni =
-      static_cast<net::Vni>(ctx.meta.get_or(fid_resolved_vni_));
   // Like the route stage: the mapping lives in the resolved VNI's shard.
-  (void)shard;
+  const net::Vni vni =
+      static_cast<net::Vni>(ctx.meta.get_or(fid_[kResolvedVni]));
   auto mapping =
       shards_[shard_of(vni)].mappings.lookup(vni, ctx.packet.inner.dst);
   (mapping ? ctr_vm_hit_ : ctr_vm_miss_)->add();
   if (!mapping) {
     // Mapping not in hardware (volatile entry): fall back to XGW-x86.
-    ctx.meta.set(fid_fallback_, 1, 1, true);
+    walk_.path = Path::kVmMiss;
+    set_field(ctx, kFallback, 1);
     return;
   }
-  ctx.meta.set(fid_nc_ip_, mapping->nc_ip.value(), 32, true);
+  set_field(ctx, kNcIp, mapping->nc_ip.value());
 }
 
 void XgwH::stage_rewrite(asic::PacketContext& ctx) {
   ctx.packet.outer_src_ip = net::IpAddr(config_.device_ip);
-  if (ctx.meta.get_or(fid_fallback_) == 1) {
+  if (ctx.meta.get_or(fid_[kFallback]) == 1) {
     ctx.packet.outer_dst_ip = net::IpAddr(config_.x86_next_hop);
-    ctx.meta.set(fid_action_, kActFallback, 2);
     return;
   }
   const auto scope =
-      static_cast<tables::RouteScope>(ctx.meta.get_or(fid_scope_));
+      static_cast<tables::RouteScope>(ctx.meta.get_or(fid_[kScope]));
   if (scope == tables::RouteScope::kIdc ||
       scope == tables::RouteScope::kCrossRegion) {
     ctx.packet.outer_dst_ip = net::IpAddr(net::Ipv4Addr(
-        static_cast<std::uint32_t>(ctx.meta.get_or(fid_tunnel_ip_))));
-    ctx.meta.set(fid_action_, kActTunnel, 2);
+        static_cast<std::uint32_t>(ctx.meta.get_or(fid_[kTunnelIp]))));
     return;
   }
-  auto nc = ctx.meta.get(fid_nc_ip_);
+  auto nc = ctx.meta.get(fid_[kNcIp]);
   if (!nc) {
-    drop_with(ctx, dataplane::DropReason::kNoNcResolved);
+    // No path reaches this; walk() rejects the walk if one ever does.
+    ctx.drop(dataplane::name(dataplane::DropReason::kNoNcResolved),
+             static_cast<std::uint8_t>(dataplane::DropReason::kNoNcResolved));
     return;
   }
   ctx.packet.outer_dst_ip =
       net::IpAddr(net::Ipv4Addr(static_cast<std::uint32_t>(*nc)));
-  ctx.meta.set(fid_action_, kActForward, 2);
 }
 
-void XgwH::snapshot_walk_counters() {
-  // The counter set is fixed after construction in practice; re-scan only
-  // if something registered extra counters since the last walk.
-  if (tracked_counters_.size() != registry_->counter_count()) {
-    tracked_counters_.clear();
-    tracked_counters_.reserve(registry_->counter_count());
-    registry_->for_each_counter(
-        [this](const std::string&, telemetry::Counter& counter) {
-          tracked_counters_.push_back(&counter);
-        });
+XgwH::CachedWalk XgwH::walk(const net::OverlayPacket& packet,
+                            unsigned entry_pipe, asic::WalkSummary& summary,
+                            bool record_pass_hist) {
+  walk_ = CachedWalk{};
+  asic::PacketContext& ctx = batch_.walk_ctx;
+  walker_->run(packet, entry_pipe, ctx, summary, record_pass_hist);
+  if (summary.drop_code !=
+      static_cast<std::uint8_t>(path_info(walk_.path).drop)) {
+    throw std::logic_error("XgwH: a walk ended off the path table");
   }
-  walk_baseline_.resize(tracked_counters_.size());
-  for (std::size_t i = 0; i < tracked_counters_.size(); ++i) {
-    walk_baseline_[i] = tracked_counters_[i]->value();
-  }
+  if (!summary.dropped) walk_.outer_dst = ctx.packet.outer_dst_ip.v4().value();
+  return walk_;
 }
 
-XgwH::CachedWalk XgwH::summarize_walk(const asic::PacketContext& ctx,
-                                      const asic::WalkSummary& walked,
-                                      bool capture_deltas) {
-  CachedWalk walk;
-  walk.dropped = walked.dropped;
-  walk.drop_code = walked.drop_code;
-  walk.act = static_cast<std::uint8_t>(
-      ctx.meta.get_or(fid_action_, kActForward));
-  // stage_rewrite is the only stage that mutates the packet: it writes
-  // outer_src unconditionally, then outer_dst unless it drops first
-  // (kNoNcResolved). Whether the rewrite ran is a property of the walk
-  // path, so it caches with the verdict.
-  walk.set_outer_src =
-      !walked.dropped ||
-      walked.drop_code ==
-          static_cast<std::uint8_t>(dataplane::DropReason::kNoNcResolved);
-  walk.set_outer_dst = !walked.dropped;
-  walk.outer_src = ctx.packet.outer_src_ip;
-  walk.outer_dst = ctx.packet.outer_dst_ip;
-  walk.passes = static_cast<std::uint8_t>(walked.passes);
-  walk.egress_pipe = static_cast<std::uint8_t>(walked.egress_pipe);
-  walk.bridged_bits = static_cast<std::uint16_t>(walked.bridged_bits);
-  // Exact per-counter deltas the walk produced (stage hit/miss counts,
-  // per-pipe packet counts, asic totals) — replayed verbatim on a hit so
-  // telemetry snapshots cannot tell the fast path from a walk. The
-  // pattern is interned: flows sharing a walk path share one delta set.
-  if (capture_deltas) {
-    scratch_deltas_.clear();
-    for (std::size_t i = 0; i < tracked_counters_.size(); ++i) {
-      const std::uint64_t delta =
-          tracked_counters_[i]->value() - walk_baseline_[i];
-      if (delta != 0) scratch_deltas_.push_back({tracked_counters_[i], delta});
-    }
-    walk.delta_set = intern_delta_set(scratch_deltas_);
+void XgwH::charge(Path path, unsigned entry_pipe, unsigned loopback_pipe,
+                  unsigned route_hits) {
+  const PathInfo& info = path_info(path);
+  ctr_asic_packets_->add();
+  if (info.drop != dataplane::DropReason::kNone) ctr_asic_drops_->add();
+  ctr_asic_ingress_[entry_pipe]->add();  // every path enters there
+  if (info.visits & kLoopbackEgress) ctr_asic_egress_[loopback_pipe]->add();
+  if (info.visits & kLoopbackIngress) ctr_asic_ingress_[loopback_pipe]->add();
+  if (info.visits & kExitEgress) {
+    ctr_asic_egress_[exit_pipe(entry_pipe, loopback_pipe)]->add();
   }
-  return walk;
-}
-
-std::uint32_t XgwH::intern_delta_set(const std::vector<CounterDelta>& deltas) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ull;
-  for (const CounterDelta& d : deltas) {
-    h ^= reinterpret_cast<std::uintptr_t>(d.counter) + 0x9E3779B97F4A7C15ull +
-         (h << 6) + (h >> 2);
-    h ^= d.delta + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  }
-  auto [it, fresh] =
-      delta_set_index_.try_emplace(h, static_cast<std::uint32_t>(
-                                          delta_sets_.size()));
-  if (fresh) {
-    delta_sets_.push_back(deltas);
-    return it->second;
-  }
-  // Hash collision between distinct patterns would silently misattribute
-  // counters; verify and fall back to an un-deduplicated append.
-  const std::vector<CounterDelta>& existing = delta_sets_[it->second];
-  const bool same =
-      existing.size() == deltas.size() &&
-      std::equal(existing.begin(), existing.end(), deltas.begin(),
-                 [](const CounterDelta& a, const CounterDelta& b) {
-                   return a.counter == b.counter && a.delta == b.delta;
-                 });
-  if (same) return it->second;
-  delta_sets_.push_back(deltas);
-  return static_cast<std::uint32_t>(delta_sets_.size() - 1);
+  ctr_route_hit_->add(route_hits);
+  if (info.table_counter != nullptr) info.table_counter->add();
 }
 
 void XgwH::finish_into(dataplane::Verdict& dest,
                        const net::OverlayPacket& packet, double now,
-                       const CachedWalk& walk, bool replayed,
-                       ForwardResult* extras) {
-  if (replayed) {
-    if (walk.delta_set != CachedWalk::kNoDeltaSet) {
-      for (const CounterDelta& d : delta_sets_[walk.delta_set]) {
-        d.counter->add(d.delta);
-      }
-    }
-    hist_passes_->record(static_cast<double>(walk.passes));
-  }
-
+                       const CachedWalk& walk) {
+  const PathInfo& info = path_info(walk.path);
+  const bool dropped = info.drop != dataplane::DropReason::kNone;
   // The batch path hands `dest` straight from the caller's verdict array,
   // so every Verdict field is (re)assigned here — nothing may survive from
   // a previous burst's verdict in the same slot.
   dest.packet = packet;
-  if (walk.set_outer_src) dest.packet.outer_src_ip = walk.outer_src;
-  if (walk.set_outer_dst) dest.packet.outer_dst_ip = walk.outer_dst;
-  dest.software_path = false;
-  if (extras != nullptr) {
-    extras->passes = walk.passes;
-    extras->egress_pipe = walk.egress_pipe;
+  if (!dropped) {
+    dest.packet.outer_src_ip = net::IpAddr(config_.device_ip);
+    dest.packet.outer_dst_ip = net::IpAddr(net::Ipv4Addr(walk.outer_dst));
   }
+  dest.software_path = false;
   // Same formula the walker applies; wire size comes from this packet, so
   // flows whose packets vary in size still get exact latencies on a hit.
   dest.latency_us = config_.chip.latency_us(
-      walk.passes, dest.packet.wire_size() + walk.bridged_bits / 8);
+      info.passes, dest.packet.wire_size() + info.bridged_bits / 8);
   hist_latency_->record(dest.latency_us);
 
-  if (config_.compression.fold) {
-    const unsigned shard = shard_of(packet.vni);
-    const unsigned loopback_pipe = 1 + 2 * shard;
-    if (extras != nullptr) extras->shard_pipe = loopback_pipe;
-    if (!walk.dropped) {
-      shard_pipe_bytes_[loopback_pipe] += packet.wire_size();
-      ctr_pipe_bytes_[loopback_pipe]->add(packet.wire_size());
-    }
+  if (config_.compression.fold && !dropped) {
+    const unsigned loopback_pipe = loopback_pipe_of(packet.vni);
+    shard_pipe_bytes_[loopback_pipe] += packet.wire_size();
+    ctr_pipe_bytes_[loopback_pipe]->add(packet.wire_size());
   }
 
-  if (walk.dropped) {
-    ++telemetry_.packets_dropped;
+  if (dropped) {
     ctr_dropped_->add();
     dest.action = dataplane::Action::kDrop;
-    dest.drop_reason = reason_from_code(walk.drop_code);
+    dest.drop_reason = info.drop;
     return;
   }
   dest.drop_reason = dataplane::DropReason::kNone;
 
-  if (walk.act == kActFallback) {
+  if (info.action == dataplane::Action::kFallbackToX86) {
     // Overload protection before handing to the software gateway. The
     // meter is stateful, so it runs on every packet — cache hits included.
     if (fallback_meter_.offer(fallback_meter_index_,
                               static_cast<double>(packet.wire_size()),
                               now) == tables::MeterColor::kRed) {
-      ++telemetry_.fallback_rate_limited;
-      ++telemetry_.packets_dropped;
       ctr_rate_limited_->add();
       ctr_dropped_->add();
       dest.action = dataplane::Action::kDrop;
       dest.drop_reason = dataplane::DropReason::kFallbackRateLimited;
       return;
     }
-    ++telemetry_.packets_fallback;
     ctr_fallback_->add();
     dest.action = dataplane::Action::kFallbackToX86;
     return;
   }
-  ++telemetry_.packets_forwarded;
   ctr_forwarded_->add();
-  dest.action = walk.act == kActTunnel ? dataplane::Action::kForwardTunnel
-                                       : dataplane::Action::kForwardToNc;
+  dest.action = info.action;
 }
 
 ForwardResult XgwH::finish(const net::OverlayPacket& packet, double now,
-                           const CachedWalk& walk, bool replayed) {
+                           const CachedWalk& walk, unsigned entry_pipe) {
   ForwardResult result;
-  finish_into(result, packet, now, walk, replayed, &result);
+  finish_into(result, packet, now, walk);
+  const PathInfo& info = path_info(walk.path);
+  const unsigned loopback_pipe = loopback_pipe_of(packet.vni);
+  result.passes = info.passes;
+  if (info.visits & kExitEgress) {
+    result.egress_pipe = exit_pipe(entry_pipe, loopback_pipe);
+  }
+  if (config_.compression.fold) result.shard_pipe = loopback_pipe;
   return result;
 }
 
-ForwardResult XgwH::forward(const net::OverlayPacket& packet, double now,
-                            std::optional<unsigned> ingress_pipe) {
-  ++telemetry_.packets_in;
-  telemetry_.bytes_in += packet.wire_size();
+ForwardResult XgwH::forward(const net::OverlayPacket& packet, double now) {
   ctr_packets_in_->add();
   ctr_bytes_in_->add(packet.wire_size());
 
   // One tuple hash serves both the entry-pipe pick and the cache key (the
-  // sharded engine threads the very same hash down process_batch). An
-  // explicit ingress_pipe overrides the flow-hash pick, so those packets
-  // bypass the cache entirely.
-  const bool cacheable = flow_cache_.enabled() && !ingress_pipe.has_value();
+  // sharded engine threads the very same hash down process_batch_indexed).
+  const std::uint64_t h = packet.inner.hash();
+  const unsigned entry_pipe = entry_pipe_of(h);
   dataplane::FlowKey key;
   std::uint64_t generation = 0;
-  unsigned entry_pipe = 0;
-  if (ingress_pipe) {
-    entry_pipe = *ingress_pipe;
-  } else {
-    const std::uint64_t h = packet.inner.hash();
-    entry_pipe = entry_pipe_of(h);
-    if (cacheable) {
-      // Fast path: replay the cached walk for this exact (VNI, 5-tuple).
-      key = dataplane::make_flow_key(packet.vni, h);
-      generation = effective_generation(packet.vni);
-      if (const CachedWalk* hit = flow_cache_.find(key, generation)) {
-        return finish(packet, now, *hit, /*replayed=*/true);
-      }
+  if (flow_cache_.enabled()) {
+    // Fast path: replay the cached walk for this exact (VNI, 5-tuple).
+    key = dataplane::make_flow_key(packet.vni, h);
+    generation = effective_generation(packet.vni);
+    if (const CachedWalk* hit = flow_cache_.find(key, generation)) {
+      charge(hit->path, entry_pipe, loopback_pipe_of(packet.vni),
+             hit->route_hits);
+      hist_passes_->record(path_info(hit->path).passes);
+      return finish(packet, now, *hit, entry_pipe);
     }
   }
 
   // Second-miss admission: only flows that have missed before are worth
-  // the capture + insert; one-packet flows cost a single filter write.
-  const bool capture = cacheable && flow_cache_.note_miss(key);
-  if (capture) snapshot_walk_counters();
+  // an insert; one-packet flows cost a single filter write.
+  const bool capture = flow_cache_.enabled() && flow_cache_.note_miss(key);
   asic::WalkSummary walked;
-  walker_->run(packet, entry_pipe, batch_.walk_ctx, walked);
-  CachedWalk summary =
-      summarize_walk(batch_.walk_ctx, walked, /*capture_deltas=*/capture);
-  const ForwardResult result = finish(packet, now, summary, /*replayed=*/false);
-  if (capture) flow_cache_.insert(key, generation, summary);
+  const CachedWalk record = walk(packet, entry_pipe, walked);
+  const ForwardResult result = finish(packet, now, record, entry_pipe);
+  if (capture) flow_cache_.insert(key, generation, record);
   return result;
-}
-
-void XgwH::process_batch(std::span<const net::OverlayPacket> packets,
-                         double now, std::span<dataplane::Verdict> out) {
-  if (out.size() < packets.size()) {
-    throw std::invalid_argument(
-        "process_batch: output span smaller than the batch");
-  }
-  batch_.idx.resize(packets.size());
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    batch_.idx[i] = static_cast<std::uint32_t>(i);
-  }
-  process_batch_indexed(packets, {}, batch_.idx, now, out);
-}
-
-void XgwH::process_batch(std::span<const net::OverlayPacket> packets,
-                         std::span<const std::uint64_t> flow_hashes,
-                         double now, std::span<dataplane::Verdict> out) {
-  if (flow_hashes.size() != packets.size()) {
-    throw std::invalid_argument(
-        "process_batch: flow_hashes.size() must equal packets.size()");
-  }
-  if (out.size() < packets.size()) {
-    throw std::invalid_argument(
-        "process_batch: output span smaller than the batch");
-  }
-  batch_.idx.resize(packets.size());
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    batch_.idx[i] = static_cast<std::uint32_t>(i);
-  }
-  process_batch_indexed(packets, flow_hashes, batch_.idx, now, out);
 }
 
 void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
@@ -677,6 +621,10 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
   if (out.size() < packets.size()) {
     throw std::invalid_argument(
         "process_batch_indexed: output span smaller than the packet array");
+  }
+  if (!flow_hashes.empty() && flow_hashes.size() != packets.size()) {
+    throw std::invalid_argument(
+        "process_batch_indexed: flow_hashes must be empty or one per packet");
   }
   if (n == 0) return;
 
@@ -711,19 +659,13 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
     }
   }
 
-  // Bulk ingest, BEFORE any capture snapshot: a capture walk's counter
-  // delta window must contain that walk's adds and nothing else, exactly
-  // like the scalar path (which ingests each packet before snapshotting).
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < n; ++i) bytes += packets[indices[i]].wire_size();
-  telemetry_.packets_in += n;
-  telemetry_.bytes_in += bytes;
   ctr_packets_in_->add(n);
   ctr_bytes_in_->add(bytes);
 
   b.pend.clear();
   b.walk.resize(n);
-  b.replayed.assign(n, 0);
 
   if (flow_cache_.enabled()) {
     b.key.resize(n);
@@ -738,25 +680,23 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
     }
     // Phase 2: probe in strict packet order — find/note_miss/insert
     // mutate cache stats and admission state, and their sequence is part
-    // of the byte-identity contract. Only walks with no cache side
-    // effects (non-capture misses) defer to the SoA sweep.
+    // of the byte-identity contract. A capture miss walks at once, so a
+    // later packet of its flow in this burst hits; other misses defer to
+    // the SoA sweep. Counters commute, so where a packet is charged does
+    // not matter.
     for (std::size_t i = 0; i < n; ++i) {
+      const net::OverlayPacket& packet = packets[indices[i]];
+      const unsigned entry_pipe = entry_pipe_of(b.hash[i]);
       if (const CachedWalk* hit = flow_cache_.find(b.key[i], b.gen[i])) {
         b.walk[i] = *hit;  // copy: the pointer dies at the next insert
-        b.replayed[i] = 1;
+        charge(hit->path, entry_pipe, loopback_pipe_of(packet.vni),
+               hit->route_hits);
         continue;
       }
       if (flow_cache_.note_miss(b.key[i])) {
-        // Capture miss: walks alone so its delta window stays exact.
-        // Flush the deferred packets gathered so far first — their bulk
-        // counter adds must land outside the window.
-        flush_soa_walk(packets, indices);
-        snapshot_walk_counters();
         asic::WalkSummary walked;
-        walker_->run(packets[indices[i]], entry_pipe_of(b.hash[i]),
-                     b.walk_ctx, walked, /*record_pass_hist=*/false);
-        b.walk[i] =
-            summarize_walk(b.walk_ctx, walked, /*capture_deltas=*/true);
+        b.walk[i] = walk(packet, entry_pipe, walked,
+                         /*record_pass_hist=*/false);
         flow_cache_.insert(b.key[i], b.gen[i], b.walk[i]);
       } else {
         b.pend.push_back(static_cast<std::uint32_t>(i));
@@ -771,8 +711,8 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
 
   // Phase 3: emit verdicts in packet order. Histogram records and the
   // stateful fallback meter live here, so their streams are sample-for-
-  // sample what the scalar loop produces. Deferred walks suppressed their
-  // in-walk "asic.passes" record; replayed hits record theirs in finish.
+  // sample what the scalar loop produces (no walk above recorded its
+  // "asic.passes" sample).
   for (std::size_t i = 0; i < n; ++i) {
     // The verdict slots are write-allocated on first touch and the index
     // stride defeats the hardware streamer — hint them in ahead.
@@ -782,13 +722,10 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
       __builtin_prefetch(slot + 64, 1);
       __builtin_prefetch(slot + 128, 1);
     }
-    if (b.replayed[i] == 0) {
-      hist_passes_->record(static_cast<double>(b.walk[i].passes));
-    }
+    hist_passes_->record(path_info(b.walk[i].path).passes);
     // In-place emission: finish_into writes every Verdict field, so the
     // slot needs no clearing and no ForwardResult temporary is copied.
-    finish_into(out[indices[i]], packets[indices[i]], now, b.walk[i],
-                b.replayed[i] != 0);
+    finish_into(out[indices[i]], packets[indices[i]], now, b.walk[i]);
   }
 }
 
@@ -797,55 +734,33 @@ void XgwH::flush_soa_walk(std::span<const net::OverlayPacket> packets,
   BatchScratch& b = batch_;
   const std::size_t m = b.pend.size();
   if (m == 0) return;
-  const bool fold = config_.compression.fold;
+  const auto packet_of = [&](std::size_t k) -> const net::OverlayPacket& {
+    return packets[indices[b.pend[k]]];
+  };
+  const auto walk_of = [&](std::size_t k) -> CachedWalk& {
+    return b.walk[b.pend[k]];
+  };
+  const std::uint32_t x86_hop = config_.x86_next_hop.value();
 
   b.vni.resize(m);
-  b.entry_pipe.resize(m);
-  b.lb_pipe.resize(m);
-  b.exit_pipe.resize(m);
-  b.alive.assign(m, 1);
-  b.drop_code.assign(m, 0);
-  b.scope.assign(m, 0);
-  b.fallback.assign(m, 0);
-  b.has_nc.assign(m, 0);
-  b.tunnel_ip.resize(m);
-  b.nc_ip.resize(m);
   b.rkey.resize(m);
   b.rpart.resize(m);
 
-  // Counter totals, added in bulk at the end (counters commute, so only
-  // the totals must match the scalar walk's per-packet bumps).
-  std::array<std::uint64_t, 4> ing{};
-  std::array<std::uint64_t, 4> eg{};
-  std::uint64_t n_drops = 0, n_route_hit = 0, n_route_miss = 0;
-  std::uint64_t n_vm_hit = 0, n_vm_miss = 0, n_acl_deny = 0;
-
-  // Ingress pass 0: parse + entry + ACL. Every packet charges its entry
-  // pipe's ingress counter (the walker bumps it before any stage runs);
-  // folded survivors then cross to their shard's loopback egress.
+  // Entry stage + ACL.
   b.work.clear();
   for (std::size_t k = 0; k < m; ++k) {
-    const net::OverlayPacket& pkt = packets[indices[b.pend[k]]];
+    const net::OverlayPacket& pkt = packet_of(k);
+    CachedWalk& walk = walk_of(k);
+    walk = CachedWalk{};
     b.vni[k] = pkt.vni;
-    const unsigned entry = entry_pipe_of(b.hash[b.pend[k]]);
-    b.entry_pipe[k] = entry;
-    ++ing[entry];
     if (pkt.vni > net::kMaxVni) {
-      b.alive[k] = 0;
-      b.drop_code[k] =
-          static_cast<std::uint8_t>(dataplane::DropReason::kInvalidVni);
-      continue;
+      walk.path = Path::kInvalidVni;
+    } else if (acl_.evaluate(pkt.vni, pkt.inner) ==
+               tables::AclVerdict::kDeny) {
+      walk.path = Path::kAclDeny;
+    } else {
+      b.work.push_back(static_cast<std::uint32_t>(k));
     }
-    b.lb_pipe[k] = 1 + 2 * shard_of(pkt.vni);
-    if (acl_.evaluate(pkt.vni, pkt.inner) == tables::AclVerdict::kDeny) {
-      ++n_acl_deny;
-      b.alive[k] = 0;
-      b.drop_code[k] =
-          static_cast<std::uint8_t>(dataplane::DropReason::kAclDeny);
-      continue;
-    }
-    if (fold) ++eg[b.lb_pipe[k]];
-    b.work.push_back(static_cast<std::uint32_t>(k));
   }
 
   // Route lookups, one software-pipelined sweep per peer hop: build the
@@ -862,8 +777,7 @@ void XgwH::flush_soa_walk(std::span<const net::OverlayPacket> packets,
       b.shard_pos[s].clear();
     }
     for (std::uint32_t k : b.work) {
-      const net::OverlayPacket& pkt = packets[indices[b.pend[k]]];
-      b.rkey[k] = tables::make_pooled_key(b.vni[k], pkt.inner.dst);
+      b.rkey[k] = tables::make_pooled_key(b.vni[k], packet_of(k).inner.dst);
       const unsigned s = shard_of(b.vni[k]);
       b.shard_keys[s].push_back(b.rkey[k]);
       b.shard_pos[s].push_back(k);
@@ -878,17 +792,18 @@ void XgwH::flush_soa_walk(std::span<const net::OverlayPacket> packets,
     }
     b.next_work.clear();
     for (std::uint32_t k : b.work) {
+      CachedWalk& walk = walk_of(k);
       auto route = shards_[shard_of(b.vni[k])].routes.lookup_resolve(
           b.rkey[k], b.rpart[k]);
       if (!route) {
-        ++n_route_miss;
-        b.fallback[k] = 1;
+        walk.path = Path::kRouteMiss;
+        walk.outer_dst = x86_hop;
         continue;
       }
-      ++n_route_hit;
+      ++walk.route_hits;
       switch (route->scope) {
         case tables::RouteScope::kLocal:
-          b.scope[k] = static_cast<std::uint8_t>(route->scope);
+          walk.path = Path::kLocal;  // the VM-NC sweep below decides
           break;
         case tables::RouteScope::kPeer:
           b.vni[k] = route->next_hop_vni;
@@ -896,148 +811,59 @@ void XgwH::flush_soa_walk(std::span<const net::OverlayPacket> packets,
           break;
         case tables::RouteScope::kIdc:
         case tables::RouteScope::kCrossRegion:
-          b.scope[k] = static_cast<std::uint8_t>(route->scope);
-          b.tunnel_ip[k] = route->remote_endpoint.value();
+          walk.path = Path::kTunnel;
+          walk.outer_dst = route->remote_endpoint.value();
           break;
         case tables::RouteScope::kInternet:
-          b.fallback[k] = 1;
+          walk.path = Path::kInternet;
+          walk.outer_dst = x86_hop;
           break;
       }
     }
     std::swap(b.work, b.next_work);
   }
-  // Hop budget exhausted with peers still pending: the scalar stage drops.
-  for (std::uint32_t k : b.work) {
-    b.alive[k] = 0;
-    b.drop_code[k] =
-        static_cast<std::uint8_t>(dataplane::DropReason::kPeerResolutionLoop);
-  }
+  // Hop budget exhausted with peers still pending: the route stage drops.
+  for (std::uint32_t k : b.work) walk_of(k).path = Path::kPeerLoop;
 
-  // Pass 1 (folded): survivors loop back through the shard pipe's ingress
-  // and pick their exit pipe; unfolded exits through the entry pipe.
-  // Local-scope non-fallback packets queue for the VM-NC sweep.
+  // VM-NC sweep over the local-route packets: prefetch the mapping
+  // buckets a strip at a time, then resolve the strip. Strips keep the
+  // prefetched lines L1-resident — prefetching the whole burst up front
+  // left the early lines evicted by the time the resolve loop reached
+  // them. The mapping lives in the *resolved* VNI's shard, same as the
+  // scalar stage.
   b.work.clear();
   for (std::size_t k = 0; k < m; ++k) {
-    if (!b.alive[k]) continue;
-    if (fold) ++ing[b.lb_pipe[k]];
-    b.exit_pipe[k] = fold ? (b.lb_pipe[k] == 1 ? 0u : 2u) : b.entry_pipe[k];
-    if (b.fallback[k] == 0 &&
-        static_cast<tables::RouteScope>(b.scope[k]) ==
-            tables::RouteScope::kLocal) {
+    if (walk_of(k).path == Path::kLocal) {
       b.work.push_back(static_cast<std::uint32_t>(k));
     }
   }
-
-  // VM-NC sweep: prefetch the mapping buckets a strip at a time, then
-  // resolve the strip. Strips keep the prefetched lines L1-resident —
-  // prefetching the whole burst up front left the early lines evicted by
-  // the time the resolve loop reached them. The mapping lives in the
-  // *resolved* VNI's shard, same as the scalar stage.
   constexpr std::size_t kVmStrip = 64;
   for (std::size_t s0 = 0; s0 < b.work.size(); s0 += kVmStrip) {
     const std::size_t s1 = std::min(s0 + kVmStrip, b.work.size());
     for (std::size_t j = s0; j < s1; ++j) {
       const std::uint32_t k = b.work[j];
-      const net::OverlayPacket& pkt = packets[indices[b.pend[k]]];
-      shards_[shard_of(b.vni[k])].mappings.prefetch(b.vni[k], pkt.inner.dst);
+      shards_[shard_of(b.vni[k])].mappings.prefetch(b.vni[k],
+                                                    packet_of(k).inner.dst);
     }
     for (std::size_t j = s0; j < s1; ++j) {
       const std::uint32_t k = b.work[j];
-      const net::OverlayPacket& pkt = packets[indices[b.pend[k]]];
-      auto mapping =
-          shards_[shard_of(b.vni[k])].mappings.lookup(b.vni[k], pkt.inner.dst);
+      CachedWalk& walk = walk_of(k);
+      auto mapping = shards_[shard_of(b.vni[k])].mappings.lookup(
+          b.vni[k], packet_of(k).inner.dst);
       if (mapping) {
-        ++n_vm_hit;
-        b.has_nc[k] = 1;
-        b.nc_ip[k] = mapping->nc_ip.value();
+        walk.outer_dst = mapping->nc_ip.value();
       } else {
-        ++n_vm_miss;
-        b.fallback[k] = 2;  // vm-stage fallback: bridged accounting differs
+        walk.path = Path::kVmMiss;
+        walk.outer_dst = x86_hop;
       }
     }
   }
 
-  // Rewrite + summary fill. Passes and bridged bits are exact per-path
-  // constants of the pipeline program — DESIGN.md §15 derives them, and
-  // the batch-identity tests hold them to the walker's own accounting.
-  const net::IpAddr outer_src{config_.device_ip};
-  const net::IpAddr x86_hop{config_.x86_next_hop};
   for (std::size_t k = 0; k < m; ++k) {
-    CachedWalk walk;  // delta_set stays kNoDeltaSet: nothing to replay
-    if (!b.alive[k]) {
-      // Pre-rewrite drops never touch the packet. A folded peer-loop drop
-      // dies in the loopback egress: it crossed once (the 1-bit shard
-      // field) and completed one pass; entry/ACL drops die in ingress.
-      walk.dropped = true;
-      walk.drop_code = b.drop_code[k];
-      const bool peer_loop =
-          b.drop_code[k] ==
-          static_cast<std::uint8_t>(dataplane::DropReason::kPeerResolutionLoop);
-      walk.passes = (fold && peer_loop) ? 1 : 0;
-      walk.bridged_bits = (fold && peer_loop) ? 1 : 0;
-      ++n_drops;
-      b.walk[b.pend[k]] = walk;
-      continue;
-    }
-    ++eg[b.exit_pipe[k]];  // the walker bumps it before the rewrite stage
-    const auto scope = static_cast<tables::RouteScope>(b.scope[k]);
-    const bool tunnel = b.fallback[k] == 0 &&
-                        (scope == tables::RouteScope::kIdc ||
-                         scope == tables::RouteScope::kCrossRegion);
-    walk.passes = fold ? 2 : 1;
-    walk.set_outer_src = true;
-    walk.outer_src = outer_src;
-    unsigned bridged = 0;
-    if (b.fallback[k] == 1) {
-      // Route stage steered to x86: fallback1+resolved24 crossed twice
-      // (folded) or once with the shard bit (unfolded).
-      bridged = fold ? 51u : 26u;
-      walk.act = static_cast<std::uint8_t>(kActFallback);
-      walk.outer_dst = x86_hop;
-    } else if (tunnel) {
-      // scope3+fallback1+resolved24+tunnel32, twice; +shard1 at entry.
-      bridged = fold ? 121u : 61u;
-      walk.act = static_cast<std::uint8_t>(kActTunnel);
-      walk.outer_dst = net::IpAddr(net::Ipv4Addr(b.tunnel_ip[k]));
-    } else if (b.fallback[k] == 2) {
-      // VM miss re-raises fallback: scope3+fallback1+resolved24, twice.
-      bridged = fold ? 57u : 29u;
-      walk.act = static_cast<std::uint8_t>(kActFallback);
-      walk.outer_dst = x86_hop;
-    } else if (b.has_nc[k]) {
-      // Local delivery: +nc32 on the final crossing.
-      bridged = fold ? 89u : 61u;
-      walk.act = static_cast<std::uint8_t>(kActForward);
-      walk.outer_dst = net::IpAddr(net::Ipv4Addr(b.nc_ip[k]));
-    } else {
-      // Local route, no NC, no fallback: the rewrite stage drops. The
-      // rewrite already wrote outer_src, so that mutation caches.
-      walk.dropped = true;
-      walk.drop_code =
-          static_cast<std::uint8_t>(dataplane::DropReason::kNoNcResolved);
-      walk.bridged_bits = fold ? 57u : 29u;
-      ++n_drops;
-      b.walk[b.pend[k]] = walk;
-      continue;
-    }
-    walk.set_outer_dst = true;
-    walk.egress_pipe = static_cast<std::uint8_t>(b.exit_pipe[k]);
-    walk.bridged_bits = static_cast<std::uint16_t>(bridged);
-    b.walk[b.pend[k]] = walk;
+    const CachedWalk& walk = walk_of(k);
+    charge(walk.path, entry_pipe_of(b.hash[b.pend[k]]),
+           loopback_pipe_of(packet_of(k).vni), walk.route_hits);
   }
-
-  ctr_asic_packets_->add(m);
-  for (unsigned pipe = 0; pipe < 4; ++pipe) {
-    if (ing[pipe] != 0) ctr_asic_ingress_[pipe]->add(ing[pipe]);
-    if (eg[pipe] != 0) ctr_asic_egress_[pipe]->add(eg[pipe]);
-  }
-  if (n_drops != 0) ctr_asic_drops_->add(n_drops);
-  if (n_route_hit != 0) ctr_route_hit_->add(n_route_hit);
-  if (n_route_miss != 0) ctr_route_miss_->add(n_route_miss);
-  if (n_vm_hit != 0) ctr_vm_hit_->add(n_vm_hit);
-  if (n_vm_miss != 0) ctr_vm_miss_->add(n_vm_miss);
-  if (n_acl_deny != 0) ctr_acl_deny_->add(n_acl_deny);
-
   b.pend.clear();
 }
 

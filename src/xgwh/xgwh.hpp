@@ -120,10 +120,9 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   // ---- data plane (dataplane::Gateway) ------------------------------------
 
   /// Processes one packet with full chip observables. `now` is the
-  /// simulation clock (seconds), used by the fallback rate limiter;
-  /// `ingress_pipe` defaults to a flow-hash pick among the entry pipes.
-  ForwardResult forward(const net::OverlayPacket& packet, double now = 0,
-                        std::optional<unsigned> ingress_pipe = std::nullopt);
+  /// simulation clock (seconds), used by the fallback rate limiter; the
+  /// entry pipe is a flow-hash pick among the entry pipes.
+  ForwardResult forward(const net::OverlayPacket& packet, double now = 0);
 
   /// Gateway interface: forward() sliced to the unified verdict.
   dataplane::Verdict process(const net::OverlayPacket& packet,
@@ -131,33 +130,93 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     return forward(packet, now);
   }
 
-  /// The SoA batched fast path (DESIGN.md §15): cache probes stay in
-  /// strict packet order (FlowCacheStats byte-exact), non-capture misses
-  /// walk the pipeline as a column-major batch with software-pipelined
-  /// table lookups, and verdicts emit in packet order. Byte-identical to
-  /// looping process() — verdicts, registry snapshots and cache stats.
-  void process_batch(std::span<const net::OverlayPacket> packets, double now,
-                     std::span<dataplane::Verdict> out) override;
-
-  /// Hash-threaded form: `flow_hashes[i]` must equal
-  /// `packets[i].inner.hash()` (the sharded engine's shard-steering hash).
-  /// Skips the per-packet tuple rehash for entry-pipe and cache-key
-  /// derivation.
-  void process_batch(std::span<const net::OverlayPacket> packets,
-                     std::span<const std::uint64_t> flow_hashes, double now,
-                     std::span<dataplane::Verdict> out) override;
-
-  /// The real batched fast path: the sharded engine hands each shard
-  /// sub-spans of one shared index list, so packets and verdicts are
-  /// never gathered/scattered through per-burst copies. `flow_hashes` may
-  /// be empty (hashes are then computed here, once per packet).
+  /// The batched fast path (DESIGN.md §15), and the device's one batch
+  /// entry point: the sharded engine hands each shard sub-spans of one
+  /// shared index list, so packets and verdicts are never gathered or
+  /// scattered through per-burst copies. Cache probes stay in strict
+  /// packet order (FlowCacheStats byte-exact), non-capture misses walk the
+  /// pipeline as a column-major batch with software-pipelined table
+  /// lookups, and verdicts emit in packet order. Byte-identical to looping
+  /// process() — verdicts, registry snapshots and cache stats.
+  /// `flow_hashes` is empty (hashes are then computed here, once per
+  /// packet) or packets.size() long; anything else throws
+  /// std::invalid_argument.
   void process_batch_indexed(std::span<const net::OverlayPacket> packets,
                              std::span<const std::uint64_t> flow_hashes,
                              std::span<const std::uint32_t> indices,
                              double now,
                              std::span<dataplane::Verdict> out) override;
 
-  using dataplane::Gateway::process_batch;  // allocating convenience form
+  using dataplane::Gateway::process_batch;
+
+  // ---- the program's outcome paths (DESIGN.md §15) -----------------------
+
+  /// Every way a packet can leave the gateway program. A packet's path
+  /// alone fixes its passes, bridged bits, pipe visits and table charges;
+  /// only its route-hit count (peer hops) and rewrite target vary.
+  enum class Path : std::uint8_t {
+    kInvalidVni,  // entry stage: VNI above net::kMaxVni
+    kAclDeny,     // ACL stage
+    kPeerLoop,    // route stage: the peer-hop budget ran out
+    kRouteMiss,   // route stage missed: fallback to XGW-x86
+    kInternet,    // internet route: fallback (SNAT at XGW-x86)
+    kTunnel,      // IDC or cross-region route
+    kVmMiss,      // local route without a VM-NC mapping: fallback
+    kLocal,       // local route and mapping: forward to the NC
+  };
+  static constexpr std::size_t kPathCount =
+      static_cast<std::size_t>(Path::kLocal) + 1;
+
+  /// The four pipe visits a walk can charge, in walk order. Unfolded
+  /// programs only have the entry ingress and the exit egress.
+  enum Visit : std::uint8_t {
+    kEntryIngress = 1,
+    kLoopbackEgress = 2,
+    kLoopbackIngress = 4,
+    kExitEgress = 8,  // the rewrite stage runs here
+  };
+
+  /// One row of the path table. build_program() derives every row from
+  /// the program's gress layout and the PHV field widths.
+  struct PathInfo {
+    dataplane::DropReason drop = dataplane::DropReason::kNone;
+    dataplane::Action action = dataplane::Action::kDrop;  // when not dropped
+    std::uint8_t passes = 0;
+    std::uint16_t bridged_bits = 0;
+    std::uint8_t visits = 0;  // Visit bits
+    /// The one table counter the path bumps besides route hits (ACL deny,
+    /// route miss, VM-NC hit or miss), or null.
+    telemetry::Counter* table_counter = nullptr;
+  };
+  const PathInfo& path_info(Path path) const {
+    return paths_[static_cast<std::size_t>(path)];
+  }
+
+  /// A flow's walk, as the flow cache keeps it: the rest is in the path
+  /// table. The outer source is always the device IP.
+  struct CachedWalk {
+    Path path = Path::kInvalidVni;
+    std::uint8_t route_hits = 0;
+    std::uint32_t outer_dst = 0;  // IPv4 rewrite target when not dropped
+  };
+
+  /// The reference executor: walks `packet` through the Walker from
+  /// `entry_pipe` and sorts the walk into its path record. The registry
+  /// moves exactly as in a forward() walk ("asic.passes" only when
+  /// `record_pass_hist`); no cache, no verdict.
+  CachedWalk walk(const net::OverlayPacket& packet, unsigned entry_pipe,
+                  asic::WalkSummary& summary, bool record_pass_hist = true);
+
+  /// Bumps the registry's walk counters exactly as a Walker walk of
+  /// `path` does — how cache hits and the SoA walk account for packets
+  /// they do not walk.
+  void charge(Path path, unsigned entry_pipe, unsigned loopback_pipe,
+              unsigned route_hits);
+
+  /// Loopback pipe (1 or 3) of the shard owning `vni` (§4.4).
+  unsigned loopback_pipe_of(net::Vni vni) const {
+    return 1 + 2 * shard_of(vni);
+  }
 
   // ---- telemetry ----------------------------------------------------------
 
@@ -166,20 +225,11 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     return shard_pipe_bytes_;
   }
 
-  struct Telemetry {
-    std::uint64_t packets_in = 0;
-    std::uint64_t packets_forwarded = 0;
-    std::uint64_t packets_fallback = 0;
-    std::uint64_t packets_dropped = 0;
-    std::uint64_t fallback_rate_limited = 0;
-    std::uint64_t bytes_in = 0;
-  };
-  const Telemetry& telemetry() const { return telemetry_; }
-
-  /// This device's always-on counter registry: the struct above plus
-  /// per-table hit/miss counts ("xgwh.table.route.hit", ...), the walker's
-  /// per-pipe stage counters ("asic.pipeN.*"), per-loopback-pipe bytes and
-  /// a forwarding-latency histogram. Fleet views merge these snapshots.
+  /// This device's always-on counter registry: packet, byte and outcome
+  /// counts ("xgwh.packets_in", ...), per-table hit/miss counts
+  /// ("xgwh.table.route.hit", ...), the walker's per-pipe stage counters
+  /// ("asic.pipeN.*"), per-loopback-pipe bytes and a forwarding-latency
+  /// histogram. Fleet views merge these snapshots.
   telemetry::Registry& registry() { return *registry_; }
   const telemetry::Registry& registry() const { return *registry_; }
 
@@ -216,36 +266,6 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   /// One shard's tables, built at the geometry `config` declares.
   static Shard make_shard(const Config& config);
 
-  struct CounterDelta {
-    telemetry::Counter* counter = nullptr;
-    std::uint64_t delta = 0;
-  };
-
-  /// The per-flow summary the cache replays in place of a pipeline walk:
-  /// the walk's verdict inputs, the packet mutation (outer header
-  /// rewrite), and the exact per-counter deltas the walk produced so a
-  /// replayed hit leaves the telemetry registry byte-identical to a walk.
-  ///
-  /// The deltas live in a shared flyweight table (`delta_sets_`), not in
-  /// the entry: distinct walks produce only a handful of distinct delta
-  /// patterns (path x pipes x passes), so interning keeps the cache entry
-  /// at ~2 cache lines and every hit replays a vector that stays hot.
-  struct CachedWalk {
-    static constexpr std::uint32_t kNoDeltaSet = 0xFFFFFFFF;
-
-    bool dropped = false;
-    std::uint8_t drop_code = 0;
-    std::uint8_t act = 0;  // kAction metadata (valid when !dropped)
-    bool set_outer_src = false;
-    bool set_outer_dst = false;
-    std::uint8_t passes = 0;
-    std::uint8_t egress_pipe = 0;
-    std::uint16_t bridged_bits = 0;
-    std::uint32_t delta_set = kNoDeltaSet;  // index into delta_sets_
-    net::IpAddr outer_src;
-    net::IpAddr outer_dst;
-  };
-
   /// Shard index (0/1) for a VNI — parity split (§4.4).
   unsigned shard_of(net::Vni vni) const;
   Shard& shard_for(net::Vni vni);
@@ -274,28 +294,24 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
 
   void build_program();
 
-  // Stage implementations (bound into the PipelineProgram).
+  // Stage implementations (bound into the PipelineProgram). Each stage
+  // that decides a path notes it in walk_, so a Walker walk sorts itself
+  // into the path table.
   void stage_entry(asic::PacketContext& ctx);
   void stage_acl(asic::PacketContext& ctx);
-  void stage_route_lookup(asic::PacketContext& ctx, unsigned shard);
-  void stage_vm_nc_lookup(asic::PacketContext& ctx, unsigned shard);
+  void stage_route_lookup(asic::PacketContext& ctx);
+  void stage_vm_nc_lookup(asic::PacketContext& ctx);
   void stage_rewrite(asic::PacketContext& ctx);
+  /// Ends the walk on a drop path with that path's drop reason.
+  void drop_on(asic::PacketContext& ctx, Path path);
 
-  // Fast-path plumbing.
-  void snapshot_walk_counters();
-  CachedWalk summarize_walk(const asic::PacketContext& ctx,
-                            const asic::WalkSummary& walked,
-                            bool capture_deltas);
-  std::uint32_t intern_delta_set(const std::vector<CounterDelta>& deltas);
-  ForwardResult finish(const net::OverlayPacket& packet, double now,
-                       const CachedWalk& walk, bool replayed);
-  /// finish() body writing straight into the caller's verdict slot — the
-  /// batch path emits without the intermediate ForwardResult copy. Every
-  /// Verdict field of `dest` is assigned; `extras`, when given, receives
-  /// the ForwardResult-only fields.
+  /// Writes every Verdict field of `dest` (the batch path emits straight
+  /// into the caller's verdict slot) and bumps the outcome counters.
   void finish_into(dataplane::Verdict& dest, const net::OverlayPacket& packet,
-                   double now, const CachedWalk& walk, bool replayed,
-                   ForwardResult* extras = nullptr);
+                   double now, const CachedWalk& walk);
+  /// finish_into() plus the chip observables of forward().
+  ForwardResult finish(const net::OverlayPacket& packet, double now,
+                       const CachedWalk& walk, unsigned entry_pipe);
 
   /// Entry-pipe pick from the flow hash (the scalar path and the batch
   /// path must agree bit-for-bit).
@@ -304,9 +320,16 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
                ? (flow_hash & 1 ? 2u : 0u)
                : static_cast<unsigned>(flow_hash & 3);
   }
+  /// Exit egress pipe: folded, the entry-side pipe paired with the
+  /// loopback pipe (Ingress 1 -> Egress 0, Ingress 3 -> Egress 2);
+  /// unfolded, the entry pipe itself.
+  unsigned exit_pipe(unsigned entry_pipe, unsigned loopback_pipe) const {
+    return config_.compression.fold ? loopback_pipe - 1 : entry_pipe;
+  }
 
   /// Walks the deferred (non-capture-miss) packets of the current burst as
-  /// a column-major SoA batch and fills their CachedWalk summaries.
+  /// a column-major SoA batch, fills their CachedWalk records and charges
+  /// their counters from the path table.
   void flush_soa_walk(std::span<const net::OverlayPacket> packets,
                       std::span<const std::uint32_t> indices);
 
@@ -320,26 +343,14 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     std::vector<dataplane::FlowKey> key;
     std::vector<std::uint64_t> gen;
     std::vector<CachedWalk> walk;
-    std::vector<std::uint8_t> replayed;
     std::vector<std::uint64_t> hash;  // position-indexed flow hashes
-    std::vector<std::uint32_t> idx;   // identity list for contiguous calls
     /// Burst positions whose walk is deferred to the SoA sweep (cache
     /// misses that do NOT capture — or every packet when the cache is
     /// off).
     std::vector<std::uint32_t> pend;
 
     // SoA walk columns, indexed by position in `pend`.
-    std::vector<net::Vni> vni;
-    std::vector<unsigned> entry_pipe;
-    std::vector<unsigned> lb_pipe;
-    std::vector<unsigned> exit_pipe;
-    std::vector<std::uint8_t> alive;
-    std::vector<std::uint8_t> drop_code;
-    std::vector<std::uint8_t> scope;  // tables::RouteScope of the route hit
-    std::vector<std::uint8_t> fallback;
-    std::vector<std::uint8_t> has_nc;
-    std::vector<std::uint32_t> tunnel_ip;
-    std::vector<std::uint32_t> nc_ip;
+    std::vector<net::Vni> vni;            // VNI of the current peer hop
     std::vector<tables::TcamKey> rkey;    // pooled route key per hop
     std::vector<std::uint32_t> rpart;     // prepared ALPM partition
     std::vector<std::uint32_t> work;      // current sweep's worklist
@@ -366,14 +377,20 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   asic::PipelineProgram program_;
   std::unique_ptr<asic::Walker> walker_;
 
+  /// PHV metadata fields the stages carry (names and widths, each
+  /// declared once, in xgwh.cpp).
+  enum Field : unsigned {
+    kShard, kScope, kFallback, kResolvedVni, kTunnelIp, kNcIp, kFieldCount
+  };
+  /// Writes `field` at its declared width.
+  void set_field(asic::PacketContext& ctx, Field field, std::uint64_t value,
+                 bool bridged = true) const;
   // Compiled PHV field handles (interned once in build_program()).
-  asic::FieldId fid_shard_ = asic::kInvalidFieldId;
-  asic::FieldId fid_scope_ = asic::kInvalidFieldId;
-  asic::FieldId fid_fallback_ = asic::kInvalidFieldId;
-  asic::FieldId fid_resolved_vni_ = asic::kInvalidFieldId;
-  asic::FieldId fid_tunnel_ip_ = asic::kInvalidFieldId;
-  asic::FieldId fid_nc_ip_ = asic::kInvalidFieldId;
-  asic::FieldId fid_action_ = asic::kInvalidFieldId;
+  std::array<asic::FieldId, kFieldCount> fid_{};
+  /// The path table (indexed by Path), derived in build_program().
+  std::array<PathInfo, kPathCount> paths_{};
+  /// The record the stages fill during a Walker walk.
+  CachedWalk walk_;
 
   // Flow-cache fast path (single-writer; one cache per device/shard).
   // Invalidation is per-VNI: entries carry the composite generation of
@@ -384,16 +401,7 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   std::uint64_t global_gen_ = 0;  // all-VNI invalidation generation
   std::unordered_map<net::Vni, std::uint64_t> vni_gens_;
   std::unordered_set<net::Vni> peered_vnis_;
-  std::vector<telemetry::Counter*> tracked_counters_;
-  std::vector<std::uint64_t> walk_baseline_;
-  std::vector<CounterDelta> scratch_deltas_;  // miss-side staging buffer
-  /// Interned walk-delta patterns (flyweight; counter pointers are stable
-  /// for the registry's lifetime, so sets never invalidate).
-  std::vector<std::vector<CounterDelta>> delta_sets_;
-  std::unordered_map<std::uint64_t, std::uint32_t> delta_set_index_;
-
   std::array<std::uint64_t, 4> shard_pipe_bytes_{};
-  Telemetry telemetry_;
 
   // Registry + pre-resolved counter handles (hot-path instruments).
   std::unique_ptr<telemetry::Registry> registry_;
@@ -410,9 +418,9 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   telemetry::Counter* ctr_acl_deny_ = nullptr;
   std::array<telemetry::Counter*, 4> ctr_pipe_bytes_{};
   telemetry::Histogram* hist_latency_ = nullptr;
-  telemetry::Histogram* hist_passes_ = nullptr;  // walker's, for hit replay
-  // Walker-owned counters the SoA batch walk bumps in bulk (resolved by
-  // name after walker_->set_registry; no new registrations).
+  telemetry::Histogram* hist_passes_ = nullptr;  // the walker's
+  // Walker-owned counters charge() bumps (resolved by name after
+  // walker_->set_registry; no new registrations).
   telemetry::Counter* ctr_asic_packets_ = nullptr;
   telemetry::Counter* ctr_asic_drops_ = nullptr;
   std::array<telemetry::Counter*, 4> ctr_asic_ingress_{};

@@ -64,10 +64,13 @@ TEST(RegionTunnels, TunnelRoutesStayInHardware) {
   // x86 path must not be touched (its telemetry stays clean).
   SailfishSystem system = system_with_tunnels();
   const net::Vni vni = first_v4_vni(system);
-  const auto before =
-      system.region->x86_node(0).telemetry().packets_in;
+  const auto packets_in = [&] {
+    return system.region->x86_node(0).registry().counter_value(
+        "x86.packets_in");
+  };
+  const auto before = packets_in();
   system.region->process(to(vni, "172.30.5.5"));
-  EXPECT_EQ(system.region->x86_node(0).telemetry().packets_in, before);
+  EXPECT_EQ(packets_in(), before);
 }
 
 TEST(RegionTunnels, PathTraceShowsTunnelHop) {

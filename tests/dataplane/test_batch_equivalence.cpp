@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "cluster/cluster.hpp"
 #include "dataplane/gateway.hpp"
 #include "x86/xgw_x86.hpp"
@@ -80,9 +82,12 @@ TEST(BatchEquivalence, XgwH) {
   install_tables(a);
   install_tables(b);
   check_gateway_pair(a, b);
-  EXPECT_EQ(a.telemetry().packets_in, b.telemetry().packets_in);
-  EXPECT_EQ(a.telemetry().packets_forwarded, b.telemetry().packets_forwarded);
-  EXPECT_EQ(a.telemetry().packets_fallback, b.telemetry().packets_fallback);
+  for (const char* name : {"xgwh.packets_in", "xgwh.packets_forwarded",
+                           "xgwh.packets_fallback"}) {
+    EXPECT_EQ(a.registry().counter_value(name),
+              b.registry().counter_value(name))
+        << name;
+  }
 }
 
 TEST(BatchEquivalence, XgwX86) {
@@ -91,8 +96,11 @@ TEST(BatchEquivalence, XgwX86) {
   install_tables(a);
   install_tables(b);
   check_gateway_pair(a, b);
-  EXPECT_EQ(a.telemetry().packets_in, b.telemetry().packets_in);
-  EXPECT_EQ(a.telemetry().packets_dropped, b.telemetry().packets_dropped);
+  for (const char* name : {"x86.packets_in", "x86.packets_dropped"}) {
+    EXPECT_EQ(a.registry().counter_value(name),
+              b.registry().counter_value(name))
+        << name;
+  }
 }
 
 TEST(BatchEquivalence, Cluster) {
@@ -121,6 +129,24 @@ TEST(BatchEquivalence, SpanFormRejectsShortOutput) {
   const auto packets = mixed_batch();
   std::vector<Verdict> out(packets.size() - 1);
   EXPECT_THROW(gw.process_batch(packets, 1.0, out), std::invalid_argument);
+}
+
+TEST(BatchEquivalence, IndexedBatchRejectsShortFlowHashes) {
+  // A non-empty hash span must hold one hash per packet: the indexed
+  // form reads flow_hashes[indices[i]], so a short span is out of bounds.
+  const auto packets = mixed_batch();
+  std::vector<std::uint64_t> hashes;
+  for (const auto& pkt : packets) hashes.push_back(pkt.inner.hash());
+  hashes.pop_back();
+  const std::vector<std::uint32_t> indices = {0};
+  std::vector<Verdict> out(packets.size());
+  xgwh::XgwH hw{xgwh::XgwH::Config{}};
+  x86::XgwX86 sw{x86::XgwX86::Config{}};
+  for (Gateway* gw : std::initializer_list<Gateway*>{&hw, &sw}) {
+    EXPECT_THROW(
+        gw->process_batch_indexed(packets, hashes, indices, 1.0, out),
+        std::invalid_argument);
+  }
 }
 
 TEST(BatchEquivalence, EmptyBatch) {

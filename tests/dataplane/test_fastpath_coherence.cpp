@@ -166,11 +166,12 @@ TEST(FastPathCoherence, XgwHTableMutationsKeepTwinsIdentical) {
   // must be byte-identical.
   EXPECT_EQ(telemetry::to_json(cached.registry().snapshot()),
             telemetry::to_json(uncached.registry().snapshot()));
-  EXPECT_EQ(cached.telemetry().packets_in, uncached.telemetry().packets_in);
-  EXPECT_EQ(cached.telemetry().packets_forwarded,
-            uncached.telemetry().packets_forwarded);
-  EXPECT_EQ(cached.telemetry().packets_dropped,
-            uncached.telemetry().packets_dropped);
+  EXPECT_EQ(cached.registry().counter_value("xgwh.packets_in"),
+            uncached.registry().counter_value("xgwh.packets_in"));
+  EXPECT_EQ(cached.registry().counter_value("xgwh.packets_forwarded"),
+            uncached.registry().counter_value("xgwh.packets_forwarded"));
+  EXPECT_EQ(cached.registry().counter_value("xgwh.packets_dropped"),
+            uncached.registry().counter_value("xgwh.packets_dropped"));
   EXPECT_EQ(cached.shard_pipe_bytes(), uncached.shard_pipe_bytes());
 }
 

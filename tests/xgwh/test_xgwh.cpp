@@ -188,7 +188,7 @@ TEST(XgwH, FallbackRateLimiterDropsExcess) {
   const auto second = gw.forward(packet, /*now=*/0);
   EXPECT_EQ(first.action, dataplane::Action::kFallbackToX86);
   EXPECT_EQ(second.action, dataplane::Action::kDrop);
-  EXPECT_EQ(gw.telemetry().fallback_rate_limited, 1u);
+  EXPECT_EQ(gw.registry().counter_value("xgwh.fallback_rate_limited"), 1u);
 }
 
 TEST(XgwH, ShardPipesSplitByVniHash) {
