@@ -15,9 +15,6 @@
 //     than the DPU-off baseline;
 //   * the warmup's interval series must replay byte-identically on 1 and
 //     8 interval-engine threads.
-//
-// With SF_DPU=off there is nothing to measure: the bench prints a note
-// and exits 0 (the byte-identity CI sweep diffs the *other* benches).
 
 #include <algorithm>
 #include <cstdio>
@@ -27,7 +24,6 @@
 
 #include "bench_util.hpp"
 #include "core/sailfish.hpp"
-#include "dpu/xgw_dpu.hpp"
 
 using namespace sf;
 
@@ -104,12 +100,6 @@ int main() {
   bench::print_header("DPU tiering",
                       "4-16x table shortfall vs. the three-tier "
                       "ASIC / DPU / x86 placement frontier");
-  if (!dpu::dpu_enabled()) {
-    bench::print_note(
-        "SF_DPU=off: the DPU tier is gated out of every region, so there "
-        "is no placement machinery to measure. Skipping.");
-    return 0;
-  }
 
   // ---- thread identity: the warmup series must not depend on threads ------
   std::string series_one;

@@ -15,9 +15,6 @@
 //     interval-engine threads;
 //   * a fixed-seed randomized storm schedule must reproduce itself on a
 //     fresh region.
-//
-// With SF_GUARD=off there is nothing to measure: the bench prints a note
-// and exits 0 (the byte-identity CI sweep diffs the *other* benches).
 
 #include <algorithm>
 #include <cstdio>
@@ -73,12 +70,6 @@ int main() {
   bench::print_header("Overload isolation",
                       "single-tenant storm at 4x region capacity vs. "
                       "the tenant guard's degradation ladder");
-  if (!guard::guard_enabled()) {
-    bench::print_note(
-        "SF_GUARD=off: the guard is gated out of every region, so there "
-        "is no overload machinery to measure. Skipping.");
-    return 0;
-  }
 
   // ---- scripted storm on 1 and 8 interval threads -------------------------
   const chaos::ChaosSchedule schedule = scripted_storm();

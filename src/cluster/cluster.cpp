@@ -128,15 +128,4 @@ double XgwHCluster::sram_water_level() const {
   return worst;
 }
 
-double XgwHCluster::tcam_water_level() const {
-  double worst = 0;
-  for (const Device& device : devices_) {
-    if (device.health != DeviceHealth::kHealthy) continue;
-    worst = std::max(worst,
-                     device.gateway->occupancy_report().tcam_path_worst);
-    break;
-  }
-  return worst;
-}
-
 }  // namespace sf::cluster

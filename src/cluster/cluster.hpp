@@ -77,9 +77,6 @@ class XgwHCluster : public dataplane::Gateway,
   DeviceHealth device_health(std::size_t index) const {
     return devices_[index].health;
   }
-  DeviceRole device_role(std::size_t index) const {
-    return devices_[index].role;
-  }
 
   /// Marks a device failed and removes it from the ECMP set; when the
   /// last primary fails the cluster fails over to the backups.
@@ -92,7 +89,6 @@ class XgwHCluster : public dataplane::Gateway,
 
   /// Worst-pipeline occupancy across live devices (water-level input).
   double sram_water_level() const;
-  double tcam_water_level() const;
 
   std::uint32_t id() const { return config_.cluster_id; }
   const Config& config() const { return config_; }

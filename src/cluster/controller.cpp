@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "guard/guard.hpp"
 #include "sim/sim_clock.hpp"
 
 namespace sf::cluster {
@@ -38,7 +37,7 @@ Controller::Controller(Config config)
     placement_engine_ =
         std::make_unique<asic::PlacementEngine>(config_.placement);
   }
-  if (config_.breaker.trip_after > 0 && guard::guard_enabled()) {
+  if (config_.breaker.trip_after > 0) {
     breaker_ = std::make_unique<guard::CircuitBreaker>(config_.breaker);
     ctr_breaker_trips_ = &registry_->counter("controller.breaker_trips");
     ctr_breaker_reopens_ = &registry_->counter("controller.breaker_reopens");

@@ -54,8 +54,7 @@ class Controller : public dataplane::TableProgrammer {
     /// default (trip_after == 0): `breaker.trip_after` consecutive
     /// channel refusals stop all push attempts for `open_cooldown_s`,
     /// parking new ops straight onto the retry queue (order kept, nothing
-    /// lost), then probe with the queue head. Also honors the SF_GUARD
-    /// environment gate.
+    /// lost), then probe with the queue head.
     guard::CircuitBreaker::Config breaker;
     /// When every cluster is at its water level, admit the VPC into the
     /// *software tier* instead of refusing the sale: its desired state is
@@ -141,8 +140,7 @@ class Controller : public dataplane::TableProgrammer {
     return retry_queue_->stats();
   }
 
-  /// The update-channel circuit breaker; nullptr when not configured (or
-  /// gated off by SF_GUARD).
+  /// The update-channel circuit breaker; nullptr when not configured.
   const guard::CircuitBreaker* breaker() const { return breaker_.get(); }
 
   /// The live incremental placement engine; nullptr unless
@@ -300,7 +298,7 @@ class Controller : public dataplane::TableProgrammer {
   bool update_channel_degraded_ = false;
   /// Redelivery of rate-limited pushes; targets this controller itself.
   std::unique_ptr<UpdateQueue> retry_queue_;
-  /// Built only when configured (trip_after > 0) and SF_GUARD allows it.
+  /// Built only when configured (trip_after > 0).
   std::unique_ptr<guard::CircuitBreaker> breaker_;
   /// Built only when Config::placement_enabled.
   std::unique_ptr<asic::PlacementEngine> placement_engine_;

@@ -68,7 +68,6 @@ class UpdateQueue {
   /// Models an update-channel outage: while down, every submit parks and
   /// advance() delivers nothing.
   void set_channel_up(bool up) { channel_up_ = up; }
-  bool channel_up() const { return channel_up_; }
 
   std::size_t pending() const { return queue_.size(); }
   /// Earliest time a queued op becomes due; +inf when the queue is empty.

@@ -41,11 +41,7 @@ SailfishRegion::SailfishRegion(Config config)
   engine_ = std::make_unique<dataplane::ShardEngine>(config_.interval_engine);
 
   registry_ = std::make_unique<telemetry::Registry>();
-  // One resolved set of runtime gates for the whole construction: the
-  // explicit per-region override when present, else the process latch.
-  const RuntimeConfig runtime =
-      config_.runtime ? *config_.runtime : RuntimeConfig::process();
-  if (config_.enable_guard && runtime.guard_enabled) {
+  if (config_.enable_guard) {
     // Guard shards follow the interval engine so the interval pre-pass
     // mutates each shard's ladder state from exactly one worker.
     guard_ = std::make_unique<guard::TenantGuard>(
@@ -63,13 +59,13 @@ SailfishRegion::SailfishRegion(Config config)
     ctr_guard_shed_upps_sum_ =
         &registry_->counter("region.guard.shed_upps_sum");
   }
-  if (config_.enable_punt_path && runtime.guard_enabled) {
+  if (config_.enable_punt_path) {
     punt_queue_ = std::make_unique<guard::PuntQueue>(config_.punt_queue);
     ctr_guard_punted_ = &registry_->counter("region.guard.punted");
     ctr_guard_punt_queue_full_ =
         &registry_->counter("region.guard.punt_queue_full");
   }
-  if (config_.enable_dpu && runtime.dpu_enabled) {
+  if (config_.enable_dpu) {
     const std::size_t dpu_count = std::max<std::size_t>(1, config_.dpu_nodes);
     for (std::size_t i = 0; i < dpu_count; ++i) {
       dpu::XgwDpu::Config cfg = config_.dpu_template;

@@ -23,7 +23,6 @@
 #include "cluster/controller.hpp"
 #include "cluster/disaster_recovery.hpp"
 #include "core/rate_limiter.hpp"
-#include "core/runtime_config.hpp"
 #include "dataplane/gateway.hpp"
 #include "dataplane/shard_engine.hpp"
 #include "dpu/tier_placer.hpp"
@@ -53,8 +52,7 @@ class SailfishRegion : public dataplane::Gateway {
     /// over more threads); threads is pure parallelism.
     dataplane::ShardPlan interval_engine{};
     /// Per-tenant overload guard (sf::guard, DESIGN.md §10). Off by
-    /// default; also honors the SF_GUARD environment gate. When absent
-    /// the region registers no guard counters and behaves byte-
+    /// default. When absent the region registers no guard counters and behaves byte-
     /// identically to a guard-less build. The guard's shard count is the
     /// interval engine's, so the interval pre-pass parallelizes without
     /// locks.
@@ -72,20 +70,12 @@ class SailfishRegion : public dataplane::Gateway {
     /// the TierPlacer's sketches each interval; on the functional path,
     /// software-tier packets (overflow VPCs, guard punts, XGW-H fallback)
     /// try their placed DPU entry before the punt queue / x86. Off by
-    /// default; also honors the SF_DPU environment gate — when either
-    /// gate is closed nothing is built, no counters register, and every
-    /// artifact is byte-identical to a DPU-less build.
+    /// default; when off nothing is built, no counters register, and
+    /// every artifact is byte-identical to a DPU-less build.
     bool enable_dpu = false;
     std::size_t dpu_nodes = 2;
     dpu::XgwDpu::Config dpu_template;
     dpu::TierPlacer::Config tier_placer;
-    /// Explicit runtime gates for this region. When set, the guard/DPU
-    /// kill switches come from here instead of the process-wide
-    /// environment latch (construction-time injection for tests and
-    /// embedders); when absent, the SF_GUARD/SF_DPU environment is
-    /// honored exactly as before. Per-device flow-cache sizing stays a
-    /// device Config knob (it defaults from the process gates).
-    std::optional<RuntimeConfig> runtime;
   };
 
   explicit SailfishRegion(Config config);
@@ -109,14 +99,12 @@ class SailfishRegion : public dataplane::Gateway {
   /// The software node the fallback path would pick for a flow (tracing).
   std::size_t x86_node_index_for(const net::FiveTuple& tuple) const;
 
-  /// The tenant guard; nullptr when not configured (or gated off by
-  /// SF_GUARD). Non-const so chaos storms can arm limits at runtime.
+  /// The tenant guard; nullptr when not configured. Non-const so chaos storms can arm limits at runtime.
   guard::TenantGuard* tenant_guard() { return guard_.get(); }
   const guard::TenantGuard* tenant_guard() const { return guard_.get(); }
   const guard::PuntQueue* punt_queue() const { return punt_queue_.get(); }
 
-  /// The DPU tier; empty/nullptr when not configured (or gated off by
-  /// SF_DPU).
+  /// The DPU tier; empty/nullptr when not configured.
   std::size_t dpu_node_count() const { return dpu_nodes_.size(); }
   dpu::XgwDpu& dpu_node(std::size_t index) { return *dpu_nodes_.at(index); }
   const dpu::XgwDpu& dpu_node(std::size_t index) const {
@@ -265,10 +253,10 @@ class SailfishRegion : public dataplane::Gateway {
   std::vector<std::unique_ptr<x86::XgwX86>> x86_nodes_;
   cluster::EcmpGroup x86_ecmp_;
   std::unique_ptr<cluster::DisasterRecovery> recovery_;
-  /// Built only when configured and SF_GUARD allows (see Config::guard).
+  /// Built only when configured (see Config::enable_guard).
   std::unique_ptr<guard::TenantGuard> guard_;
   std::unique_ptr<guard::PuntQueue> punt_queue_;
-  /// Built only when configured and SF_DPU allows (see Config::enable_dpu).
+  /// Built only when configured (see Config::enable_dpu).
   std::vector<std::unique_ptr<dpu::XgwDpu>> dpu_nodes_;
   std::unique_ptr<dpu::TierPlacer> placer_;
 

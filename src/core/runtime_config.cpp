@@ -28,8 +28,6 @@ RuntimeConfig RuntimeConfig::from_env() {
   RuntimeConfig config;
   config.flow_cache_entries = parse_entries(std::getenv("SF_FLOW_CACHE"),
                                             config.flow_cache_entries);
-  config.guard_enabled = !parse_off(std::getenv("SF_GUARD"));
-  config.dpu_enabled = !parse_off(std::getenv("SF_DPU"));
   // "off"/"0" means "no batching", which in burst terms is a burst of 1.
   config.batch_size = std::max<std::size_t>(
       1, parse_entries(std::getenv("SF_BATCH"), config.batch_size));

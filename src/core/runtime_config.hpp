@@ -1,33 +1,19 @@
-// sf::core::RuntimeConfig — the process's runtime gates, consolidated.
+// sf::core::RuntimeConfig — the process's two runtime knobs, parsed once.
 //
-// Three subsystems used to read their own environment variable through a
-// private latch: the flow cache (SF_FLOW_CACHE sizes/disables the packet
-// fast path), the guard (SF_GUARD kills overload protection), and the DPU
-// tier (SF_DPU kills the middle tier). The knobs are one concept — "which
-// optional machinery does this process run" — so they parse into one
-// struct, once, and the legacy gate functions (
-// dataplane::default_flow_cache_entries(), guard::guard_enabled(),
-// dpu::dpu_enabled()) delegate here. Environment semantics are unchanged
-// byte-for-byte:
+// Both are throughput knobs: CI sweeps each against its default and
+// requires every figure/table bench's output to stay byte-identical.
 //
 //   SF_FLOW_CACHE   unset → 4096 entries; "0"/"off"/"OFF" → disabled;
-//                   numeric → that many entries; other → 4096.
-//   SF_GUARD        unset → enabled; "0"/"off"/"OFF" → disabled.
-//   SF_DPU          unset → enabled; "0"/"off"/"OFF" → disabled.
+//                   numeric → that many entries; other → 4096. Devices
+//                   take their default flow-cache capacity from it
+//                   (dataplane::default_flow_cache_entries()).
 //   SF_BATCH        unset → 32-packet bursts in the sharded engine;
 //                   "0"/"off"/"OFF"/"1" → scalar-shaped one-packet bursts;
-//                   numeric → that burst size. Byte-invisible by the
-//                   batch-identity contract (CI diffs 1 vs default).
+//                   numeric → that burst size.
 //
-// `process()` latches on first use (same discipline as the old per-gate
-// latches: set the environment before anything touches a gate, or the
-// test needs its own binary). `from_env()` re-parses every call — for
-// tests that exercise the parser itself without disturbing the latch.
-//
-// A region can also carry an explicit RuntimeConfig
-// (SailfishRegion::Config::runtime) to pin its subsystem gates
-// independently of the environment — construction-time dependency
-// injection instead of process-global state.
+// `process()` latches on first use: set the environment before anything
+// reads it. `from_env()` re-parses every call — for tests that exercise
+// the parser itself without disturbing the latch.
 
 #pragma once
 
@@ -38,16 +24,12 @@ namespace sf::core {
 struct RuntimeConfig {
   /// Flow-cache capacity devices default to (0 disables the fast path).
   std::size_t flow_cache_entries = std::size_t{1} << 12;
-  /// sf::guard machinery (tenant guard, punt path, circuit breakers).
-  bool guard_enabled = true;
-  /// sf::dpu middle tier.
-  bool dpu_enabled = true;
   /// Burst size of the sharded engine's batched packet path (min 1; 1
   /// degenerates to the scalar shape). Results are identical at any value
   /// — this is purely a throughput knob.
   std::size_t batch_size = 32;
 
-  /// Fresh parse of SF_FLOW_CACHE / SF_GUARD / SF_DPU (no latch).
+  /// Fresh parse of SF_FLOW_CACHE / SF_BATCH (no latch).
   static RuntimeConfig from_env();
 
   /// The process-wide config: from_env(), latched on first use.

@@ -23,8 +23,7 @@ FlowKey make_flow_key(std::uint32_t vni, const net::FiveTuple& tuple) {
 }
 
 std::size_t default_flow_cache_entries() {
-  // Delegates to the consolidated runtime gates; semantics unchanged
-  // (SF_FLOW_CACHE, latched once per process).
+  // SF_FLOW_CACHE, latched once per process.
   return core::RuntimeConfig::process().flow_cache_entries;
 }
 

@@ -1,14 +1,6 @@
 #include "dpu/xgw_dpu.hpp"
 
-#include "core/runtime_config.hpp"
-
 namespace sf::dpu {
-
-bool dpu_enabled() {
-  // Delegates to the consolidated runtime gates; semantics unchanged
-  // (SF_DPU, latched once per process).
-  return core::RuntimeConfig::process().dpu_enabled;
-}
 
 XgwDpu::XgwDpu(Config config)
     : config_(config), registry_(std::make_unique<telemetry::Registry>()) {

@@ -26,10 +26,9 @@
 // FlowCache, expressed as eager per-tenant eviction because the table is
 // small and mutations are rare.
 //
-// Like sf::guard, the whole tier is double-gated: Region::Config::enable_dpu
-// must be set AND the SF_DPU environment variable must not disable it.
-// With either gate closed nothing is constructed, no counters register,
-// and every artifact is byte-identical to a DPU-less build.
+// A region builds the tier only when SailfishRegion::Config::enable_dpu is
+// set; without it nothing is constructed, no counters register, and every
+// artifact is byte-identical to a DPU-less build.
 
 #pragma once
 
@@ -43,11 +42,6 @@
 #include "telemetry/registry.hpp"
 
 namespace sf::dpu {
-
-/// Process-wide kill switch: SF_DPU=0/off disables the DPU tier even when
-/// a region config enables it (same latch discipline as SF_GUARD). Read
-/// once per process.
-bool dpu_enabled();
 
 class XgwDpu : public dataplane::Gateway, public dataplane::TableProgrammer {
  public:

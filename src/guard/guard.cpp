@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/runtime_config.hpp"
 #include "net/hash.hpp"
 
 namespace sf::guard {
-
-bool guard_enabled() {
-  // Delegates to the consolidated runtime gates; semantics unchanged
-  // (SF_GUARD, latched once per process).
-  return core::RuntimeConfig::process().guard_enabled;
-}
 
 const char* name(Tier tier) {
   switch (tier) {

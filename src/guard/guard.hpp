@@ -29,10 +29,9 @@
 // an ordered map so iteration (and therefore every merge) has one fixed
 // order.
 //
-// The SF_GUARD environment gate ("0"/"off") disables the subsystem
-// process-wide: a region configured with a guard simply does not build
-// one, so every bench is byte-identical with the guard compiled in or
-// gated off (the CI perf-smoke job diffs exactly that).
+// A region builds a guard only when SailfishRegion::Config::enable_guard
+// asks for one; without it nothing is constructed and no counters
+// register.
 
 #pragma once
 
@@ -47,9 +46,6 @@
 #include "telemetry/registry.hpp"
 
 namespace sf::guard {
-
-/// Process-wide gate: false when SF_GUARD is "0"/"off". Read once.
-bool guard_enabled();
 
 /// The degradation ladder.
 enum class Tier : std::uint8_t {

@@ -3,8 +3,8 @@
 // OverlayPacket is the *logical* view — the fields the gateway's forwarding
 // tables key on (outer IPs, VNI, inner 5-tuple). The simulators shuttle this
 // struct around for speed; encode()/decode() produce and parse the real
-// VXLAN-in-UDP wire format so the byte-level path is exercised by tests,
-// examples and the ASIC parser model.
+// VXLAN-in-UDP wire format so the byte-level path is exercised by tests
+// and examples.
 
 #pragma once
 
@@ -46,10 +46,6 @@ struct OverlayPacket {
 
   /// Total wire length in bytes, excluding the Ethernet FCS.
   std::size_t wire_size() const;
-
-  /// The inner destination IP — the primary lookup key of both the VXLAN
-  /// routing table and the VM-NC mapping table (Fig. 2).
-  const IpAddr& inner_dst() const { return inner.dst; }
 };
 
 /// Serializes to VXLAN-in-UDP wire bytes. IPv4 header checksums are

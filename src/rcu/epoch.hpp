@@ -65,10 +65,6 @@ class EpochManager {
     }
   }
 
-  std::uint64_t current_era() const {
-    return era_.load(std::memory_order_seq_cst);
-  }
-
   /// Writer: records the caller's keep_from promise before a collect
   /// scans reader pins. `pin_latest` re-checks this floor after pinning:
   /// a pin at s that observes collect_floor ≤ s is safe, because any

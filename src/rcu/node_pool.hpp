@@ -51,8 +51,6 @@ class NodePool {
     return total - free_.size();
   }
 
-  std::size_t free_count() const { return free_.size(); }
-
  private:
   std::size_t block_nodes_;
   std::size_t used_in_last_ = 0;

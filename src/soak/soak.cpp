@@ -197,10 +197,6 @@ void SoakEngine::build_region(std::size_t index) {
   rc.tier_placer.max_promote_per_interval = 256;
   rc.tier_placer.demote_after_idle = 3;
 
-  // Pin the runtime gates: the soak's identity must not depend on the
-  // caller's SF_GUARD/SF_DPU environment.
-  rc.runtime = core::RuntimeConfig{};
-
   state->region = std::make_unique<core::SailfishRegion>(rc);
   install_with_live_clock(*state);
   state->region->set_interval_threads(config_.interval_threads);

@@ -154,9 +154,6 @@ class ExactTable {
 
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return slots_.size(); }
-  double load_factor() const {
-    return static_cast<double>(size_) / static_cast<double>(slots_.size());
-  }
 
   Stats stats() const { return Stats{size_, slots_.size(), insert_failures_}; }
 

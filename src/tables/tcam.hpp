@@ -164,13 +164,6 @@ class Tcam {
     return std::nullopt;
   }
 
-  const Row* lookup_row(const TcamKey& key) const {
-    for (const Row& row : rows_) {
-      if (key.masked(row.mask) == row.value) return &row;
-    }
-    return nullptr;
-  }
-
   std::size_t size() const { return rows_.size(); }
   std::size_t used_slices() const { return rows_.size() * slices_per_entry(); }
   const Config& config() const { return config_; }

@@ -166,7 +166,6 @@ class Registry {
   std::size_t instrument_count() const {
     return counters_.size() + histograms_.size() + gauges_.size();
   }
-  std::size_t counter_count() const { return counters_.size(); }
 
   /// Visits every counter in name order. The Counter& handles are stable
   /// for the registry's lifetime — callers may keep the pointers.

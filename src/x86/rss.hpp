@@ -25,10 +25,6 @@ class RssIndirection {
   unsigned queues() const { return queues_; }
   const std::vector<unsigned>& table() const { return table_; }
 
-  /// Re-seeds the hash (operators sometimes rotate RSS keys to re-shuffle
-  /// unlucky flow placements).
-  void reseed(std::uint32_t hash_seed) { seed_ = hash_seed; }
-
  private:
   unsigned queues_;
   std::uint32_t seed_;

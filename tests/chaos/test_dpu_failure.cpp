@@ -9,7 +9,6 @@
 
 #include "chaos/injector.hpp"
 #include "core/sailfish.hpp"
-#include "dpu/xgw_dpu.hpp"
 #include "golden.hpp"
 
 namespace sf::chaos {
@@ -38,7 +37,6 @@ ChaosSchedule scripted_dpu_failure() {
 }
 
 TEST(ChaosDpuFailure, ElephantsFailOverAndRepromoteOnRecovery) {
-  ASSERT_TRUE(sf::dpu::dpu_enabled());
   core::SailfishSystem system = core::make_system(tiered_options());
   ChaosInjector injector(*system.region, system.flows, injector_config());
   const ChaosReport report = injector.run(scripted_dpu_failure());

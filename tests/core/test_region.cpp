@@ -182,6 +182,37 @@ TEST(SailfishRegion, PlacementGaugesAreOptIn) {
             1.0);
 }
 
+// Each optional tier is built if and only if its own Config field asks for
+// it.
+TEST(SailfishRegion, EachOptionalTierFollowsItsConfigAlone) {
+  SailfishRegion::Config config;
+  {
+    SailfishRegion bare(config);
+    EXPECT_EQ(bare.tenant_guard(), nullptr);
+    EXPECT_EQ(bare.punt_queue(), nullptr);
+    EXPECT_EQ(bare.dpu_node_count(), 0u);
+    EXPECT_EQ(bare.tier_placer(), nullptr);
+    EXPECT_EQ(bare.controller().breaker(), nullptr);
+    EXPECT_FALSE(bare.registry().has_counter("region.guard.admitted"));
+    EXPECT_FALSE(bare.registry().has_counter("region.dpu.served"));
+  }
+
+  config.enable_guard = true;
+  config.enable_punt_path = true;
+  config.enable_dpu = true;
+  config.dpu_nodes = 3;
+  config.controller.breaker.trip_after = 2;
+  SailfishRegion full(config);
+  EXPECT_NE(full.tenant_guard(), nullptr);
+  EXPECT_NE(full.punt_queue(), nullptr);
+  EXPECT_EQ(full.dpu_node_count(), 3u);
+  EXPECT_NE(full.tier_placer(), nullptr);
+  EXPECT_NE(full.controller().breaker(), nullptr);
+  EXPECT_TRUE(full.registry().has_counter("region.guard.admitted"));
+  EXPECT_TRUE(full.registry().has_counter("region.guard.punted"));
+  EXPECT_TRUE(full.registry().has_counter("region.dpu.served"));
+}
+
 TEST(Sailfish, VersionString) {
   EXPECT_NE(std::string(version()).find("sailfish"), std::string::npos);
 }

@@ -1,8 +1,7 @@
-// sf::core::RuntimeConfig — the consolidated runtime gates. from_env()
+// sf::core::RuntimeConfig — the process's two throughput knobs. from_env()
 // re-parses on every call (unlike the latched process() view), so these
-// tests can drive the parser with setenv in-process. The latched
-// semantics themselves are covered by the dedicated env-off binaries
-// (sf_test_dpu_env_off, sf_test_guard_env_off) and CI's byte-diff run.
+// tests can drive the parser with setenv in-process. CI's byte-diff runs
+// cover the latched semantics.
 
 #include "core/runtime_config.hpp"
 
@@ -10,8 +9,6 @@
 
 #include <cstdlib>
 #include <string>
-
-#include "core/region.hpp"
 
 namespace sf::core {
 namespace {
@@ -47,16 +44,13 @@ class EnvGuard {
 
 TEST(RuntimeConfig, DefaultsMatchUnsetEnvironment) {
   EnvGuard cache("SF_FLOW_CACHE", nullptr);
-  EnvGuard guard("SF_GUARD", nullptr);
-  EnvGuard dpu("SF_DPU", nullptr);
+  EnvGuard batch("SF_BATCH", nullptr);
   const RuntimeConfig parsed = RuntimeConfig::from_env();
   const RuntimeConfig defaults;
   EXPECT_EQ(parsed.flow_cache_entries, defaults.flow_cache_entries);
   EXPECT_EQ(parsed.flow_cache_entries, std::size_t{1} << 12);
-  EXPECT_EQ(parsed.guard_enabled, defaults.guard_enabled);
-  EXPECT_EQ(parsed.dpu_enabled, defaults.dpu_enabled);
-  EXPECT_TRUE(parsed.guard_enabled);
-  EXPECT_TRUE(parsed.dpu_enabled);
+  EXPECT_EQ(parsed.batch_size, defaults.batch_size);
+  EXPECT_EQ(parsed.batch_size, 32u);
 }
 
 TEST(RuntimeConfig, FlowCacheParsesLegacySemantics) {
@@ -73,60 +67,19 @@ TEST(RuntimeConfig, FlowCacheParsesLegacySemantics) {
   EXPECT_EQ(entries_for(""), 1u << 12);
 }
 
-TEST(RuntimeConfig, GuardAndDpuKillSwitches) {
-  {
-    EnvGuard guard("SF_GUARD", "0");
-    EXPECT_FALSE(RuntimeConfig::from_env().guard_enabled);
-  }
-  {
-    EnvGuard guard("SF_GUARD", "off");
-    EXPECT_FALSE(RuntimeConfig::from_env().guard_enabled);
-  }
-  {
-    EnvGuard guard("SF_GUARD", "1");
-    EXPECT_TRUE(RuntimeConfig::from_env().guard_enabled);
-  }
-  {
-    EnvGuard dpu("SF_DPU", "OFF");
-    EXPECT_FALSE(RuntimeConfig::from_env().dpu_enabled);
-  }
-  {
-    EnvGuard dpu("SF_DPU", "anything-else");
-    EXPECT_TRUE(RuntimeConfig::from_env().dpu_enabled);
-  }
-}
-
-// Gates set independently: parsing one variable never disturbs another.
+// Knobs set independently: parsing one variable never disturbs another.
 TEST(RuntimeConfig, GatesAreIndependent) {
   EnvGuard cache("SF_FLOW_CACHE", "0");
-  EnvGuard guard("SF_GUARD", nullptr);
-  EnvGuard dpu("SF_DPU", "off");
-  const RuntimeConfig parsed = RuntimeConfig::from_env();
+  EnvGuard batch("SF_BATCH", nullptr);
+  RuntimeConfig parsed = RuntimeConfig::from_env();
   EXPECT_EQ(parsed.flow_cache_entries, 0u);
-  EXPECT_TRUE(parsed.guard_enabled);
-  EXPECT_FALSE(parsed.dpu_enabled);
-}
+  EXPECT_EQ(parsed.batch_size, 32u);
 
-// Construction-time injection: a region built with an explicit
-// RuntimeConfig follows it — not the environment, not the process latch.
-TEST(RuntimeConfig, RegionHonorsExplicitRuntimeOverride) {
-  SailfishRegion::Config config;
-  config.enable_guard = true;
-  config.enable_dpu = true;
-  config.dpu_nodes = 1;
-
-  RuntimeConfig off;
-  off.guard_enabled = false;
-  off.dpu_enabled = false;
-  config.runtime = off;
-  SailfishRegion gated(config);
-  EXPECT_EQ(gated.tenant_guard(), nullptr);
-  EXPECT_EQ(gated.dpu_node_count(), 0u);
-
-  config.runtime = RuntimeConfig{};  // defaults: everything on
-  SailfishRegion open(config);
-  EXPECT_NE(open.tenant_guard(), nullptr);
-  EXPECT_EQ(open.dpu_node_count(), 1u);
+  EnvGuard cache_default("SF_FLOW_CACHE", nullptr);
+  EnvGuard scalar("SF_BATCH", "off");
+  parsed = RuntimeConfig::from_env();
+  EXPECT_EQ(parsed.flow_cache_entries, std::size_t{1} << 12);
+  EXPECT_EQ(parsed.batch_size, 1u);  // "off" is a burst of one
 }
 
 }  // namespace

@@ -38,7 +38,6 @@ std::string render(const SailfishRegion::IntervalReport& report) {
 }
 
 TEST(DpuRegion, TierAbsorbsOverflowElephants) {
-  ASSERT_TRUE(dpu::dpu_enabled());
   SailfishSystem baseline = make_system(overflow_options(4.0, false));
   SailfishSystem tiered = make_system(overflow_options(4.0, true));
   ASSERT_GT(tiered.region->controller().overflow_count(), 0u);
