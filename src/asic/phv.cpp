@@ -14,7 +14,7 @@ FieldId PhvLayout::intern(std::string_view name) {
     throw std::logic_error("PhvLayout frozen: cannot intern new field \"" +
                            std::string(name) + "\" at runtime");
   }
-  if (names_.size() >= kInvalidFieldId) {
+  if (names_.size() >= kMaxPhvFields) {
     throw std::length_error("PhvLayout: too many PHV fields");
   }
   const FieldId id = static_cast<FieldId>(names_.size());
@@ -40,24 +40,18 @@ void Phv::check_width(unsigned bits) const {
   }
 }
 
-void Phv::set(FieldId id, std::uint64_t value, unsigned bits, bool bridged) {
+void Phv::set_slow(FieldId id, std::uint64_t value, unsigned bits,
+                   bool bridged) {
   check_width(bits);
-  if (id >= slots_.size()) {
-    if (id >= layout_->size()) {
-      throw std::out_of_range("PHV field id not in layout");
-    }
-    slots_.resize(layout_->size());
+  if (id >= layout_->size()) {
+    throw std::out_of_range("PHV field id not in layout");
   }
-  Slot& slot = slots_[id];
-  const unsigned old_bits = slot.present ? slot.bits : 0;
-  if (used_bits_ - old_bits + bits > budget_bits_) {
-    throw std::length_error("PHV budget exceeded: " + layout_->name(id));
-  }
-  used_bits_ = used_bits_ - old_bits + bits;
-  slot.value = value;
-  slot.bits = static_cast<std::uint16_t>(bits);
-  slot.bridged = (slot.present && slot.bridged) || bridged;
-  slot.present = true;
+  slots_.resize(layout_->size());
+  set(id, value, bits, bridged);
+}
+
+void Phv::over_budget(FieldId id) const {
+  throw std::length_error("PHV budget exceeded: " + layout_->name(id));
 }
 
 void Phv::set(const std::string& name, std::uint64_t value, unsigned bits,
@@ -80,30 +74,6 @@ void Phv::bridge(const std::string& name) {
 FieldId Phv::resolve_for_write(const std::string& name) {
   const FieldId id = layout_->find(name);
   return id != kInvalidFieldId ? id : layout_->intern(name);
-}
-
-unsigned Phv::cross_gress() {
-  unsigned bridged_bits = 0;
-  for (Slot& slot : slots_) {
-    if (!slot.present) continue;
-    if (slot.bridged) {
-      bridged_bits += slot.bits;
-      // Bridged fields survive exactly one crossing; re-bridge to carry
-      // again.
-      slot.bridged = false;
-    } else {
-      used_bits_ -= slot.bits;
-      slot.present = false;
-    }
-  }
-  bridged_bits_total_ += bridged_bits;
-  return bridged_bits;
-}
-
-void Phv::clear() {
-  for (Slot& slot : slots_) slot = Slot{};
-  bridged_bits_total_ = 0;
-  used_bits_ = 0;
 }
 
 std::uint64_t Phv::string_lookups() { return g_string_lookups; }

@@ -44,6 +44,12 @@ void Gateway::process_batch_indexed(
         "process_batch_indexed: output span smaller than the packet array");
   }
   for (const std::uint32_t i : indices) {
+    if (i >= packets.size()) {
+      throw std::out_of_range(
+          "process_batch_indexed: index past the packet array");
+    }
+  }
+  for (const std::uint32_t i : indices) {
     out[i] = process(packets[i], now);
   }
 }

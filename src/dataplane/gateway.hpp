@@ -49,8 +49,10 @@ class Gateway {
   /// engine computes the RSS hash once per packet to pick a shard and
   /// passes it down, so batch-aware gateways derive their flow-cache keys
   /// and pipe steering from it without rehashing. It may be empty for
-  /// gateways that do not use it. Implementations must keep verdicts and
-  /// telemetry identical to looping process(); the default loops it.
+  /// gateways that do not use it. An index at or past packets.size()
+  /// throws std::out_of_range before any state changes. Implementations
+  /// must keep verdicts and telemetry identical to looping process(); the
+  /// default loops it.
   virtual void process_batch_indexed(
       std::span<const net::OverlayPacket> packets,
       std::span<const std::uint64_t> flow_hashes,

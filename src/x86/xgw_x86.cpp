@@ -147,6 +147,12 @@ void XgwX86::process_batch_indexed(std::span<const net::OverlayPacket> packets,
     throw std::invalid_argument(
         "process_batch_indexed: flow_hashes must be empty or one per packet");
   }
+  for (const std::uint32_t i : indices) {
+    if (i >= packets.size()) {
+      throw std::out_of_range(
+          "process_batch_indexed: index past the packet array");
+    }
+  }
   // Run-to-completion per packet (the SNAT engine and the RCU pin are
   // inherently sequential), striding the shared index list: packet,
   // verdict slot and cache slot of index indices[k + kAhead] are all

@@ -1,7 +1,5 @@
 #include "xgwh/gateway_program.hpp"
 
-#include <sstream>
-
 namespace sf::xgwh {
 
 std::vector<LogicalTableInfo> gateway_table_layout() {
@@ -58,18 +56,6 @@ std::vector<std::string> lookup_table_names(
   // Egress front pipe.
   names.push_back("counters");
   return names;
-}
-
-std::string describe_gateway_layout() {
-  static const char* kSlotNames[] = {"Ingress 0/2", "Egress 1/3",
-                                     "Ingress 1/3", "Egress 0/2", "Balanced"};
-  std::ostringstream out;
-  for (const LogicalTableInfo& info : gateway_table_layout()) {
-    out << kSlotNames[static_cast<int>(info.slot)] << "  "
-        << to_string(info.match) << "  " << info.name << " — "
-        << info.description << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace sf::xgwh

@@ -1,6 +1,6 @@
 // The gateway program's logical table layout (Figs. 13-15): which tables
-// exist, their match kinds, and the folded-path slot each occupies. The
-// Table 4 bench and the documentation derive from this single source.
+// exist, their match kinds, and the folded-path slot each occupies. The P4
+// export and the placement differential test read it.
 
 #pragma once
 
@@ -21,9 +21,6 @@ struct LogicalTableInfo {
 
 /// The Sailfish gateway's table layout in folded mode, in lookup order.
 std::vector<LogicalTableInfo> gateway_table_layout();
-
-/// Renders the layout as a table-per-line summary (README/bench output).
-std::string describe_gateway_layout();
 
 /// Placement-table names (asic::compute_demands naming) a packet of the
 /// given IP family consults under a compression config, in lookup order

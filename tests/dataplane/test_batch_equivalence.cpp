@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "dataplane/gateway.hpp"
@@ -153,6 +154,38 @@ TEST(BatchEquivalence, EmptyBatch) {
   xgwh::XgwH gw{xgwh::XgwH::Config{}};
   EXPECT_TRUE(gw.process_batch(std::span<const net::OverlayPacket>{})
                   .empty());
+}
+
+TEST(BatchEquivalence, IndexedBatchRejectsOutOfRangeIndex) {
+  // An index past the packet array throws before any state changes: no
+  // packet is counted, no verdict written, no cache entry touched.
+  const auto packets = mixed_batch();
+  const std::vector<std::uint32_t> indices = {
+      0, 1, static_cast<std::uint32_t>(packets.size())};
+  xgwh::XgwH hw{xgwh::XgwH::Config{}};
+  x86::XgwX86 sw{x86::XgwX86::Config{}};
+  cluster::XgwHCluster::Config cluster_config;
+  cluster_config.primary_devices = 2;
+  cluster::XgwHCluster cluster(cluster_config);  // the Gateway default
+  install_tables(hw);
+  install_tables(sw);
+  install_tables(cluster);
+  for (Gateway* gw : std::initializer_list<Gateway*>{&hw, &sw, &cluster}) {
+    std::vector<Verdict> out(packets.size());
+    out[0].action = Action::kSnatToInternet;  // a sentinel no path writes
+    for (const bool hashed : {false, true}) {
+      std::vector<std::uint64_t> hashes;
+      if (hashed) {
+        for (const auto& pkt : packets) hashes.push_back(pkt.inner.hash());
+      }
+      EXPECT_THROW(gw->process_batch_indexed(packets, hashes, indices, 1.0,
+                                             out),
+                   std::out_of_range);
+    }
+    EXPECT_EQ(out[0].action, Action::kSnatToInternet);
+  }
+  EXPECT_EQ(hw.registry().counter_value("xgwh.packets_in"), 0u);
+  EXPECT_EQ(sw.registry().counter_value("x86.packets_in"), 0u);
 }
 
 }  // namespace

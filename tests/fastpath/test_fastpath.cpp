@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "asic/phv.hpp"
 #include "x86/xgw_x86.hpp"
@@ -105,6 +106,51 @@ TEST(FastPath, XgwHCacheHitMakesZeroHeapAllocations) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "a warmed cache hit must not touch the heap";
+}
+
+TEST(FastPath, XgwHWarmMissBurstMakesZeroHeapAllocations) {
+  // Every packet is a new flow, so each one misses and walks the pipeline:
+  // the burst's walk contexts, their Phvs and the walker's grouping
+  // scratch must all be reused, not rebuilt, once warm.
+  for (const std::size_t cache_entries : {std::size_t{0}, std::size_t{1024}}) {
+    SCOPED_TRACE(testing::Message() << "cache entries " << cache_entries);
+    xgwh::XgwH::Config config;
+    config.flow_cache_entries = cache_entries;
+    xgwh::XgwH gw(config);
+    install_tables(gw);
+    std::uint16_t port = 1;
+    std::vector<net::OverlayPacket> packets(64);
+    std::vector<std::uint32_t> indices(packets.size());
+    std::vector<dataplane::Verdict> out(packets.size());
+    const auto fresh_burst = [&] {
+      for (std::size_t i = 0; i < packets.size(); ++i) {
+        packets[i] = sample_packet(port++);
+        indices[i] = static_cast<std::uint32_t>(i);
+      }
+    };
+    // Warm-up: grow every scratch vector and saturate the histogram
+    // reservoirs (latency keeps 256 samples, passes 128).
+    for (int burst = 0; burst < 8; ++burst) {
+      fresh_burst();
+      gw.process_batch_indexed(packets, {}, indices, burst * 1e-3, out);
+    }
+    for (int i = 0; i < 64; ++i) gw.forward(sample_packet(port++), 1.0);
+    ASSERT_EQ(out[0].action, dataplane::Action::kForwardToNc);
+
+    fresh_burst();
+    std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    gw.process_batch_indexed(packets, {}, indices, 2.0, out);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+        << "a warm all-miss burst must not touch the heap";
+
+    before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < 64; ++i) gw.forward(sample_packet(port++), 3.0);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+        << "warm scalar misses must not touch the heap";
+    if (cache_entries > 0) {
+      EXPECT_EQ(gw.flow_cache_stats().hits, 0u);
+    }
+  }
 }
 
 TEST(FastPath, XgwX86CacheHitMakesZeroHeapAllocations) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "xgwh/gateway_program.hpp"
 
 namespace sf::xgwh {
@@ -248,9 +250,15 @@ TEST(XgwH, OccupancyReportTracksLiveTables) {
 TEST(XgwH, GatewayLayoutDescribesAllSlots) {
   const auto layout = gateway_table_layout();
   EXPECT_GE(layout.size(), 8u);
-  const std::string description = describe_gateway_layout();
-  EXPECT_NE(description.find("Ingress 0/2"), std::string::npos);
-  EXPECT_NE(description.find("Egress 1/3"), std::string::npos);
+  // Every gress of the folded path (Fig. 13) holds at least one table;
+  // none is balanced across the path.
+  std::set<asic::PathSlot> slots;
+  for (const LogicalTableInfo& info : layout) slots.insert(info.slot);
+  EXPECT_EQ(slots, (std::set<asic::PathSlot>{
+                       asic::PathSlot::kFrontIngress,
+                       asic::PathSlot::kBackEgress,
+                       asic::PathSlot::kBackIngress,
+                       asic::PathSlot::kFrontEgress}));
 }
 
 TEST(XgwH, RejectsNonFourPipeChip) {
