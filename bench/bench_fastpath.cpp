@@ -4,8 +4,8 @@
 // gateway — and thus one private flow cache — per shard, no locks).
 // A second sweep varies the engine burst size (1/8/32/128/512) against
 // cloud-scale tables (4096 tenants, ~100 MB of table state across the
-// fleet, so uncached lookups miss the cache hierarchy): the SoA batched
-// walk (DESIGN.md §15) is a pure throughput knob, so every burst size
+// fleet, so uncached lookups miss the cache hierarchy): the Walker's
+// burst mode (DESIGN.md §15) is a pure throughput knob, so every burst size
 // must reproduce the burst-1 verdict stream byte-for-byte while the
 // uncached rate climbs with the software-pipelined lookups.
 //
@@ -85,7 +85,7 @@ std::vector<std::unique_ptr<xgwh::XgwH>> make_fleet(
 // routes and kBurstVnis * kBurstHosts distinct mappings (~12 MB per
 // device, ~100 MB across the fleet), far past the cache hierarchy. A cold
 // stream hopping tenants makes every lookup a genuine memory miss — the
-// regime the SoA walk's hash/prefetch/resolve pipeline is built for.
+// regime the burst walk's hash/prefetch/resolve stages are built for.
 
 constexpr std::size_t kBurstVnis = 4096;
 constexpr std::size_t kBurstHosts = 32;  // VM-NC mappings per tenant
@@ -333,9 +333,10 @@ int main() {
   }
 
   // ---- burst-size sweep ----------------------------------------------------
-  // Uncached throughput is the tentpole number: the SoA walk pipelines the
-  // ALPM directory probes and bucket/VM-NC prefetches across the burst, so
-  // the uncached rate should climb steeply from burst 1 to the plateau.
+  // Uncached throughput is the tentpole number: the burst walk's stages
+  // pipeline the ALPM directory probes and bucket/VM-NC prefetches across
+  // the burst, so the uncached rate should climb steeply from burst 1 to
+  // the plateau.
   // Verdicts must not move at all: each (burst, threads) stream is
   // byte-compared against the burst-1 stream of the same fleet kind.
   const auto cold_stream = make_burst_stream(0);

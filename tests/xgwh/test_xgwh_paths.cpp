@@ -1,9 +1,10 @@
-// The XGW-H path table against the Walker. Cache hits and the SoA walk
-// never run the pipeline: they charge the registry and time the packet
-// from XgwH::path_info(). So for every outcome path, fold on and off, both
-// shards, every entry pipe, peer chains of 0-3 hops and IPv4 and IPv6
-// inner packets, the table's passes, bridged bits, egress pipe and counter
-// charges must equal what a Walker walk reports and bumps.
+// The XGW-H path table against the Walker. Cache hits never run the
+// pipeline: they charge the registry and time the packet from
+// XgwH::path_info(), and every verdict is emitted from the table. So for
+// every outcome path, fold on and off, both shards, every entry pipe, peer
+// chains of 0-3 hops and IPv4 and IPv6 inner packets, the table's passes,
+// bridged bits, egress pipe and counter charges must equal what a Walker
+// walk (a burst of one) reports and bumps.
 
 #include <gtest/gtest.h>
 
