@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "asic/memory.hpp"
 #include "asic/phv.hpp"
 
@@ -134,6 +136,28 @@ TEST(Phv, BridgedBitsAccumulate) {
   phv.bridge("a");
   phv.cross_gress();
   EXPECT_EQ(phv.bridged_bits_total(), 48u);
+}
+
+TEST(Phv, RewritingABridgedFieldChargesItsNewWidthOnce) {
+  Phv phv(256);
+  phv.set("a", 1, 8, /*bridged=*/true);
+  phv.set("a", 2, 16);  // a rewrite keeps the field's bridge mark
+  phv.bridge("a");      // marking it again adds nothing
+  phv.set("b", 3, 4);   // not bridged
+  EXPECT_EQ(phv.cross_gress(), 16u);
+  EXPECT_EQ(phv.get("a"), 2u);
+  EXPECT_FALSE(phv.has("b"));
+  EXPECT_EQ(phv.used_bits(), 16u);
+}
+
+TEST(PhvLayout, HoldsAtMostMaxFields) {
+  PhvLayout layout;
+  for (std::size_t i = 0; i < kMaxPhvFields; ++i) {
+    EXPECT_EQ(layout.intern("f" + std::to_string(i)), i);
+  }
+  EXPECT_THROW(layout.intern("one_too_many"), std::length_error);
+  // Names already interned still resolve.
+  EXPECT_EQ(layout.intern("f0"), 0u);
 }
 
 TEST(Phv, RejectsBadWidths) {
