@@ -2,15 +2,14 @@
 //   1. build clusters and download tables from the controller,
 //   2. run the consistency audit (controller state vs device tables),
 //   3. run a probe campaign covering local / peer / Internet scenarios,
-//   4. admit user traffic incrementally with health gates,
-//   5. show the fleet install-time math that motivated hardware (§2.3).
+//   4. watch device health with debounced heartbeats,
+//   5. trace one flow end to end.
 
 #include <cstdio>
 
 #include "cluster/health.hpp"
 #include "cluster/probe.hpp"
 #include "core/path_trace.hpp"
-#include "core/rollout.hpp"
 #include "core/sailfish.hpp"
 
 using namespace sf;
@@ -55,23 +54,7 @@ int main() {
     return 1;
   }
 
-  // 4. Incremental traffic admission with a drop-rate gate.
-  core::RolloutManager rollout;
-  const auto stages =
-      rollout.admit_traffic(*system.region, system.flows, 1.5e12);
-  for (const auto& stage : stages) {
-    std::printf(
-        "step 4: admit %5.1f%% -> %6.2f Tbps, drop rate %.2e  [%s]\n",
-        stage.fraction * 100, stage.offered_bps / 1e12, stage.drop_rate,
-        stage.passed ? "healthy" : "HALT");
-  }
-  if (!core::RolloutManager::fully_admitted(stages, rollout.config())) {
-    std::printf("rollout halted — traffic NOT fully admitted\n");
-    return 1;
-  }
-  std::printf("        traffic fully admitted\n");
-
-  // 5. Runtime monitoring: debounced health checks drive the disaster-
+  // 4. Runtime monitoring: debounced health checks drive the disaster-
   //    recovery coordinator; a flap is absorbed, a sustained failure acts.
   cluster::HealthMonitor monitor(&system.region->disaster_recovery(),
                                  cluster::HealthMonitor::Config{});
@@ -80,13 +63,13 @@ int main() {
   for (double t = 102; t < 105; t += 1.0) {
     monitor.report_heartbeat(0, 1, false, t);     // sustained: acts
   }
-  std::printf("\nstep 5: health monitor: device 0 flap absorbed; device 1 "
+  std::printf("\nstep 4: health monitor: device 0 flap absorbed; device 1 "
               "failed after 3 misses -> %zu/%zu devices live\n",
               system.region->controller().cluster(0).live_device_count(),
               system.region->controller().cluster(0).config()
                   .primary_devices);
 
-  // 6. Diagnose one flow end to end (Vtrace-style path trace).
+  // 5. Diagnose one flow end to end (Vtrace-style path trace).
   const workload::Flow& flow = system.flows.front();
   net::OverlayPacket probe_pkt;
   probe_pkt.vni = flow.vni;
@@ -94,19 +77,8 @@ int main() {
   probe_pkt.payload_size = 100;
   const auto trace =
       core::trace_packet(*system.region, probe_pkt, 200.0);
-  std::printf("step 6: path trace for vni %u -> %s:\n%s\n", flow.vni,
+  std::printf("step 5: path trace for vni %u -> %s:\n%s\n", flow.vni,
               flow.tuple.dst.to_string().c_str(),
               trace.to_string().c_str());
-
-  // 7. Why hardware: time-to-coherence for table pushes (§2.3).
-  const double x86_fleet_s =
-      core::fleet_install_seconds(600, 2'000'000, 3000, 20);
-  const double sailfish_fleet_s =
-      core::fleet_install_seconds(10, 2'000'000, 3000, 10);
-  std::printf(
-      "\nstep 7: full-table push, 2M entries: 600-box XGW-x86 fleet %.1f h "
-      "vs 10-box Sailfish fleet %.1f min (%.0fx faster to coherence)\n",
-      x86_fleet_s / 3600.0, sailfish_fleet_s / 60.0,
-      x86_fleet_s / sailfish_fleet_s);
   return 0;
 }

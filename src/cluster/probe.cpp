@@ -5,6 +5,9 @@
 namespace sf::cluster {
 namespace {
 
+// VMs probed per VPC (sampled deterministically).
+constexpr std::size_t kVmsPerVpc = 3;
+
 net::OverlayPacket make_probe(net::Vni vni, const net::IpAddr& src,
                               const net::IpAddr& dst) {
   net::OverlayPacket probe;
@@ -26,25 +29,21 @@ const workload::VpcRecord* find_vpc(
   return it == topology.vpcs.end() ? nullptr : &*it;
 }
 
-}  // namespace
-
-void ProbeCampaign::record_failure(Report* report,
-                                   std::string description) const {
+void record_failure(ProbeCampaign::Report* report, std::string description) {
   ++report->mismatches;
-  if (report->failures.size() < config_.max_failure_details) {
+  if (report->failures.size() < ProbeCampaign::kMaxFailureDetails) {
     report->failures.push_back(std::move(description));
   }
 }
 
-void ProbeCampaign::probe_vpc(Controller& controller,
-                              const workload::VpcRecord& vpc,
-                              const workload::RegionTopology& topology,
-                              Report* report) const {
+void probe_vpc(Controller& controller, const workload::VpcRecord& vpc,
+               const workload::RegionTopology& topology,
+               ProbeCampaign::Report* report) {
   const net::IpAddr probe_src = vpc.vms.front().ip;
 
   // Local VM reachability: sampled VMs must resolve to their NC.
   const std::size_t stride =
-      std::max<std::size_t>(1, vpc.vms.size() / config_.vms_per_vpc);
+      std::max<std::size_t>(1, vpc.vms.size() / kVmsPerVpc);
   for (std::size_t i = 0; i < vpc.vms.size(); i += stride) {
     const workload::VmRecord& vm = vpc.vms[i];
     ++report->probes_sent;
@@ -60,50 +59,48 @@ void ProbeCampaign::probe_vpc(Controller& controller,
   }
 
   // Peer-route reachability: the first VM of each peer's exported subnet.
-  if (config_.cover_peering) {
-    for (net::Vni peer_vni : vpc.peers) {
-      const workload::VpcRecord* peer = find_vpc(topology, peer_vni);
-      if (peer == nullptr) continue;
-      const net::IpPrefix& exported = peer->routes.front().prefix;
-      const workload::VmRecord* target = nullptr;
-      for (const workload::VmRecord& vm : peer->vms) {
-        if (exported.contains(vm.ip)) {
-          target = &vm;
-          break;
-        }
+  for (net::Vni peer_vni : vpc.peers) {
+    const workload::VpcRecord* peer = find_vpc(topology, peer_vni);
+    if (peer == nullptr) continue;
+    const net::IpPrefix& exported = peer->routes.front().prefix;
+    const workload::VmRecord* target = nullptr;
+    for (const workload::VmRecord& vm : peer->vms) {
+      if (exported.contains(vm.ip)) {
+        target = &vm;
+        break;
       }
-      if (target == nullptr) continue;
-      ++report->probes_sent;
-      const auto result =
-          controller.process(make_probe(vpc.vni, probe_src, target->ip));
-      if (result.action != dataplane::Action::kForwardToNc ||
-          result.packet.outer_dst_ip != net::IpAddr(target->nc_ip)) {
-        record_failure(report,
-                       "vni " + std::to_string(vpc.vni) + " -> peer " +
-                           std::to_string(peer_vni) + " VM " +
-                           target->ip.to_string() + ": expected NC " +
-                           target->nc_ip.to_string() + ", got " +
-                           dataplane::to_string(result.action));
-      }
+    }
+    if (target == nullptr) continue;
+    ++report->probes_sent;
+    const auto result =
+        controller.process(make_probe(vpc.vni, probe_src, target->ip));
+    if (result.action != dataplane::Action::kForwardToNc ||
+        result.packet.outer_dst_ip != net::IpAddr(target->nc_ip)) {
+      record_failure(report,
+                     "vni " + std::to_string(vpc.vni) + " -> peer " +
+                         std::to_string(peer_vni) + " VM " +
+                         target->ip.to_string() + ": expected NC " +
+                         target->nc_ip.to_string() + ", got " +
+                         dataplane::to_string(result.action));
     }
   }
 
   // Internet default route: must steer to the software fleet.
-  if (config_.cover_internet) {
-    const net::IpAddr public_dst =
-        vpc.family == net::IpFamily::kV4
-            ? net::IpAddr(net::Ipv4Addr(192, 0, 2, 1))
-            : net::IpAddr(net::Ipv6Addr(0x2001'0db8'ffff'0000ULL, 1));
-    ++report->probes_sent;
-    const auto result =
-        controller.process(make_probe(vpc.vni, probe_src, public_dst));
-    if (result.action != dataplane::Action::kFallbackToX86) {
-      record_failure(report, "vni " + std::to_string(vpc.vni) +
-                                 " Internet probe: expected fallback, got " +
-                                 dataplane::to_string(result.action));
-    }
+  const net::IpAddr public_dst =
+      vpc.family == net::IpFamily::kV4
+          ? net::IpAddr(net::Ipv4Addr(192, 0, 2, 1))
+          : net::IpAddr(net::Ipv6Addr(0x2001'0db8'ffff'0000ULL, 1));
+  ++report->probes_sent;
+  const auto result =
+      controller.process(make_probe(vpc.vni, probe_src, public_dst));
+  if (result.action != dataplane::Action::kFallbackToX86) {
+    record_failure(report, "vni " + std::to_string(vpc.vni) +
+                               " Internet probe: expected fallback, got " +
+                               dataplane::to_string(result.action));
   }
 }
+
+}  // namespace
 
 ProbeCampaign::Report ProbeCampaign::run(
     Controller& controller, std::size_t cluster_index,

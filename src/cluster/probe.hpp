@@ -19,17 +19,8 @@ namespace sf::cluster {
 
 class ProbeCampaign {
  public:
-  struct Config {
-    /// VMs probed per VPC (sampled deterministically).
-    std::size_t vms_per_vpc = 3;
-    /// Probe peer-route reachability.
-    bool cover_peering = true;
-    /// Probe the Internet default route (expects fallback steering).
-    bool cover_internet = true;
-    /// Stop collecting failure details after this many (the count still
-    /// reflects all mismatches).
-    std::size_t max_failure_details = 16;
-  };
+  /// Failure details kept per report; `mismatches` still counts them all.
+  static constexpr std::size_t kMaxFailureDetails = 16;
 
   struct Report {
     std::size_t probes_sent = 0;
@@ -39,9 +30,6 @@ class ProbeCampaign {
     bool passed() const { return mismatches == 0; }
   };
 
-  ProbeCampaign();
-  explicit ProbeCampaign(Config config) : config_(config) {}
-
   /// Probes every VPC assigned to `cluster_index` through the controller's
   /// data path and checks the forwarding verdicts against `topology`.
   Report run(Controller& controller, std::size_t cluster_index,
@@ -50,16 +38,6 @@ class ProbeCampaign {
   /// Probes the whole region (all clusters).
   Report run_all(Controller& controller,
                  const workload::RegionTopology& topology) const;
-
- private:
-  void probe_vpc(Controller& controller, const workload::VpcRecord& vpc,
-                 const workload::RegionTopology& topology,
-                 Report* report) const;
-  void record_failure(Report* report, std::string description) const;
-
-  Config config_;
 };
-
-inline ProbeCampaign::ProbeCampaign() : ProbeCampaign(Config{}) {}
 
 }  // namespace sf::cluster

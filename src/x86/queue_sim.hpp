@@ -1,10 +1,12 @@
 // Per-core queueing simulator: Poisson arrivals into a bounded RX ring,
-// deterministic run-to-completion service. This is the discrete-event
-// ground truth behind the closed-form latency/drop approximations in
-// x86/cost_model.hpp — at low load latency sits at the base cost, near
-// saturation it blows up M/D/1-style, and past saturation the ring
-// drop-tails: the §2.3 "packet loss when CPU core utilization reaches
-// 100% even in a very short moment".
+// deterministic run-to-completion service. At low load latency sits at
+// the base cost, near saturation it blows up M/D/1-style, and past
+// saturation the ring drop-tails: the §2.3 "packet loss when CPU core
+// utilization reaches 100% even in a very short moment". It is the
+// discrete-event reference for X86CostModel::latency_us()
+// (x86/cost_model.hpp): the closed form matches this sim's mean up to
+// half load and its p99 from 60% to 80% load; at 90% the sim's p99 runs
+// ~10 µs above it.
 
 #pragma once
 

@@ -2,8 +2,8 @@
 // workloads evolve through Placer::replace() while every step is checked
 // against (1) a from-scratch placement and (2) the naive reference
 // interpreter in placement_reference.hpp — an independent coding of the
-// §4.4 rules. Packets are replayed through the lookup order
-// (xgwh::lookup_table_names) and their unit->pipe verdicts compared.
+// §4.4 rules. Packets are replayed through the lookup list
+// (testref::lookup_table_names) and their unit->pipe verdicts compared.
 // Any divergence is fatal: occupancy accounting must match exactly, and
 // fresh layouts must agree with the reference segment for segment.
 
@@ -18,7 +18,6 @@
 #include "asic/placer.hpp"
 #include "placement_reference.hpp"
 #include "workload/rng.hpp"
-#include "xgwh/gateway_program.hpp"
 
 namespace sf::asic {
 namespace {
@@ -133,7 +132,7 @@ void replay_packets(const Placement& layout, const NaiveLayout& naive,
         (h & 3) == 0 ? net::IpFamily::kV6 : net::IpFamily::kV4;
     const std::size_t path = (h >> 2) % layout.paths().size();
     for (const std::string& name :
-         xgwh::lookup_table_names(config, family)) {
+         testref::lookup_table_names(config, family)) {
       const auto table = layout.table_index(name);
       if (!table) continue;  // not part of this workload's program
       for (MemoryKind kind : {MemoryKind::kSram, MemoryKind::kTcam}) {

@@ -107,13 +107,11 @@ TEST(ProbeCampaign, FailureDetailListIsBounded) {
   for (std::size_t d = 0; d < cluster.device_count(); ++d) {
     cluster.fail_device(d);
   }
-  ProbeCampaign::Config config;
-  config.max_failure_details = 4;
-  ProbeCampaign campaign(config);
+  ProbeCampaign campaign;
   const auto report =
       campaign.run(fixture.controller, 0, fixture.topology);
-  EXPECT_GT(report.mismatches, 4u);
-  EXPECT_LE(report.failures.size(), 4u);
+  EXPECT_GT(report.mismatches, ProbeCampaign::kMaxFailureDetails);
+  EXPECT_EQ(report.failures.size(), ProbeCampaign::kMaxFailureDetails);
 }
 
 }  // namespace

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "xgwh/gateway_program.hpp"
-
 namespace sf::xgwh {
 namespace {
 
@@ -245,20 +241,6 @@ TEST(XgwH, OccupancyReportTracksLiveTables) {
   const auto workload = gw.live_workload();
   EXPECT_EQ(workload.vxlan_routes_v4, 4u);
   EXPECT_EQ(workload.vm_maps_v4, 3u);
-}
-
-TEST(XgwH, GatewayLayoutDescribesAllSlots) {
-  const auto layout = gateway_table_layout();
-  EXPECT_GE(layout.size(), 8u);
-  // Every gress of the folded path (Fig. 13) holds at least one table;
-  // none is balanced across the path.
-  std::set<asic::PathSlot> slots;
-  for (const LogicalTableInfo& info : layout) slots.insert(info.slot);
-  EXPECT_EQ(slots, (std::set<asic::PathSlot>{
-                       asic::PathSlot::kFrontIngress,
-                       asic::PathSlot::kBackEgress,
-                       asic::PathSlot::kBackIngress,
-                       asic::PathSlot::kFrontEgress}));
 }
 
 TEST(XgwH, RejectsNonFourPipeChip) {
