@@ -2,9 +2,74 @@
 
 #include <algorithm>
 
-#include "sim/sim_clock.hpp"
-
 namespace sf::cluster {
+
+namespace {
+
+bool is_route(TableOp::Kind kind) {
+  return kind == TableOp::Kind::kAddRoute || kind == TableOp::Kind::kDelRoute;
+}
+
+/// The op as its kind's TableOpBatch builder writes it: only the fields
+/// the kind reads, with a mapping's VNI taken from its key. The VPC
+/// lookup, the devices and the mirror all see exactly this op.
+TableOp canonical(const TableOp& op) {
+  TableOp out;
+  out.kind = op.kind;
+  switch (op.kind) {
+    case TableOp::Kind::kAddRoute:
+      out.route_action = op.route_action;
+      [[fallthrough]];
+    case TableOp::Kind::kDelRoute:
+      out.vni = op.vni;
+      out.prefix = op.prefix;
+      break;
+    case TableOp::Kind::kAddMapping:
+      out.mapping_action = op.mapping_action;
+      [[fallthrough]];
+    case TableOp::Kind::kDelMapping:
+      out.vni = op.mapping_key.vni;
+      out.mapping_key = op.mapping_key;
+      break;
+  }
+  return out;
+}
+
+/// Index of the desired entry with `key`; entries.size() when absent.
+template <typename Entries, typename Key>
+std::size_t find_entry(const Entries& entries, const Key& key) {
+  return static_cast<std::size_t>(
+      std::find_if(entries.begin(), entries.end(),
+                   [&](const auto& entry) { return entry.first == key; }) -
+      entries.begin());
+}
+
+/// Removes the entry at `at`, or installs one: refreshes the action in
+/// place when `at` names an entry, appends otherwise.
+template <typename Entries, typename Key, typename Action>
+void edit_entry(Entries& entries, std::size_t at, bool install,
+                const Key& key, const Action& action) {
+  if (!install) {
+    entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(at));
+  } else if (at < entries.size()) {
+    entries[at].second = action;
+  } else {
+    entries.push_back({key, action});
+  }
+}
+
+/// The placement-demand field the op's table and address family bill.
+std::int64_t& placement_demand(asic::WorkloadDelta& delta, const TableOp& op) {
+  if (is_route(op.kind)) {
+    return op.prefix.family() == net::IpFamily::kV4 ? delta.vxlan_routes_v4
+                                                    : delta.vxlan_routes_v6;
+  }
+  return op.mapping_key.vm_ip.family() == net::IpFamily::kV4
+             ? delta.vm_maps_v4
+             : delta.vm_maps_v6;
+}
+
+}  // namespace
 
 Controller::Controller(Config config)
     : config_(std::move(config)),
@@ -13,10 +78,11 @@ Controller::Controller(Config config)
   if (config_.max_clusters == 0) {
     throw std::invalid_argument("controller needs at least one cluster slot");
   }
-  ctr_routes_added_ = &registry_->counter("controller.routes_added");
-  ctr_routes_removed_ = &registry_->counter("controller.routes_removed");
-  ctr_mappings_added_ = &registry_->counter("controller.mappings_added");
-  ctr_mappings_removed_ = &registry_->counter("controller.mappings_removed");
+  // Indexed by TableOp::Kind.
+  ctr_ops_applied_ = {&registry_->counter("controller.routes_added"),
+                      &registry_->counter("controller.routes_removed"),
+                      &registry_->counter("controller.mappings_added"),
+                      &registry_->counter("controller.mappings_removed")};
   ctr_vpcs_admitted_ = &registry_->counter("controller.vpcs_admitted");
   ctr_admission_refused_ = &registry_->counter("controller.admission_refused");
   ctr_migrations_ = &registry_->counter("controller.migrations");
@@ -27,8 +93,11 @@ Controller::Controller(Config config)
       &registry_->counter("controller.table_ops_rate_limited");
   ctr_ops_deferred_ = &registry_->counter("controller.table_ops_deferred");
   ctr_ops_replayed_ = &registry_->counter("controller.table_ops_replayed");
-  op_tokens_ = static_cast<double>(config_.table_op_burst);
-  retry_queue_ = std::make_unique<UpdateQueue>(*this, config_.retry);
+  if (config_.table_op_rate_limit > 0) {
+    op_budget_.emplace(config_.table_op_rate_limit,
+                       static_cast<double>(config_.table_op_burst));
+  }
+  retry_queue_ = std::make_unique<UpdateQueue>(*this, UpdateQueue::Config{});
   if (config_.admit_overflow) {
     ctr_overflow_admitted_ =
         &registry_->counter("controller.overflow_vpcs_admitted");
@@ -64,10 +133,12 @@ void Controller::mirror(const TableOp& op) {
 
 std::size_t Controller::advance_clock(double now) {
   clock_now_ = std::max(clock_now_, now);
-  // While the breaker is plain-open the channel is not worth trying:
-  // retries stay parked (half-open lets the head op through as the probe).
-  if (breaker_ && breaker_->state(clock_now_) ==
-                      guard::CircuitBreaker::State::kOpen) {
+  // Nothing drains while the channel is down. While the breaker is
+  // plain-open the channel is not worth trying either: retries stay
+  // parked (half-open lets the head op through as the probe).
+  if (!update_channel_up_ ||
+      (breaker_ && breaker_->state(clock_now_) ==
+                       guard::CircuitBreaker::State::kOpen)) {
     return 0;
   }
   const std::size_t replayed = retry_queue_->advance(clock_now_);
@@ -77,16 +148,19 @@ std::size_t Controller::advance_clock(double now) {
 
 dataplane::TableOpStatus Controller::push_op(const TableOp& op) {
   const std::size_t pending_before = retry_queue_->pending();
-  dataplane::TableOpStatus status;
-  if (breaker_ && !breaker_->allow(clock_now_)) {
-    // Short-circuit: park without burning a channel attempt. Order is
-    // kept (the queue is strict FIFO) and nothing is lost.
+  // Short-circuit: park without trying the channel. Order is kept (the
+  // queue is strict FIFO) and nothing is lost.
+  const bool short_circuit = breaker_ && !breaker_->allow(clock_now_);
+  if (short_circuit) {
     breaker_->note_short_circuit();
     ctr_breaker_short_circuited_->add();
-    status = retry_queue_->defer(op, clock_now_);
-  } else {
-    status = retry_queue_->submit(op, clock_now_);
   }
+  // A down channel parks the op the same way; advance_clock delivers it
+  // once the channel returns.
+  const dataplane::TableOpStatus status =
+      short_circuit || !update_channel_up_
+          ? retry_queue_->defer(op, clock_now_)
+          : retry_queue_->submit(op, clock_now_);
   if (retry_queue_->pending() > pending_before) ctr_ops_deferred_->add();
   return status;
 }
@@ -124,7 +198,6 @@ void Controller::breaker_success() {
 void Controller::set_update_channel_up(bool up) {
   if (up == update_channel_up_) return;
   update_channel_up_ = up;
-  retry_queue_->set_channel_up(up);
   journal_->record("update-channel",
                    up ? "update channel restored; draining deferred ops"
                       : "update channel down; pushes will be deferred",
@@ -141,26 +214,12 @@ void Controller::set_update_channel_degraded(bool degraded) {
 }
 
 bool Controller::take_op_token() {
-  if (!update_channel_up_ || update_channel_degraded_) {
+  if (!update_channel_up_ || update_channel_degraded_ ||
+      (op_budget_ && !op_budget_->try_consume(1.0, clock_now_))) {
     ctr_ops_rate_limited_->add();
     breaker_failure();
     return false;
   }
-  if (config_.table_op_rate_limit <= 0) {
-    breaker_success();
-    return true;
-  }
-  op_tokens_ = std::min(
-      op_tokens_ + sim::elapsed_s(clock_now_, op_tokens_time_) *
-                       config_.table_op_rate_limit,
-      static_cast<double>(config_.table_op_burst));
-  op_tokens_time_ = clock_now_;
-  if (op_tokens_ < 1.0) {
-    ctr_ops_rate_limited_->add();
-    breaker_failure();
-    return false;
-  }
-  op_tokens_ -= 1.0;
   breaker_success();
   return true;
 }
@@ -307,20 +366,6 @@ void Controller::flush_placement_delta() {
   pending_placement_delta_ = {};
 }
 
-dataplane::TableOpStatus Controller::apply_one(const TableOp& op) {
-  switch (op.kind) {
-    case TableOp::Kind::kAddRoute:
-      return apply_install_route(op.vni, op.prefix, op.route_action);
-    case TableOp::Kind::kDelRoute:
-      return apply_remove_route(op.vni, op.prefix);
-    case TableOp::Kind::kAddMapping:
-      return apply_install_mapping(op.mapping_key, op.mapping_action);
-    case TableOp::Kind::kDelMapping:
-      return apply_remove_mapping(op.mapping_key);
-  }
-  return dataplane::TableOpStatus::kNotFound;
-}
-
 std::size_t Controller::drain_mid_interval(double start, double length,
                                            std::size_t slices) {
   if (slices == 0) return advance_clock(start + length);
@@ -334,163 +379,60 @@ std::size_t Controller::drain_mid_interval(double start, double length,
   return replayed;
 }
 
-dataplane::TableOpStatus Controller::apply_install_route(
-    net::Vni vni, const net::IpPrefix& prefix,
-    tables::VxlanRouteAction action) {
-  auto it = vpcs_.find(vni);
+dataplane::TableOpStatus Controller::apply_one(const TableOp& requested) {
+  const TableOp op = canonical(requested);
+  const bool route = is_route(op.kind);
+  const bool install = op.kind == TableOp::Kind::kAddRoute ||
+                       op.kind == TableOp::Kind::kAddMapping;
+  auto it = vpcs_.find(op.vni);
   if (it == vpcs_.end()) return dataplane::TableOpStatus::kNotFound;
-  if (!placement_live(it->second.cluster_id)) {
+  VpcState& vpc = it->second;
+  // Dangling placements fail typed and loud *before* any desired-state
+  // mutation, so the mirror never drifts from the devices.
+  if (!placement_live(vpc.cluster_id)) {
     return dataplane::TableOpStatus::kUnknownTarget;
   }
-  const bool software_tier = it->second.cluster_id == kSoftwareTier;
+  const std::size_t at = route ? find_entry(vpc.routes, op.prefix)
+                               : find_entry(vpc.mappings, op.mapping_key);
+  const bool present =
+      at < (route ? vpc.routes.size() : vpc.mappings.size());
+  // A remove of an absent entry reaches no device and spends no token.
+  if (!install && !present) return dataplane::TableOpStatus::kNotFound;
   // Software-tier VPCs program no device: their desired state only needs
   // to reach the mirror (x86 + DPU hold the complete tables), so the
   // device update channel is never consumed.
+  const bool software_tier = vpc.cluster_id == kSoftwareTier;
   if (!software_tier && !take_op_token()) {
     return dataplane::TableOpStatus::kRateLimited;
   }
   const dataplane::TableOpStatus status =
-      software_tier
-          ? dataplane::TableOpStatus::kOk
-          : programmer(it->second.cluster_id)
-                .install_route(vni, prefix, action);
-  auto& routes = it->second.routes;
-  auto existing = std::find_if(routes.begin(), routes.end(), [&](auto& r) {
-    return r.first == prefix;
-  });
-  if (existing == routes.end()) {
-    routes.push_back({prefix, action});
-    // New hardware-tier entry: placement demand grows (replaced actions
-    // occupy the same slot; software-tier entries occupy no ASIC memory).
-    if (placement_engine_ && !software_tier) {
-      if (prefix.family() == net::IpFamily::kV4) {
-        ++pending_placement_delta_.vxlan_routes_v4;
-      } else {
-        ++pending_placement_delta_.vxlan_routes_v6;
-      }
-    }
+      software_tier ? dataplane::TableOpStatus::kOk
+                    : dataplane::apply(programmer(vpc.cluster_id), op);
+  // The desired state follows the op whatever the devices answered (a
+  // kCapacityExceeded device is the audit's to find, not the mirror's).
+  if (route) {
+    edit_entry(vpc.routes, at, install, op.prefix, op.route_action);
   } else {
-    existing->second = action;
+    edit_entry(vpc.mappings, at, install, op.mapping_key, op.mapping_action);
   }
-  mirror(TableOp{TableOp::Kind::kAddRoute, vni, prefix, action, {}, {}});
-  ctr_routes_added_->add();
+  // A new or retired hardware-tier entry changes placement demand; a
+  // refreshed action keeps its slot, and software-tier entries occupy no
+  // ASIC memory.
+  if (placement_engine_ && !software_tier && install != present) {
+    placement_demand(pending_placement_delta_, op) += install ? 1 : -1;
+  }
+  mirror(op);
+  ctr_ops_applied_[static_cast<std::size_t>(op.kind)]->add();
 
-  if (!software_tier &&
-      clusters_[it->second.cluster_id]->route_count() ==
+  if (op.kind == TableOp::Kind::kAddRoute && !software_tier &&
+      clusters_[vpc.cluster_id]->route_count() ==
           config_.routes_water_level) {
-    alerts_.push_back("cluster " + std::to_string(it->second.cluster_id) +
+    alerts_.push_back("cluster " + std::to_string(vpc.cluster_id) +
                       " reached its route water level; sales closed");
     journal_->record("water-level",
-                     "cluster " + std::to_string(it->second.cluster_id) +
+                     "cluster " + std::to_string(vpc.cluster_id) +
                          " reached its route water level; sales closed");
   }
-  return status;
-}
-
-dataplane::TableOpStatus Controller::apply_remove_route(
-    net::Vni vni, const net::IpPrefix& prefix) {
-  auto it = vpcs_.find(vni);
-  if (it == vpcs_.end()) return dataplane::TableOpStatus::kNotFound;
-  // Dangling placements fail typed and loud *before* any desired-state
-  // mutation — the old per-method surface silently "succeeded" here,
-  // desyncing the mirror from the devices.
-  if (!placement_live(it->second.cluster_id)) {
-    return dataplane::TableOpStatus::kUnknownTarget;
-  }
-  auto& routes = it->second.routes;
-  auto existing = std::find_if(routes.begin(), routes.end(), [&](auto& r) {
-    return r.first == prefix;
-  });
-  if (existing == routes.end()) return dataplane::TableOpStatus::kNotFound;
-  const bool software_tier = it->second.cluster_id == kSoftwareTier;
-  if (!software_tier && !take_op_token()) {
-    return dataplane::TableOpStatus::kRateLimited;
-  }
-  routes.erase(existing);
-  if (placement_engine_ && !software_tier) {
-    if (prefix.family() == net::IpFamily::kV4) {
-      --pending_placement_delta_.vxlan_routes_v4;
-    } else {
-      --pending_placement_delta_.vxlan_routes_v6;
-    }
-  }
-  const dataplane::TableOpStatus status =
-      software_tier
-          ? dataplane::TableOpStatus::kOk
-          : programmer(it->second.cluster_id).remove_route(vni, prefix);
-  mirror(TableOp{TableOp::Kind::kDelRoute, vni, prefix, {}, {}, {}});
-  ctr_routes_removed_->add();
-  return status;
-}
-
-dataplane::TableOpStatus Controller::apply_install_mapping(
-    const tables::VmNcKey& key, tables::VmNcAction action) {
-  auto it = vpcs_.find(key.vni);
-  if (it == vpcs_.end()) return dataplane::TableOpStatus::kNotFound;
-  if (!placement_live(it->second.cluster_id)) {
-    return dataplane::TableOpStatus::kUnknownTarget;
-  }
-  const bool software_tier = it->second.cluster_id == kSoftwareTier;
-  if (!software_tier && !take_op_token()) {
-    return dataplane::TableOpStatus::kRateLimited;
-  }
-  const dataplane::TableOpStatus status =
-      software_tier
-          ? dataplane::TableOpStatus::kOk
-          : programmer(it->second.cluster_id).install_mapping(key, action);
-  auto& mappings = it->second.mappings;
-  auto existing =
-      std::find_if(mappings.begin(), mappings.end(), [&](auto& m) {
-        return m.first == key;
-      });
-  if (existing == mappings.end()) {
-    mappings.push_back({key, action});
-    if (placement_engine_ && !software_tier) {
-      if (key.vm_ip.family() == net::IpFamily::kV4) {
-        ++pending_placement_delta_.vm_maps_v4;
-      } else {
-        ++pending_placement_delta_.vm_maps_v6;
-      }
-    }
-  } else {
-    existing->second = action;
-  }
-  mirror(TableOp{TableOp::Kind::kAddMapping, key.vni, {}, {}, key, action});
-  ctr_mappings_added_->add();
-  return status;
-}
-
-dataplane::TableOpStatus Controller::apply_remove_mapping(
-    const tables::VmNcKey& key) {
-  auto it = vpcs_.find(key.vni);
-  if (it == vpcs_.end()) return dataplane::TableOpStatus::kNotFound;
-  if (!placement_live(it->second.cluster_id)) {
-    return dataplane::TableOpStatus::kUnknownTarget;
-  }
-  auto& mappings = it->second.mappings;
-  auto existing =
-      std::find_if(mappings.begin(), mappings.end(), [&](auto& m) {
-        return m.first == key;
-      });
-  if (existing == mappings.end()) return dataplane::TableOpStatus::kNotFound;
-  const bool software_tier = it->second.cluster_id == kSoftwareTier;
-  if (!software_tier && !take_op_token()) {
-    return dataplane::TableOpStatus::kRateLimited;
-  }
-  mappings.erase(existing);
-  if (placement_engine_ && !software_tier) {
-    if (key.vm_ip.family() == net::IpFamily::kV4) {
-      --pending_placement_delta_.vm_maps_v4;
-    } else {
-      --pending_placement_delta_.vm_maps_v6;
-    }
-  }
-  const dataplane::TableOpStatus status =
-      software_tier
-          ? dataplane::TableOpStatus::kOk
-          : programmer(it->second.cluster_id).remove_mapping(key);
-  mirror(TableOp{TableOp::Kind::kDelMapping, key.vni, {}, {}, key, {}});
-  ctr_mappings_removed_->add();
   return status;
 }
 

@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/load_balancer.hpp"
 #include "cluster/update_queue.hpp"
+#include "core/rate_limiter.hpp"
 #include "dataplane/table_programmer.hpp"
 #include "guard/circuit_breaker.hpp"
 #include "telemetry/journal.hpp"
@@ -44,12 +46,11 @@ class Controller : public dataplane::TableProgrammer {
     std::size_t mappings_water_level = 400'000;
     /// Update-channel budget (table ops per second; 0 disables). Protects
     /// the devices' install path (§2.3's install-speed pain): ops beyond
-    /// the budget return kRateLimited and must be retried.
+    /// the budget return kRateLimited and must be retried. A positive rate
+    /// builds a core::TokenBucket of `table_op_burst` tokens, which must
+    /// then be positive too.
     double table_op_rate_limit = 0;
     std::size_t table_op_burst = 64;
-    /// Backoff shape of the internal retry queue that redelivers
-    /// rate-limited provisioning pushes (see push_op / advance_clock).
-    UpdateQueue::Config retry;
     /// Circuit breaker on the update channel (sf::guard). Disabled by
     /// default (trip_after == 0): `breaker.trip_after` consecutive
     /// channel refusals stop all push attempts for `open_cooldown_s`,
@@ -151,7 +152,8 @@ class Controller : public dataplane::TableProgrammer {
 
   /// Models losing the update channel to the devices entirely: while down,
   /// every table push is deferred (direct install/remove calls return
-  /// kRateLimited) and nothing drains until the channel returns.
+  /// kRateLimited) and nothing drains until the channel returns. This is
+  /// the only channel flag; the retry queue knows nothing of it.
   void set_update_channel_up(bool up);
   bool update_channel_up() const { return update_channel_up_; }
 
@@ -254,17 +256,10 @@ class Controller : public dataplane::TableProgrammer {
   /// dangling cluster id) without widening the public surface.
   friend struct ControllerTestPeer;
 
-  /// One batched op through the full admission pipeline (vpcs_ lookup,
-  /// placement check, token bucket, device fan-out, desired state, mirror).
+  /// One batched op of any kind through the admission pipeline: VPC
+  /// lookup, placement check, a remove's entry check, one channel token,
+  /// device fan-out, desired state, placement delta, mirror, counter.
   dataplane::TableOpStatus apply_one(const TableOp& op);
-  dataplane::TableOpStatus apply_install_route(net::Vni vni,
-                                               const net::IpPrefix& prefix,
-                                               tables::VxlanRouteAction action);
-  dataplane::TableOpStatus apply_remove_route(net::Vni vni,
-                                              const net::IpPrefix& prefix);
-  dataplane::TableOpStatus apply_install_mapping(const tables::VmNcKey& key,
-                                                 tables::VmNcAction action);
-  dataplane::TableOpStatus apply_remove_mapping(const tables::VmNcKey& key);
   /// kUnknownTarget when a hardware-tier VPC's cluster id is dangling.
   bool placement_live(std::uint32_t cluster_id) const {
     return cluster_id == kSoftwareTier || cluster_id < clusters_.size();
@@ -276,8 +271,9 @@ class Controller : public dataplane::TableProgrammer {
   /// Pushes the batch's accumulated workload delta through the placement
   /// engine (no-op when disabled or the delta is empty).
   void flush_placement_delta();
-  /// Update-channel token bucket (table_op_rate_limit / table_op_burst).
-  /// Every outcome feeds the circuit breaker when one is configured.
+  /// One update-channel token: refused while the channel is down or
+  /// browned out, or when the budget is spent. Every outcome feeds the
+  /// circuit breaker when one is configured.
   bool take_op_token();
   /// Breaker feedback with trip/close journaling (no-ops when absent).
   void breaker_failure();
@@ -292,8 +288,8 @@ class Controller : public dataplane::TableProgrammer {
   std::vector<std::string> alerts_;
 
   double clock_now_ = 0;
-  double op_tokens_ = 0;
-  double op_tokens_time_ = 0;
+  /// Built only when table_op_rate_limit > 0.
+  std::optional<core::TokenBucket> op_budget_;
   bool update_channel_up_ = true;
   bool update_channel_degraded_ = false;
   /// Redelivery of rate-limited pushes; targets this controller itself.
@@ -307,10 +303,8 @@ class Controller : public dataplane::TableProgrammer {
 
   std::unique_ptr<telemetry::Registry> registry_;
   std::unique_ptr<telemetry::EventJournal> journal_;
-  telemetry::Counter* ctr_routes_added_ = nullptr;
-  telemetry::Counter* ctr_routes_removed_ = nullptr;
-  telemetry::Counter* ctr_mappings_added_ = nullptr;
-  telemetry::Counter* ctr_mappings_removed_ = nullptr;
+  /// Ops applied, one counter per TableOp::Kind.
+  std::array<telemetry::Counter*, 4> ctr_ops_applied_{};
   telemetry::Counter* ctr_vpcs_admitted_ = nullptr;
   telemetry::Counter* ctr_admission_refused_ = nullptr;
   telemetry::Counter* ctr_migrations_ = nullptr;

@@ -1,30 +1,19 @@
 #include "cluster/update_queue.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace sf::cluster {
 
-UpdateQueue::UpdateQueue(dataplane::TableProgrammer& target, Config config)
-    : target_(target), config_(config) {
-  if (config_.initial_backoff_s <= 0 || config_.backoff_multiplier < 1.0 ||
-      config_.max_backoff_s < config_.initial_backoff_s) {
-    throw std::invalid_argument("UpdateQueue backoff config invalid");
-  }
-}
-
 dataplane::TableOpStatus UpdateQueue::park(const dataplane::TableOp& op,
-                                           double now,
-                                           std::size_t attempts) {
+                                           double now) {
   if (queue_.size() >= config_.max_pending) {
     ++stats_.overflowed;
     return dataplane::TableOpStatus::kRateLimited;
   }
   Pending pending;
   pending.op = op;
-  pending.backoff = config_.initial_backoff_s;
+  pending.backoff = kInitialBackoffS;
   pending.due = now + pending.backoff;
-  pending.attempts = attempts;
   queue_.push_back(pending);
   ++stats_.deferred;
   return dataplane::TableOpStatus::kRateLimited;
@@ -33,7 +22,7 @@ dataplane::TableOpStatus UpdateQueue::park(const dataplane::TableOp& op,
 dataplane::TableOpStatus UpdateQueue::defer(const dataplane::TableOp& op,
                                             double now) {
   ++stats_.submitted;
-  return park(op, now, 0);  // no attempt burned: parked, not retried
+  return park(op, now);
 }
 
 dataplane::TableOpStatus UpdateQueue::submit(const dataplane::TableOp& op,
@@ -41,17 +30,14 @@ dataplane::TableOpStatus UpdateQueue::submit(const dataplane::TableOp& op,
   ++stats_.submitted;
   // Strict FIFO: while older ops wait, new ones wait behind them —
   // otherwise an install could overtake the remove it logically follows.
-  if (!channel_up_ || !queue_.empty()) return park(op, now, 1);
+  if (!queue_.empty()) return park(op, now);
   const dataplane::TableOpStatus status = dataplane::apply(target_, op);
-  if (status == dataplane::TableOpStatus::kRateLimited) {
-    return park(op, now, 1);
-  }
+  if (status == dataplane::TableOpStatus::kRateLimited) return park(op, now);
   ++stats_.applied;
   return status;
 }
 
 std::size_t UpdateQueue::advance(double now) {
-  if (!channel_up_) return 0;
   std::size_t applied = 0;
   while (!queue_.empty() && queue_.front().due <= now) {
     Pending& head = queue_.front();
@@ -59,18 +45,10 @@ std::size_t UpdateQueue::advance(double now) {
     const dataplane::TableOpStatus status =
         dataplane::apply(target_, head.op);
     if (status == dataplane::TableOpStatus::kRateLimited) {
-      ++head.attempts;
-      if (config_.max_attempts > 0 &&
-          head.attempts >= config_.max_attempts) {
-        ++stats_.gave_up;
-        queue_.pop_front();
-        continue;
-      }
       // Head-of-line blocking is deliberate: retry the same op later
       // rather than letting younger ops jump the order.
       head.backoff =
-          std::min(head.backoff * config_.backoff_multiplier,
-                   config_.max_backoff_s);
+          std::min(head.backoff * kBackoffMultiplier, kMaxBackoffS);
       head.due = now + head.backoff;
       break;
     }

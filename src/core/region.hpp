@@ -22,7 +22,6 @@
 
 #include "cluster/controller.hpp"
 #include "cluster/disaster_recovery.hpp"
-#include "core/rate_limiter.hpp"
 #include "dataplane/gateway.hpp"
 #include "dataplane/shard_engine.hpp"
 #include "dpu/tier_placer.hpp"

@@ -11,8 +11,8 @@
 // plane: the update channel moves coalesced transactions, not single
 // entries (§2.3's install-speed pain).
 //
-// The v1 methods survive one release as thin non-virtual wrappers that
-// build a one-op batch; call sites migrate at leisure, implementations
+// The v1 methods stay as thin non-virtual wrappers that build a one-op
+// batch: the single-op convenience most call sites use. Implementations
 // override only `apply`.
 
 #pragma once
@@ -166,7 +166,7 @@ class TableProgrammer {
 
   virtual BatchResult apply(const TableOpBatch& batch) = 0;
 
-  // ---- v1 compatibility wrappers (one release; prefer apply()) ------
+  // ---- single-op wrappers (a batch of one through apply()) ----------
 
   TableOpStatus install_route(net::Vni vni, const net::IpPrefix& prefix,
                               tables::VxlanRouteAction action) {

@@ -2,10 +2,11 @@
 // (DESIGN.md §10).
 //
 // During a control-plane outage or rate-limit storm every table op the
-// controller pushes comes back kRateLimited, and each refused attempt
-// burns a slot in the shared op-token bucket — retries amplify exactly the
-// pressure that caused the refusals. A circuit breaker watches the refusal
-// stream: `trip_after` CONSECUTIVE refusals open the circuit, and while
+// controller pushes comes back kRateLimited. A refusal spends no token,
+// but every retry is one more attempt against the channel that refused
+// it — retries amplify exactly the pressure that caused the refusals. A
+// circuit breaker watches the refusal stream: `trip_after` CONSECUTIVE
+// refusals open the circuit, and while
 // open the controller parks new ops directly into the UpdateQueue without
 // attempting them (short-circuit, zero channel pressure). After
 // `open_cooldown_s` the breaker is half-open: exactly one probe op is

@@ -178,7 +178,6 @@ TEST(ChaosRegressions, ChannelOutageAndStormDrain) {
   EXPECT_EQ(controller.deferred_op_count(), 0u);
   // 6 storm VPCs x (1 route + 2 mappings) all landed eventually.
   EXPECT_GE(controller.retry_stats().applied, 18u);
-  EXPECT_EQ(controller.retry_stats().gave_up, 0u);
 }
 
 // Mid-upgrade failure: the roll aborts, the fleet keeps serving on the
