@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/path_trace.hpp"
 #include "core/sailfish.hpp"
 
 using namespace sf;

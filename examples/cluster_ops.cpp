@@ -9,7 +9,6 @@
 
 #include "cluster/health.hpp"
 #include "cluster/probe.hpp"
-#include "core/path_trace.hpp"
 #include "core/sailfish.hpp"
 
 using namespace sf;
@@ -75,8 +74,7 @@ int main() {
   probe_pkt.vni = flow.vni;
   probe_pkt.inner = flow.tuple;
   probe_pkt.payload_size = 100;
-  const auto trace =
-      core::trace_packet(*system.region, probe_pkt, 200.0);
+  const auto trace = system.region->trace(probe_pkt, 200.0);
   std::printf("step 5: path trace for vni %u -> %s:\n%s\n", flow.vni,
               flow.tuple.dst.to_string().c_str(),
               trace.to_string().c_str());

@@ -55,15 +55,15 @@ std::size_t XgwHCluster::mapping_count() const {
 
 xgwh::ForwardResult XgwHCluster::forward(const net::OverlayPacket& packet,
                                          double now) {
-  auto member = ecmp_.pick(packet.inner);
-  if (!member) {
+  const std::optional<std::size_t> index = pick_device(packet.inner);
+  if (!index) {
     xgwh::ForwardResult result;
     result.action = dataplane::Action::kDrop;
     result.drop_reason = dataplane::DropReason::kNoLiveDevice;
     result.packet = packet;
     return result;
   }
-  return devices_[*member].gateway->forward(packet, now);
+  return devices_[*index].gateway->forward(packet, now);
 }
 
 std::optional<std::size_t> XgwHCluster::pick_device(

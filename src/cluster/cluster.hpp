@@ -55,7 +55,8 @@ class XgwHCluster : public dataplane::Gateway,
     return forward(packet, now);
   }
 
-  /// The device index process() would pick for this flow (tracing).
+  /// The flow-hash ECMP pick over the live set: the one device choice that
+  /// forward(), flow_established() and the region's path trace share.
   std::optional<std::size_t> pick_device(const net::FiveTuple& tuple) const;
 
   /// True when the device that would serve this packet holds its flow in

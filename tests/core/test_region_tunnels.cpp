@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/path_trace.hpp"
 #include "core/sailfish.hpp"
 
 namespace sf::core {
@@ -76,7 +75,7 @@ TEST(RegionTunnels, TunnelRoutesStayInHardware) {
 TEST(RegionTunnels, PathTraceShowsTunnelHop) {
   SailfishSystem system = system_with_tunnels();
   const net::Vni vni = first_v4_vni(system);
-  const auto trace = trace_packet(*system.region, to(vni, "172.30.5.5"));
+  const auto trace = system.region->trace(to(vni, "172.30.5.5"));
   EXPECT_EQ(dataplane::path_label(trace.result), "hardware-tunnel");
   bool tunnel_hop = false;
   for (const auto& hop : trace.hops) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/path_trace.hpp"
 #include "core/region.hpp"
 #include "core/sailfish.hpp"
 #include "telemetry/registry.hpp"
@@ -162,7 +161,7 @@ TEST(TelemetryWiring, PathTraceAttachesCounterContext) {
   }
 
   const auto trace =
-      trace_packet(*system.region, packet_for_flow(system.flows.front()), 2.0);
+      system.region->trace(packet_for_flow(system.flows.front()), 2.0);
   bool found = false;
   for (const auto& hop : trace.hops) {
     if (hop.where != "xgw-h") continue;

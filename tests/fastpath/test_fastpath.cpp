@@ -4,7 +4,10 @@
 //   * a warmed cache hit performs ZERO heap allocations end to end
 //     (counting global operator new/delete overrides below);
 //   * the packet path performs no string-keyed PHV lookups at all — the
-//     compiled FieldId handles carry every stage (Phv::string_lookups()).
+//     compiled FieldId handles carry every stage (Phv::string_lookups());
+//   * an untraced SailfishRegion::process() of a warm packet makes no heap
+//     allocation on any served path — the path-trace recorder inside it
+//     costs nothing when off.
 //
 // This lives in its own binary because the operator new/delete overrides
 // are global: they must not contaminate the other test suites.
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "asic/phv.hpp"
+#include "core/sailfish.hpp"
 #include "x86/xgw_x86.hpp"
 #include "xgwh/xgwh.hpp"
 
@@ -167,6 +171,62 @@ TEST(FastPath, XgwX86CacheHitMakesZeroHeapAllocations) {
   for (int i = 0; i < 100; ++i) gw.forward(pkt, 2.0 + i * 1e-6);
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
+}
+
+TEST(FastPath, RegionProcessWarmMakesZeroHeapAllocations) {
+  struct Case {
+    const char* path_label;
+    core::SailfishOptions options;
+    /// Flow scope to pick; kLocal also matches software-tier tenants.
+    tables::RouteScope scope;
+    /// Pick a flow of an overflow-admitted (software-tier) tenant.
+    bool software_tier;
+  };
+  core::SailfishOptions legacy_overflow = core::overflow_options(4.0, false);
+  legacy_overflow.region.enable_punt_path = false;
+  const Case cases[] = {
+      {"hardware-forwarded", core::quickstart_options(),
+       RouteScope::kLocal, false},
+      {"software-snat", core::quickstart_options(), RouteScope::kInternet,
+       false},
+      // Software-tier tenant, no punt path: legacy tuple-ECMP to x86.
+      {"software-forwarded", legacy_overflow, RouteScope::kLocal, true},
+      // Software-tier tenant over the bounded punt lane to x86.
+      {"software-forwarded", core::overflow_options(4.0, false),
+       RouteScope::kLocal, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << c.path_label << (c.software_tier ? " (overflow)" : ""));
+    core::SailfishSystem system = core::make_system(c.options);
+    core::SailfishRegion& region = *system.region;
+    const workload::Flow* flow = nullptr;
+    for (const workload::Flow& f : system.flows) {
+      if (f.scope == c.scope &&
+          region.controller().is_overflow(f.vni) == c.software_tier) {
+        flow = &f;
+        break;
+      }
+    }
+    ASSERT_NE(flow, nullptr);
+    net::OverlayPacket pkt;
+    pkt.vni = flow->vni;
+    pkt.inner = flow->tuple;
+    pkt.payload_size = 128;
+
+    // Warm-up: flow caches, SNAT binding, punt lane, and every histogram
+    // reservoir (256 samples at most) saturated. Time advances 1 ms per
+    // packet so the punt lane drains between packets.
+    double now = 0;
+    for (int i = 0; i < 400; ++i) region.process(pkt, now += 1e-3);
+    ASSERT_EQ(dataplane::path_label(region.process(pkt, now += 1e-3)),
+              c.path_label);
+
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < 100; ++i) region.process(pkt, now += 1e-3);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+        << "a warm untraced region packet must not touch the heap";
+  }
 }
 
 TEST(FastPath, XgwHConstructionAllocatesOnlyItsDeclaredTables) {
