@@ -12,13 +12,16 @@
 //
 // Coherence is epoch-based. The cache never invalidates eagerly: every
 // control-plane mutation (TableProgrammer ops, DR standby swaps, health
-// reroutes) bumps the owner's generation counter, and entries are stamped
-// with the generation they were filled under. A probe that lands on a
-// stale generation treats the slot as empty (and reclaims it), so a
-// lookup after any mutation falls back to the full walk — which is
-// exactly what an uncached gateway would compute. That makes cache-on
-// vs. cache-off byte-identical by construction, which the coherence tests
-// and the CI perf-smoke byte-diff enforce.
+// reroutes) bumps a generation counter of the owner, and entries are
+// stamped with the generation they were filled under. The owner passes
+// each packet the generation of what its walk reads (XGW-H sums a global,
+// a peer-group route and a per-address mapping counter), so a mutation
+// moves exactly the generations of the flows it may affect. A probe that
+// lands on a stale generation treats the slot as empty (and reclaims it),
+// so a lookup after a mutation that may affect it falls back to the full
+// walk — which is exactly what an uncached gateway would compute. That
+// makes cache-on vs. cache-off byte-identical by construction, which the
+// coherence tests and the CI perf-smoke byte-diff enforce.
 //
 // Single-writer by design: one cache per gateway, one gateway per shard in
 // the parallel interval engine. No locks anywhere.
@@ -187,27 +190,27 @@ class FlowCache {
     return false;
   }
 
-  /// Inserts (or overwrites) `key`. Prefers the key's own slot, then an
-  /// empty or stale slot in the probe window, else deterministically
-  /// evicts the window's first slot.
+  /// Inserts (or overwrites) `key`. Prefers the key's own slot, then the
+  /// first empty slot in the probe window, else deterministically evicts
+  /// the home slot. A slot stamped with another generation is not taken
+  /// as stale: owners stamp each entry with the generation of what its
+  /// walk read, so that entry may still be live for its own flow.
   void insert(const FlowKey& key, std::uint64_t generation, Value value) {
     if (capacity_ == 0) return;
     if (table_.empty()) table_.resize(capacity_);  // lazy: idle caches cost 0
     const std::size_t home = static_cast<std::size_t>(key.hi) & mask_;
     std::size_t victim = home;
-    bool found_victim = false;
+    bool found_empty = false;
     std::size_t slot = home;
     for (std::size_t probe = 0; probe < config_.max_probes; ++probe) {
       Entry& entry = table_[slot];
       if (entry.occupied && entry.key == key) {
         victim = slot;
-        found_victim = true;
         break;
       }
-      if (!found_victim &&
-          (!entry.occupied || entry.generation != generation)) {
+      if (!found_empty && !entry.occupied) {
         victim = slot;
-        found_victim = true;
+        found_empty = true;
         // Keep scanning: an existing slot for `key` still wins.
       }
       slot = (slot + 1) & mask_;

@@ -74,10 +74,13 @@ class DigestVmNcTable {
 
   const Config& config() const { return config_; }
 
- private:
-  /// The compressed 32-bit ip field of the pooled key.
+  /// The compressed 32-bit ip field of the pooled key. A lookup of
+  /// (vni, ip) only reads entries whose ip32 equals ip32(ip), so an insert
+  /// or erase of a key changes lookups of addresses sharing its ip32 only
+  /// (colliding v6 digests included).
   std::uint32_t ip32(const net::IpAddr& ip) const;
 
+ private:
   /// Pooled main-table key: label ‖ vni ‖ ip32 packed into 64 bits.
   std::uint64_t pooled_key(const VmNcKey& key) const;
   std::uint64_t pooled_key(net::Vni vni, const net::IpAddr& ip) const;

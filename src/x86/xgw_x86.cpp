@@ -78,19 +78,14 @@ dataplane::TableOpStatus XgwX86::apply_one(const dataplane::TableOp& op) {
 void XgwX86::note_mutation(const dataplane::TableOp& op) {
   if (op.kind == dataplane::TableOp::Kind::kAddRoute &&
       op.route_action.scope == tables::RouteScope::kPeer) {
-    // Verdicts in either VNI may now cross the peer hop; both escalate to
-    // the global generation, permanently (a later non-peer mutation can
-    // still sit under a cached cross-VNI verdict).
-    peered_vnis_.insert(op.vni);
-    peered_vnis_.insert(op.route_action.next_hop_vni);
-    bump_generation(kGlobalGenKey);
-    return;
+    // From now on a verdict entering on either VNI may cross the hop.
+    peer_groups_.join(op.vni, op.route_action.next_hop_vni);
   }
-  if (peered_vnis_.count(op.vni) > 0) {
-    bump_generation(kGlobalGenKey);
-  } else {
-    bump_generation(static_cast<std::uint32_t>(op.vni));
-  }
+  // Only walks entering on a VNI of the op VNI's peer group can read its
+  // routes or mappings.
+  peer_groups_.for_each_member(op.vni, [this](net::Vni member) {
+    bump_generation(static_cast<std::uint32_t>(member));
+  });
 }
 
 void XgwX86::bump_generation(std::uint32_t gen_key) {
@@ -103,8 +98,8 @@ std::uint64_t XgwX86::effective_generation(net::Vni vni,
   const std::uint64_t* global = vni_gens_.lookup(kGlobalGenKey, seq);
   const std::uint64_t* local =
       vni_gens_.lookup(static_cast<std::uint32_t>(vni), seq);
-  return ((global != nullptr ? *global : 0) << 32) |
-         ((local != nullptr ? *local : 0) & 0xFFFFFFFFu);
+  // Both counters only grow, so their sum moves exactly when one does.
+  return (global != nullptr ? *global : 0) + (local != nullptr ? *local : 0);
 }
 
 void XgwX86::invalidate_fast_path() {

@@ -14,13 +14,13 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include <memory>
 
 #include "dataplane/flow_cache.hpp"
 #include "dataplane/gateway.hpp"
+#include "dataplane/peer_groups.hpp"
 #include "dataplane/table_programmer.hpp"
 #include "net/packet.hpp"
 #include "rcu/epoch.hpp"
@@ -93,7 +93,8 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
 
   /// Invalidates every cached verdict (cluster health/DR transitions call
   /// this on reroutes). Internally a versioned bump of the global cache
-  /// generation; table ops instead bump only the mutated VNI's generation.
+  /// generation; a table op instead bumps the generation of each VNI in
+  /// the mutated VNI's peer group.
   void invalidate_fast_path();
   /// Monotone table version; grows with every mutation.
   std::uint64_t fast_path_generation() const { return seq_; }
@@ -236,12 +237,14 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
   rcu::RcuExactTable<tables::VmNcKey, tables::VmNcAction, VmNcKeyHasher>
       mappings_;
   /// Per-VNI flow-cache generations, versioned like the tables so a
-  /// replayed packet reads the generation as of its pinned version.
+  /// replayed packet reads the generation as of its pinned version. A
+  /// cached verdict carries the global generation plus its entry VNI's;
+  /// both only grow, so the sum moves exactly when either does.
   rcu::RcuExactTable<std::uint32_t, std::uint64_t, GenKeyHasher> vni_gens_;
-  /// VNIs ever reached through a peer route (either side). Mutations on a
-  /// peered VNI bump the global generation: a cached verdict may have
-  /// walked across the peer hop, so per-VNI invalidation is not enough.
-  std::unordered_set<net::Vni> peered_vnis_;
+  /// VNIs joined by peer routes. A table op on a VNI bumps the generation
+  /// of every VNI in its group: a cached verdict entering on any of them
+  /// may have walked across a peer hop into the mutated VNI.
+  dataplane::PeerGroups peer_groups_;
   mutable rcu::EpochManager::Reader reader_{epoch_};
   std::uint64_t seq_ = 0;             // mutator-owned table version
   std::uint64_t last_collect_seq_ = 0;

@@ -121,13 +121,17 @@ dataplane::BatchResult XgwH::apply(const dataplane::TableOpBatch& batch) {
   return result;
 }
 
-void XgwH::note_vni_mutation(net::Vni vni) {
+void XgwH::note_route_mutation(net::Vni vni) {
   ++op_epoch_;
-  if (peered_vnis_.count(vni) > 0) {
-    ++global_gen_;
-  } else {
-    ++vni_gens_[vni];
-  }
+  if (route_gens_.empty()) return;
+  peer_groups_.for_each_member(
+      vni, [this](net::Vni member) { ++route_gens_[gen_slot(member)]; });
+}
+
+void XgwH::note_mapping_mutation(const net::IpAddr& vm_ip) {
+  ++op_epoch_;
+  if (map_gens_.empty()) return;
+  ++map_gens_[gen_slot(shards_[0].mappings.ip32(vm_ip))];
 }
 
 dataplane::TableOpStatus XgwH::apply_install_route(
@@ -140,15 +144,12 @@ dataplane::TableOpStatus XgwH::apply_install_route(
                                            : shard.routes_v6)++;
   }
   // Re-inserts can change the action payload too, so invalidate either
-  // way. A peer route welds both VNIs' cache fates together permanently.
+  // way. A peer route joins both VNIs' groups first: from now on a walk
+  // entering on either may read the other's tables.
   if (action.scope == tables::RouteScope::kPeer) {
-    peered_vnis_.insert(vni);
-    peered_vnis_.insert(action.next_hop_vni);
-    ++op_epoch_;
-    ++global_gen_;
-  } else {
-    note_vni_mutation(vni);
+    peer_groups_.join(vni, action.next_hop_vni);
   }
+  note_route_mutation(vni);
   return is_new ? dataplane::TableOpStatus::kOk
                 : dataplane::TableOpStatus::kDuplicate;
 }
@@ -161,7 +162,7 @@ dataplane::TableOpStatus XgwH::apply_remove_route(net::Vni vni,
   }
   (prefix.family() == net::IpFamily::kV4 ? shard.routes_v4
                                          : shard.routes_v6)--;
-  note_vni_mutation(vni);
+  note_route_mutation(vni);
   return dataplane::TableOpStatus::kOk;
 }
 
@@ -176,7 +177,7 @@ dataplane::TableOpStatus XgwH::apply_install_mapping(
     // store are both unable to take the entry.
     return dataplane::TableOpStatus::kCapacityExceeded;
   }
-  note_vni_mutation(key.vni);
+  note_mapping_mutation(key.vm_ip);
   const std::size_t after = shard.mappings.stats().main_entries +
                             shard.mappings.stats().conflict_entries;
   if (after > before) {
@@ -191,7 +192,7 @@ dataplane::TableOpStatus XgwH::apply_remove_mapping(
   Shard& shard = shard_for(key.vni);
   if (!shard.mappings.erase(key)) return dataplane::TableOpStatus::kNotFound;
   (key.vm_ip.is_v4() ? shard.maps_v4 : shard.maps_v6)--;
-  note_vni_mutation(key.vni);
+  note_mapping_mutation(key.vm_ip);
   return dataplane::TableOpStatus::kOk;
 }
 
@@ -731,8 +732,9 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
     // issue its slot prefetch — by the time phase 2 probes slot i, the
     // line has had n-i probes' worth of time to arrive.
     for (std::size_t i = 0; i < n; ++i) {
-      b.key[i] = dataplane::make_flow_key(packets[indices[i]].vni, b.hash[i]);
-      b.gen[i] = effective_generation(packets[indices[i]].vni);
+      const net::OverlayPacket& packet = packets[indices[i]];
+      b.key[i] = dataplane::make_flow_key(packet.vni, b.hash[i]);
+      b.gen[i] = generation_of(packet.vni, packet.inner.dst);
       flow_cache_.prefetch(b.key[i]);
     }
     // Phase 2: probe in strict packet order — find/note_miss/insert
@@ -754,6 +756,12 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
       if (flow_cache_.note_miss(b.key[i])) {
         asic::PacketContext* const one[] = {&ctx};
         walk_contexts(one, /*record_pass_hist=*/false);
+        if (route_gens_.empty()) {
+          // The first insert allocates the cache table; the generation
+          // slots come with it, all zero, so b.gen stays valid.
+          route_gens_.assign(kGenSlots, 0);
+          map_gens_.assign(kGenSlots, 0);
+        }
         flow_cache_.insert(b.key[i], b.gen[i], b.walk[i]);
       } else {
         b.burst.push_back(&ctx);
@@ -765,8 +773,9 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
           &load(i, packets[indices[i]], entry_pipe_of(b.hash[i])));
     }
   }
-  // The deferred misses walk as one Walker burst.
-  walk_contexts(b.burst, /*record_pass_hist=*/false);
+  // The deferred misses walk as one Walker burst (none when every packet
+  // hit or captured: a scalar forward() then skips the empty run).
+  if (!b.burst.empty()) walk_contexts(b.burst, /*record_pass_hist=*/false);
 
   // Phase 3: emit verdicts in packet order. Histogram records and the
   // stateful fallback meter live here, so their streams are sample-for-

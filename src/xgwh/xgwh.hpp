@@ -22,8 +22,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -33,6 +31,7 @@
 #include "asic/walker.hpp"
 #include "dataplane/flow_cache.hpp"
 #include "dataplane/gateway.hpp"
+#include "dataplane/peer_groups.hpp"
 #include "dataplane/table_programmer.hpp"
 #include "tables/alpm.hpp"
 #include "tables/digest_table.hpp"
@@ -81,10 +80,11 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
 
   // ---- controller-facing table API (dataplane::TableProgrammer) ----------
 
-  /// Applies a batch op-by-op. Cached verdicts of a mutated VNI lazily
-  /// miss and re-walk; other VNIs keep their fast path (per-VNI
-  /// generations — DESIGN.md §13). The publish epoch reported per op is
-  /// the device's monotone mutation counter.
+  /// Applies a batch op-by-op. A route op makes the cached walks entering
+  /// on any VNI of the op VNI's peer group miss and re-walk; a mapping op
+  /// those whose destination shares the mapping's ip32. Every other flow
+  /// keeps its fast path (DESIGN.md §9). The publish epoch reported per op
+  /// is the device's monotone mutation counter.
   dataplane::BatchResult apply(const dataplane::TableOpBatch& batch) override;
   void add_acl_rule(tables::AclRule rule);
 
@@ -112,7 +112,7 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     if (!flow_cache_.enabled()) return false;
     return flow_cache_.contains(
         dataplane::make_flow_key(packet.vni, packet.inner),
-        effective_generation(packet.vni));
+        generation_of(packet.vni, packet.inner.dst));
   }
 
   std::size_t route_count() const;
@@ -287,15 +287,23 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
                                                  tables::VmNcAction action);
   dataplane::TableOpStatus apply_remove_mapping(const tables::VmNcKey& key);
 
-  /// Invalidates cached verdicts that may depend on `vni`: bumps the
-  /// VNI's own generation, or the global one when the VNI ever took part
-  /// in a peer route (a cached verdict may have crossed the hop).
-  void note_vni_mutation(net::Vni vni);
-  /// Composite cache generation for a packet entering on `vni`.
-  std::uint64_t effective_generation(net::Vni vni) const {
-    const auto it = vni_gens_.find(vni);
-    const std::uint64_t local = it == vni_gens_.end() ? 0 : it->second;
-    return (global_gen_ << 32) | (local & 0xFFFFFFFFu);
+  /// A route op on `vni`: invalidates the cached walks entering on any
+  /// VNI of its peer group (only those walks can read `vni`'s routes).
+  void note_route_mutation(net::Vni vni);
+  /// A mapping op on `vm_ip`: invalidates the cached walks whose
+  /// destination shares its ip32 (only those lookups can read the entry).
+  void note_mapping_mutation(const net::IpAddr& vm_ip);
+  /// Cache generation of a walk entering on `vni` toward `dst`: the sum of
+  /// the counters covering what the walk reads (see the members below).
+  std::uint64_t generation_of(net::Vni vni, const net::IpAddr& dst) const {
+    if (route_gens_.empty()) return global_gen_;
+    return global_gen_ + route_gens_[gen_slot(vni)] +
+           map_gens_[gen_slot(shards_[0].mappings.ip32(dst))];
+  }
+  /// Generation slot of a VNI or an ip32 (multiplicative hash, top bits).
+  static std::size_t gen_slot(std::uint32_t value) {
+    return static_cast<std::size_t>(
+        (std::uint64_t{value} * 0x9e3779b97f4a7c15ULL) >> (64 - kGenSlotBits));
   }
 
   void build_program();
@@ -407,14 +415,25 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   std::array<PathInfo, kPathCount> paths_{};
 
   // Flow-cache fast path (single-writer; one cache per device/shard).
-  // Invalidation is per-VNI: entries carry the composite generation of
-  // their entry VNI, so a route churn in one tenant leaves every other
-  // tenant's fast path warm.
+  // A cached walk is stamped with generation_of(): the global generation
+  // (ACL changes, health reroutes, DR swaps) plus the route slot of its
+  // entry VNI plus the mapping slot of its destination's ip32. Every
+  // counter only grows, so the sum moves exactly when a counter it covers
+  // does; VNIs or addresses sharing a slot only over-invalidate. A route
+  // op bumps the route slot of every VNI in its peer group, a mapping op
+  // one mapping slot, so churn in one tenant or on one VM leaves every
+  // other flow's fast path warm.
   dataplane::FlowCache<CachedWalk> flow_cache_;
   std::uint64_t op_epoch_ = 0;    // monotone mutation counter
-  std::uint64_t global_gen_ = 0;  // all-VNI invalidation generation
-  std::unordered_map<net::Vni, std::uint64_t> vni_gens_;
-  std::unordered_set<net::Vni> peered_vnis_;
+  std::uint64_t global_gen_ = 0;  // all-flow invalidation generation
+  static constexpr unsigned kGenSlotBits = 10;
+  static constexpr std::size_t kGenSlots = std::size_t{1} << kGenSlotBits;
+  // Allocated with the cache table, on the first insert: until then no
+  // walk is cached, so there is nothing to invalidate (backup devices and
+  // cache-off runs never pay for them).
+  std::vector<std::uint64_t> route_gens_;  // by gen_slot(entry VNI)
+  std::vector<std::uint64_t> map_gens_;    // by gen_slot(ip32(dst))
+  dataplane::PeerGroups peer_groups_;
   std::array<std::uint64_t, 4> shard_pipe_bytes_{};
 
   // Registry + pre-resolved counter handles (hot-path instruments).

@@ -7,10 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <random>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "dataplane/shard_engine.hpp"
+#include "tables/digest_table.hpp"
 #include "telemetry/export.hpp"
 #include "x86/xgw_x86.hpp"
 #include "xgwh/xgwh.hpp"
@@ -356,6 +364,372 @@ TEST(FastPathCoherence, ShardedBatchMatchesSequentialAtAnyThreadCount) {
   const auto uncached = run(8, 0);
   for (std::size_t i = 0; i < uncached.size(); ++i) {
     expect_same_verdict(uncached[i], reference[i], i);
+  }
+}
+
+// ---- What a cached walk's generation covers ------------------------------
+//
+// The tests above hold for any invalidation that is wide enough. These
+// also hold the gateways to a narrow one: an op re-walks the cached flows
+// it may affect and leaves every other flow replaying from the cache.
+
+template <typename Gw>
+typename Gw::Config cache_config(std::size_t entries) {
+  typename Gw::Config config;
+  config.flow_cache_entries = entries;
+  return config;
+}
+
+/// A cached gateway and its uncached twin, fed the same ops and packets.
+template <typename Gw>
+struct Twins {
+  Gw cached{cache_config<Gw>(1 << 12)};
+  Gw uncached{cache_config<Gw>(0)};
+  Verdict last;  // the cached twin's latest verdict
+  double now = 0;
+  std::size_t index = 0;
+
+  void apply(const dataplane::TableOpBatch& batch) {
+    const dataplane::BatchResult a = cached.apply(batch);
+    const dataplane::BatchResult b = uncached.apply(batch);
+    ASSERT_EQ(a.results.size(), b.results.size());
+    for (std::size_t i = 0; i < a.results.size(); ++i) {
+      EXPECT_EQ(a.results[i].status, b.results[i].status) << i;
+    }
+  }
+
+  /// Forwards `packet` through both twins, checks that their verdicts
+  /// agree, and returns whether the cached twin replayed it.
+  bool forward(const net::OverlayPacket& packet) {
+    const std::uint64_t hits = cached.flow_cache_stats().hits;
+    last = cached.process(packet, now);
+    expect_same_verdict(last, uncached.process(packet, now), index);
+    now += 1e-6;
+    ++index;
+    return cached.flow_cache_stats().hits > hits;
+  }
+
+  void expect_same_registries() const {
+    EXPECT_EQ(telemetry::to_json(cached.registry().snapshot()),
+              telemetry::to_json(uncached.registry().snapshot()));
+  }
+};
+
+net::Ipv4Addr host(net::Vni vni, std::uint8_t h) {
+  return net::Ipv4Addr(10, static_cast<std::uint8_t>(vni), 0, h);
+}
+IpPrefix subnet(net::Vni vni) { return net::Ipv4Prefix(host(vni, 0), 16); }
+VmNcAction nc(std::uint8_t n) {
+  return VmNcAction{net::Ipv4Addr(172, 16, 0, n)};
+}
+
+net::OverlayPacket packet_to(net::Vni vni, const IpAddr& dst,
+                             std::uint16_t src_port) {
+  net::OverlayPacket pkt;
+  pkt.vni = vni;
+  pkt.inner.src = IpAddr(net::Ipv4Addr(10, 250, 0, 1));
+  pkt.inner.dst = dst;
+  pkt.inner.proto = 17;
+  pkt.inner.src_port = src_port;
+  pkt.inner.dst_port = 53;
+  pkt.payload_size = 300;
+  return pkt;
+}
+
+using FlowSet = std::function<bool(const net::OverlayPacket&)>;
+FlowSet entering(std::initializer_list<net::Vni> vnis) {
+  return [set = std::vector<net::Vni>(vnis)](const net::OverlayPacket& p) {
+    return std::find(set.begin(), set.end(), p.vni) != set.end();
+  };
+}
+FlowSet toward(std::initializer_list<IpAddr> dsts) {
+  return [set = std::vector<IpAddr>(dsts)](const net::OverlayPacket& p) {
+    return std::find(set.begin(), set.end(), p.inner.dst) != set.end();
+  };
+}
+
+/// Streams `flows` through `twins`. warm() runs them until every flow
+/// replays; after an op, expect_rewalks(set) checks that exactly the flows
+/// in `set` miss once, and that every flow replays again afterwards.
+template <typename Gw>
+struct FlowPasses {
+  Twins<Gw>& twins;
+  const std::vector<net::OverlayPacket>& flows;
+
+  std::vector<bool> pass() {
+    std::vector<bool> hits;
+    for (const net::OverlayPacket& packet : flows) {
+      hits.push_back(twins.forward(packet));
+    }
+    return hits;
+  }
+  // A flow is admitted on its second miss and replays from its third.
+  void warm() {
+    pass();
+    pass();
+    expect_rewalks([](const net::OverlayPacket&) { return false; }, "warm");
+  }
+  void expect_rewalks(const FlowSet& rewalks, const char* what) {
+    const std::vector<bool> hits = pass();
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      EXPECT_EQ(hits[i], !rewalks(flows[i]))
+          << what << ": flow " << i << " entering VNI " << flows[i].vni
+          << " toward " << flows[i].inner.dst.to_string();
+    }
+    const std::vector<bool> again = pass();
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      EXPECT_TRUE(again[i]) << what << " (second pass): flow " << i;
+    }
+  }
+};
+
+template <typename Gw>
+void check_peer_group_isolation() {
+  // XGW-H keys a mapping op's invalidation on the mapping's address;
+  // XGW-x86 on the mapping VNI's peer group.
+  constexpr bool kMapsByAddress = std::is_same_v<Gw, xgwh::XgwH>;
+  Twins<Gw> twins;
+  // Groups {20, 21} and {30, 31} (20 and 30 peer into their partner); 40
+  // is alone until 31 peers into it.
+  dataplane::TableOpBatch setup;
+  for (const net::Vni vni : {20u, 21u, 30u, 31u, 40u}) {
+    setup.add_route(vni, subnet(vni),
+                    VxlanRouteAction{RouteScope::kLocal, 0, {}});
+    for (std::uint8_t h = 1; h <= 4; ++h) {
+      setup.add_mapping(VmNcKey{vni, IpAddr(host(vni, h))}, nc(h));
+    }
+  }
+  setup.add_route(20, subnet(21), VxlanRouteAction{RouteScope::kPeer, 21, {}});
+  setup.add_route(30, subnet(31), VxlanRouteAction{RouteScope::kPeer, 31, {}});
+  twins.apply(setup);
+
+  std::vector<net::OverlayPacket> flows;
+  const std::pair<net::Vni, net::Vni> entry_owner[] = {
+      {20, 20}, {20, 21}, {21, 21}, {30, 30},
+      {30, 31}, {31, 31}, {31, 40}, {40, 40}};
+  for (const auto& [entry, owner] : entry_owner) {
+    for (std::uint8_t h = 1; h <= 4; ++h) {
+      const auto port = static_cast<std::uint16_t>(1000 + flows.size());
+      flows.push_back(packet_to(entry, IpAddr(host(owner, h)), port));
+    }
+  }
+  FlowPasses<Gw> passes{twins, flows};
+  passes.warm();
+
+  dataplane::TableOpBatch op;
+  op.add_route(21, net::Ipv4Prefix(net::Ipv4Addr(10, 99, 0, 0), 16),
+               VxlanRouteAction{RouteScope::kLocal, 0, {}});
+  twins.apply(op);
+  passes.expect_rewalks(entering({20, 21}), "route op in {20, 21}");
+
+  op = {};
+  op.del_route(30, subnet(30));
+  twins.apply(op);
+  passes.expect_rewalks(entering({30, 31}), "route removal in {30, 31}");
+
+  const IpAddr migrated(host(21, 2));
+  op = {};
+  op.add_mapping(VmNcKey{21, migrated}, nc(9));
+  twins.apply(op);
+  passes.expect_rewalks(
+      kMapsByAddress ? toward({migrated}) : entering({20, 21}),
+      "migration in {20, 21}");
+
+  const IpAddr offboarded(host(40, 3));
+  op = {};
+  op.del_mapping(VmNcKey{40, offboarded});
+  twins.apply(op);
+  passes.expect_rewalks(kMapsByAddress ? toward({offboarded}) : entering({40}),
+                        "offboarding on unpeered 40");
+
+  // A peer route merges {30, 31} with 40; the 31 -> 40 flows now resolve.
+  op = {};
+  op.add_route(31, subnet(40), VxlanRouteAction{RouteScope::kPeer, 40, {}});
+  twins.apply(op);
+  passes.expect_rewalks(entering({30, 31, 40}), "peering 31 -> 40");
+
+  op = {};
+  op.add_mapping(VmNcKey{40, offboarded}, nc(7));
+  twins.apply(op);
+  passes.expect_rewalks(
+      kMapsByAddress ? toward({offboarded}) : entering({30, 31, 40}),
+      "onboarding in {30, 31, 40}");
+
+  // Groups never split: after the peer route goes, a route op on 40 still
+  // re-walks the whole merged group.
+  op = {};
+  op.del_route(31, subnet(40));
+  twins.apply(op);
+  passes.expect_rewalks(entering({30, 31, 40}), "unpeering 31 -> 40");
+  op = {};
+  op.add_route(40, net::Ipv4Prefix(net::Ipv4Addr(10, 98, 0, 0), 16),
+               VxlanRouteAction{RouteScope::kLocal, 0, {}});
+  twins.apply(op);
+  passes.expect_rewalks(entering({30, 31, 40}), "route op on 40");
+
+  twins.expect_same_registries();
+}
+
+TEST(FastPathCoherence, XgwHOpsRewalkOnlyTheirPeerGroup) {
+  check_peer_group_isolation<xgwh::XgwH>();
+}
+
+TEST(FastPathCoherence, XgwX86OpsRewalkOnlyTheirPeerGroup) {
+  check_peer_group_isolation<x86::XgwX86>();
+}
+
+TEST(FastPathCoherence, XgwHDigestCollisionsShareAMappingGeneration) {
+  // Two v6 addresses with one 32-bit digest: the pooled VM-NC table keeps
+  // neither full key, so a lookup of one can return the other's entry (a
+  // false positive), and installing or removing either moves lookups of
+  // both. Every flow toward either must re-walk.
+  const tables::DigestVmNcTable digest(
+      tables::DigestVmNcTable::Config{/*buckets=*/16});  // XgwH's digest
+  constexpr std::uint64_t kHi = 0xfd00000000000050ULL;
+  std::unordered_map<std::uint32_t, std::uint64_t> seen;
+  IpAddr a;
+  IpAddr b;
+  for (std::uint64_t lo = 1;; ++lo) {
+    ASSERT_LT(lo, std::uint64_t{1} << 22) << "no digest collision found";
+    const IpAddr addr(net::Ipv6Addr(kHi, lo));
+    const auto [it, fresh] = seen.emplace(digest.ip32(addr), lo);
+    if (!fresh) {
+      a = IpAddr(net::Ipv6Addr(kHi, it->second));
+      b = addr;
+      break;
+    }
+  }
+  ASSERT_NE(a, b);
+  const IpAddr c(net::Ipv6Addr(kHi, 0xc0ffee));
+  ASSERT_NE(digest.ip32(c), digest.ip32(a));
+
+  constexpr net::Vni kVni = 50;
+  Twins<xgwh::XgwH> twins;
+  dataplane::TableOpBatch op;
+  op.add_route(kVni, net::Ipv6Prefix(net::Ipv6Addr(kHi, 0), 64),
+               VxlanRouteAction{RouteScope::kLocal, 0, {}});
+  op.add_mapping(VmNcKey{kVni, a}, nc(1));
+  op.add_mapping(VmNcKey{kVni, c}, nc(3));
+  twins.apply(op);
+
+  std::vector<net::OverlayPacket> flows;
+  for (const IpAddr& dst : {a, b, c}) {
+    for (int copy = 0; copy < 2; ++copy) {  // two flows per address
+      const auto src_port = static_cast<std::uint16_t>(2000 + flows.size());
+      flows.push_back(packet_to(kVni, dst, src_port));
+    }
+  }
+  FlowPasses<xgwh::XgwH> passes{twins, flows};
+  passes.warm();
+  const auto verdict_toward = [&](const IpAddr& dst) {
+    twins.forward(packet_to(kVni, dst, 3000));
+    return twins.last;
+  };
+  // b was never installed, yet its lookup returns a's entry.
+  EXPECT_EQ(verdict_toward(b).packet.outer_dst_ip, IpAddr(nc(1).nc_ip));
+
+  // b's install lands in the conflict store: a's slot is taken.
+  op = {};
+  op.add_mapping(VmNcKey{kVni, b}, nc(2));
+  twins.apply(op);
+  passes.expect_rewalks(toward({a, b}), "installing the colliding mapping");
+  EXPECT_EQ(verdict_toward(b).packet.outer_dst_ip, IpAddr(nc(2).nc_ip));
+
+  // Removing a promotes b into the pooled slot: a now reads b's entry.
+  op = {};
+  op.del_mapping(VmNcKey{kVni, a});
+  twins.apply(op);
+  passes.expect_rewalks(toward({a, b}), "removing the owner");
+  EXPECT_EQ(verdict_toward(a).packet.outer_dst_ip, IpAddr(nc(2).nc_ip));
+
+  op = {};
+  op.del_mapping(VmNcKey{kVni, b});
+  twins.apply(op);
+  passes.expect_rewalks(toward({a, b}), "removing the colliding mapping");
+  EXPECT_EQ(verdict_toward(a).action, dataplane::Action::kFallbackToX86);
+
+  twins.expect_same_registries();
+}
+
+/// Random peerings and route/mapping churn between packets, on a small
+/// VNI set so peer groups grow, merge and loop.
+template <typename Gw>
+void check_random_churn(std::uint64_t seed) {
+  SCOPED_TRACE(seed);
+  constexpr net::Vni kVnis[] = {60, 61, 62, 63, 64, 65};
+  std::mt19937_64 rng(seed);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto any_vni = [&] { return kVnis[below(std::size(kVnis))]; };
+  const auto any_host = [&] { return static_cast<std::uint8_t>(1 + below(8)); };
+
+  Twins<Gw> twins;
+  dataplane::TableOpBatch setup;
+  for (const net::Vni vni : kVnis) {
+    setup.add_route(vni, subnet(vni),
+                    VxlanRouteAction{RouteScope::kLocal, 0, {}});
+    for (std::uint8_t h = 1; h <= 6; ++h) {
+      setup.add_mapping(VmNcKey{vni, IpAddr(host(vni, h))}, nc(h));
+    }
+  }
+  twins.apply(setup);
+
+  std::vector<net::OverlayPacket> flows;
+  for (std::uint16_t f = 0; f < 96; ++f) {
+    flows.push_back(packet_to(any_vni(), IpAddr(host(any_vni(), any_host())),
+                              static_cast<std::uint16_t>(5000 + f)));
+  }
+  std::size_t ops = 0;
+  for (int i = 0; i < 4000; ++i) {
+    if (below(16) == 0) {
+      const net::Vni vni = any_vni();
+      const net::Vni owner = any_vni();
+      dataplane::TableOpBatch op;
+      switch (below(6)) {
+        case 0:
+          op.add_route(vni, subnet(owner),
+                       VxlanRouteAction{RouteScope::kLocal, 0, {}});
+          break;
+        case 1:
+          op.add_route(vni, subnet(owner),
+                       VxlanRouteAction{RouteScope::kPeer, owner, {}});
+          break;
+        case 2:
+          op.del_route(vni, subnet(owner));
+          break;
+        case 3:
+          op.add_mapping(VmNcKey{owner, IpAddr(host(owner, any_host()))},
+                         nc(static_cast<std::uint8_t>(10 + below(8))));
+          break;
+        case 4:
+          op.del_mapping(VmNcKey{owner, IpAddr(host(owner, any_host()))});
+          break;
+        default:
+          op.add_route(vni, subnet(owner),
+                       VxlanRouteAction{RouteScope::kIdc, 0,
+                                        net::Ipv4Addr(9, 9, 9, 9)});
+          break;
+      }
+      twins.apply(op);
+      ++ops;
+    }
+    twins.forward(flows[below(flows.size())]);
+  }
+  EXPECT_GT(ops, 150u);
+  EXPECT_GT(twins.cached.flow_cache_stats().hits, 400u);
+  twins.expect_same_registries();
+}
+
+TEST(FastPathCoherence, XgwHTwinsAgreeUnderRandomPeeringAndChurn) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    check_random_churn<xgwh::XgwH>(seed);
+  }
+}
+
+TEST(FastPathCoherence, XgwX86TwinsAgreeUnderRandomPeeringAndChurn) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    check_random_churn<x86::XgwX86>(seed);
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace sf::dataplane {
 namespace {
 
@@ -89,6 +91,52 @@ TEST(FlowCache, EvictionIsBoundedAndTheNewestKeyAlwaysLands) {
   }
   EXPECT_LE(cache.size(0), cache.capacity());
   EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST(FlowCache, InsertKeepsOtherGenerationsAndEvictsTheHomeSlotLast) {
+  // Owners stamp each entry with the generation of what its own walk
+  // read, so an entry under another generation is not stale to the
+  // inserter. Insert takes the key's own slot, then the first empty slot
+  // in the window, and only then evicts the home slot.
+  FlowCache<int> cache(
+      FlowCache<int>::Config{/*entries=*/64, /*max_probes=*/4});
+  std::vector<FlowKey> same_home;
+  for (std::uint32_t vni = 0; same_home.size() < 5; ++vni) {
+    const FlowKey key = make_flow_key(vni, tuple(5));
+    if ((key.hi & 63) == 7) same_home.push_back(key);
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    cache.insert(same_home[i], /*generation=*/i, static_cast<int>(i));
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().occupied, 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(cache.contains(same_home[i], i)) << i;
+  }
+
+  // The key's own slot wins over everything, whatever its generation.
+  cache.insert(same_home[2], /*generation=*/9, 20);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().occupied, 4u);
+  ASSERT_NE(cache.find(same_home[2], 9), nullptr);
+  EXPECT_EQ(*cache.find(same_home[2], 9), 20);
+
+  // The window is full: the fifth key evicts the home slot (the first
+  // key), and the others keep their entries.
+  cache.insert(same_home[4], /*generation=*/4, 4);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.find(same_home[0], 0), nullptr);
+  ASSERT_NE(cache.find(same_home[4], 4), nullptr);
+  EXPECT_TRUE(cache.contains(same_home[1], 1));
+  EXPECT_TRUE(cache.contains(same_home[3], 3));
+
+  // A reclaimed slot is empty again and is preferred over evicting home.
+  EXPECT_EQ(cache.find(same_home[1], /*generation=*/8), nullptr);
+  EXPECT_EQ(cache.stats().stale_reclaims, 1u);
+  cache.insert(same_home[0], /*generation=*/0, 0);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(cache.contains(same_home[0], 0));
+  EXPECT_TRUE(cache.contains(same_home[4], 4));
 }
 
 TEST(FlowCache, ClearDropsEverything) {
