@@ -12,11 +12,11 @@
 //
 // Coherence is epoch-based. The cache never invalidates eagerly: every
 // control-plane mutation (TableProgrammer ops, DR standby swaps, health
-// reroutes) bumps a generation counter of the owner, and entries are
-// stamped with the generation they were filled under. The owner passes
-// each packet the generation of what its walk reads (XGW-H sums a global,
-// a peer-group route and a per-address mapping counter), so a mutation
-// moves exactly the generations of the flows it may affect. A probe that
+// reroutes) bumps the owner's generations, and entries are stamped with
+// the generation they were filled under. The owner passes each packet the
+// stamp of what its walk reads (dataplane::ReadSetGenerations: the max of
+// a global, a peer-group route and a per-address mapping slot), so a
+// mutation moves exactly the stamps of the flows it may affect. A probe that
 // lands on a stale generation treats the slot as empty (and reclaims it),
 // so a lookup after a mutation that may affect it falls back to the full
 // walk — which is exactly what an uncached gateway would compute. That

@@ -73,12 +73,6 @@ class RcuExactTable {
     return true;
   }
 
-  /// Mutator-side probe of the latest version (no pin required).
-  const Value* find_latest(const Key& key) const {
-    const Node* node = find_live(bucket(key), key);
-    return node == nullptr ? nullptr : &node->value;
-  }
-
   /// Mutator-side sweep over live entries at the latest version.
   void for_each_live(
       const std::function<void(const Key&, const Value&)>& visit) const {

@@ -55,12 +55,6 @@ class RcuLpm {
     return map_.erase(canonical(vni, prefix, depth), seq);
   }
 
-  /// Mutator-side probe of the latest version.
-  const Value* find_latest(net::Vni vni, const net::IpPrefix& prefix) const {
-    const unsigned depth = depth_of(prefix);
-    return map_.find_latest(canonical(vni, prefix, depth));
-  }
-
   std::size_t live_size() const { return map_.live_size(); }
 
   void collect(std::uint64_t keep_from, EpochManager& epoch) {

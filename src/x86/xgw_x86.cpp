@@ -9,7 +9,6 @@ XgwX86::XgwX86(Config config)
     : config_(config),
       routes_(/*bucket_hint=*/4096),
       mappings_(/*bucket_hint=*/4096),
-      vni_gens_(/*bucket_hint=*/256),
       snat_(config.snat),
       rss_(config.model.cores, 128, config.rss_seed),
       flow_cache_(dataplane::FlowCache<CachedVerdict>::Config{
@@ -53,7 +52,9 @@ dataplane::BatchResult XgwX86::apply(const dataplane::TableOpBatch& batch) {
 
 dataplane::TableOpStatus XgwX86::apply_one(const dataplane::TableOp& op) {
   ctr_table_ops_->add();
-  note_mutation(op);
+  generations_.note(
+      op, dataplane::ReadSetGenerations::address_key(op.mapping_key.vm_ip),
+      seq_);
   switch (op.kind) {
     case dataplane::TableOp::Kind::kAddRoute:
       return routes_.insert(op.vni, op.prefix, op.route_action, seq_)
@@ -75,43 +76,9 @@ dataplane::TableOpStatus XgwX86::apply_one(const dataplane::TableOp& op) {
   return dataplane::TableOpStatus::kNotFound;
 }
 
-void XgwX86::note_mutation(const dataplane::TableOp& op) {
-  if (op.kind == dataplane::TableOp::Kind::kAddRoute &&
-      op.route_action.scope == tables::RouteScope::kPeer) {
-    // From now on a verdict entering on either VNI may cross the hop.
-    peer_groups_.join(op.vni, op.route_action.next_hop_vni);
-  }
-  // Only walks entering on a VNI of the op VNI's peer group can read its
-  // routes or mappings.
-  peer_groups_.for_each_member(op.vni, [this](net::Vni member) {
-    bump_generation(static_cast<std::uint32_t>(member));
-  });
-}
-
-void XgwX86::bump_generation(std::uint32_t gen_key) {
-  const std::uint64_t* current = vni_gens_.find_latest(gen_key);
-  vni_gens_.insert(gen_key, (current != nullptr ? *current : 0) + 1, seq_);
-}
-
-std::uint64_t XgwX86::effective_generation(net::Vni vni,
-                                           std::uint64_t seq) const {
-  const std::uint64_t* global = vni_gens_.lookup(kGlobalGenKey, seq);
-  const std::uint64_t* local =
-      vni_gens_.lookup(static_cast<std::uint32_t>(vni), seq);
-  // Both counters only grow, so their sum moves exactly when one does.
-  return (global != nullptr ? *global : 0) + (local != nullptr ? *local : 0);
-}
-
-void XgwX86::invalidate_fast_path() {
-  ++seq_;
-  bump_generation(kGlobalGenKey);
-  epoch_.publish(seq_);
-}
-
 void XgwX86::collect_garbage(std::uint64_t keep_from) {
   routes_.collect(keep_from, epoch_);
   mappings_.collect(keep_from, epoch_);
-  vni_gens_.collect(keep_from, epoch_);
   last_collect_seq_ = seq_;
 }
 
@@ -200,8 +167,8 @@ X86Result XgwX86::forward_impl(const net::OverlayPacket& packet, double now,
 
   // Pin the table version this packet reads: either the replay-required
   // version (deterministic mid-interval interleave) or whatever the
-  // mutator last published. Everything below — cache generation, route
-  // walk, mapping probe — observes exactly that version.
+  // mutator last published. The route walk and the mapping probe below
+  // observe exactly that version.
   const std::uint64_t want = lookup_seq_.load(std::memory_order_acquire);
   std::uint64_t pin_seq;
   if (want == kLookupLatest) {
@@ -218,15 +185,18 @@ X86Result XgwX86::forward_impl(const net::OverlayPacket& packet, double now,
   // Fast path: the stateless outcomes (routes + mappings are pure table
   // functions of the flow) replay from the cache. SNAT never caches, and
   // punted packets (allow_cache == false) neither probe nor fill — a shed
-  // tenant's spillover must not touch the fast path at all.
-  const bool cacheable = allow_cache && flow_cache_.enabled();
+  // tenant's spillover must not touch the fast path at all. Nor does a
+  // packet pinned before the last bump of a slot its walk reads (stamp >
+  // pin): the cache may already hold that newer state.
+  const std::uint64_t generation = generations_.stamp(
+      packet.vni, dataplane::ReadSetGenerations::address_key(packet.inner.dst));
+  const bool cacheable =
+      allow_cache && flow_cache_.enabled() && generation <= pin_seq;
   dataplane::FlowKey key;
-  std::uint64_t generation = 0;
   if (cacheable) {
     key = flow_hash != nullptr
               ? dataplane::make_flow_key(packet.vni, *flow_hash)
               : dataplane::make_flow_key(packet.vni, packet.inner);
-    generation = effective_generation(packet.vni, pin_seq);
     if (const CachedVerdict* hit = flow_cache_.find(key, generation)) {
       return hit->action == dataplane::Action::kDrop
                  ? drop(hit->reason)

@@ -20,7 +20,7 @@
 
 #include "dataplane/flow_cache.hpp"
 #include "dataplane/gateway.hpp"
-#include "dataplane/peer_groups.hpp"
+#include "dataplane/read_set.hpp"
 #include "dataplane/table_programmer.hpp"
 #include "net/packet.hpp"
 #include "rcu/epoch.hpp"
@@ -91,13 +91,7 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
   /// rcu/rcu_lpm.hpp, DESIGN.md §13).
   dataplane::BatchResult apply(const dataplane::TableOpBatch& batch) override;
 
-  /// Invalidates every cached verdict (cluster health/DR transitions call
-  /// this on reroutes). Internally a versioned bump of the global cache
-  /// generation; a table op instead bumps the generation of each VNI in
-  /// the mutated VNI's peer group.
-  void invalidate_fast_path();
-  /// Monotone table version; grows with every mutation.
-  std::uint64_t fast_path_generation() const { return seq_; }
+  /// Hit/miss/eviction statistics of the flow cache.
   const dataplane::FlowCacheStats& flow_cache_stats() const {
     return flow_cache_.stats();
   }
@@ -120,10 +114,9 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
   /// automatically every few hundred mutations.
   void collect_garbage(std::uint64_t keep_from);
 
-  /// Dead-but-unreclaimed nodes across the route/mapping tables (tests).
+  /// Dead-but-unreclaimed nodes across the route/mapping tables.
   std::size_t limbo_nodes() const {
-    return routes_.limbo_size() + mappings_.limbo_size() +
-           vni_gens_.limbo_size();
+    return routes_.limbo_size() + mappings_.limbo_size();
   }
 
   std::size_t route_count() const { return routes_.live_size(); }
@@ -213,38 +206,21 @@ class XgwX86 : public dataplane::Gateway, public dataplane::TableProgrammer {
 
   // Mutator-side helpers (see apply()).
   dataplane::TableOpStatus apply_one(const dataplane::TableOp& op);
-  void note_mutation(const dataplane::TableOp& op);
-  void bump_generation(std::uint32_t gen_key);
-  /// Composite flow-cache generation of `vni` as of table version `seq`
-  /// (caller holds the reader pin).
-  std::uint64_t effective_generation(net::Vni vni, std::uint64_t seq) const;
 
-  /// Reserved vni_gens_ key holding the global (all-VNI) generation; VNIs
-  /// are 24-bit, so it can never collide with a real one.
-  static constexpr std::uint32_t kGlobalGenKey = 0xFFFFFFFFu;
   static constexpr std::uint64_t kLookupLatest =
       std::numeric_limits<std::uint64_t>::max();
-
-  struct GenKeyHasher {
-    std::uint64_t operator()(std::uint32_t key) const {
-      return net::mix64(key);
-    }
-  };
 
   Config config_;
   rcu::EpochManager epoch_;
   rcu::RcuLpm<tables::VxlanRouteAction> routes_;
   rcu::RcuExactTable<tables::VmNcKey, tables::VmNcAction, VmNcKeyHasher>
       mappings_;
-  /// Per-VNI flow-cache generations, versioned like the tables so a
-  /// replayed packet reads the generation as of its pinned version. A
-  /// cached verdict carries the global generation plus its entry VNI's;
-  /// both only grow, so the sum moves exactly when either does.
-  rcu::RcuExactTable<std::uint32_t, std::uint64_t, GenKeyHasher> vni_gens_;
-  /// VNIs joined by peer routes. A table op on a VNI bumps the generation
-  /// of every VNI in its group: a cached verdict entering on any of them
-  /// may have walked across a peer hop into the mutated VNI.
-  dataplane::PeerGroups peer_groups_;
+  /// Flow-cache stamps: each op bumps its read-set slots to its batch's
+  /// version before the batch is published, a route op those of its peer
+  /// group, a mapping op the slot of its address. A reader pinned at r
+  /// replays or fills the cache only when its flow's stamp is ≤ r, so a
+  /// replayed packet never sees state newer than its pin.
+  dataplane::ReadSetGenerations generations_;
   mutable rcu::EpochManager::Reader reader_{epoch_};
   std::uint64_t seq_ = 0;             // mutator-owned table version
   std::uint64_t last_collect_seq_ = 0;

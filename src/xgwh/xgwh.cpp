@@ -116,22 +116,15 @@ dataplane::BatchResult XgwH::apply(const dataplane::TableOpBatch& batch) {
         status = apply_remove_mapping(op.mapping_key);
         break;
     }
+    // Re-inserts can change the action payload too, so a duplicate
+    // invalidates as well.
+    if (dataplane::succeeded(status)) {
+      generations_.note(op, shards_[0].mappings.ip32(op.mapping_key.vm_ip),
+                        ++op_epoch_);
+    }
     result.record(status, op_epoch_);
   }
   return result;
-}
-
-void XgwH::note_route_mutation(net::Vni vni) {
-  ++op_epoch_;
-  if (route_gens_.empty()) return;
-  peer_groups_.for_each_member(
-      vni, [this](net::Vni member) { ++route_gens_[gen_slot(member)]; });
-}
-
-void XgwH::note_mapping_mutation(const net::IpAddr& vm_ip) {
-  ++op_epoch_;
-  if (map_gens_.empty()) return;
-  ++map_gens_[gen_slot(shards_[0].mappings.ip32(vm_ip))];
 }
 
 dataplane::TableOpStatus XgwH::apply_install_route(
@@ -143,13 +136,6 @@ dataplane::TableOpStatus XgwH::apply_install_route(
     (prefix.family() == net::IpFamily::kV4 ? shard.routes_v4
                                            : shard.routes_v6)++;
   }
-  // Re-inserts can change the action payload too, so invalidate either
-  // way. A peer route joins both VNIs' groups first: from now on a walk
-  // entering on either may read the other's tables.
-  if (action.scope == tables::RouteScope::kPeer) {
-    peer_groups_.join(vni, action.next_hop_vni);
-  }
-  note_route_mutation(vni);
   return is_new ? dataplane::TableOpStatus::kOk
                 : dataplane::TableOpStatus::kDuplicate;
 }
@@ -162,7 +148,6 @@ dataplane::TableOpStatus XgwH::apply_remove_route(net::Vni vni,
   }
   (prefix.family() == net::IpFamily::kV4 ? shard.routes_v4
                                          : shard.routes_v6)--;
-  note_route_mutation(vni);
   return dataplane::TableOpStatus::kOk;
 }
 
@@ -177,7 +162,6 @@ dataplane::TableOpStatus XgwH::apply_install_mapping(
     // store are both unable to take the entry.
     return dataplane::TableOpStatus::kCapacityExceeded;
   }
-  note_mapping_mutation(key.vm_ip);
   const std::size_t after = shard.mappings.stats().main_entries +
                             shard.mappings.stats().conflict_entries;
   if (after > before) {
@@ -192,7 +176,6 @@ dataplane::TableOpStatus XgwH::apply_remove_mapping(
   Shard& shard = shard_for(key.vni);
   if (!shard.mappings.erase(key)) return dataplane::TableOpStatus::kNotFound;
   (key.vm_ip.is_v4() ? shard.maps_v4 : shard.maps_v6)--;
-  note_mapping_mutation(key.vm_ip);
   return dataplane::TableOpStatus::kOk;
 }
 
@@ -756,12 +739,6 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
       if (flow_cache_.note_miss(b.key[i])) {
         asic::PacketContext* const one[] = {&ctx};
         walk_contexts(one, /*record_pass_hist=*/false);
-        if (route_gens_.empty()) {
-          // The first insert allocates the cache table; the generation
-          // slots come with it, all zero, so b.gen stays valid.
-          route_gens_.assign(kGenSlots, 0);
-          map_gens_.assign(kGenSlots, 0);
-        }
         flow_cache_.insert(b.key[i], b.gen[i], b.walk[i]);
       } else {
         b.burst.push_back(&ctx);

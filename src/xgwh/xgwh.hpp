@@ -31,7 +31,7 @@
 #include "asic/walker.hpp"
 #include "dataplane/flow_cache.hpp"
 #include "dataplane/gateway.hpp"
-#include "dataplane/peer_groups.hpp"
+#include "dataplane/read_set.hpp"
 #include "dataplane/table_programmer.hpp"
 #include "tables/alpm.hpp"
 #include "tables/digest_table.hpp"
@@ -91,10 +91,7 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   /// Invalidates every cached verdict, across all VNIs: the cluster/DR
   /// layers call this on health reroutes and standby swaps, and ACL
   /// changes escalate here too (rules match any VNI).
-  void invalidate_fast_path() {
-    ++op_epoch_;
-    ++global_gen_;
-  }
+  void invalidate_fast_path() { generations_.bump_all(++op_epoch_); }
   std::uint64_t fast_path_generation() const { return op_epoch_; }
 
   /// Hit/miss/eviction statistics of the flow cache (plain struct, kept
@@ -287,23 +284,11 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
                                                  tables::VmNcAction action);
   dataplane::TableOpStatus apply_remove_mapping(const tables::VmNcKey& key);
 
-  /// A route op on `vni`: invalidates the cached walks entering on any
-  /// VNI of its peer group (only those walks can read `vni`'s routes).
-  void note_route_mutation(net::Vni vni);
-  /// A mapping op on `vm_ip`: invalidates the cached walks whose
-  /// destination shares its ip32 (only those lookups can read the entry).
-  void note_mapping_mutation(const net::IpAddr& vm_ip);
-  /// Cache generation of a walk entering on `vni` toward `dst`: the sum of
-  /// the counters covering what the walk reads (see the members below).
+  /// Cache generation of a walk entering on `vni` toward `dst`: its
+  /// read-set stamp, with the destination keyed by its ip32 (see
+  /// generations_ below).
   std::uint64_t generation_of(net::Vni vni, const net::IpAddr& dst) const {
-    if (route_gens_.empty()) return global_gen_;
-    return global_gen_ + route_gens_[gen_slot(vni)] +
-           map_gens_[gen_slot(shards_[0].mappings.ip32(dst))];
-  }
-  /// Generation slot of a VNI or an ip32 (multiplicative hash, top bits).
-  static std::size_t gen_slot(std::uint32_t value) {
-    return static_cast<std::size_t>(
-        (std::uint64_t{value} * 0x9e3779b97f4a7c15ULL) >> (64 - kGenSlotBits));
+    return generations_.stamp(vni, shards_[0].mappings.ip32(dst));
   }
 
   void build_program();
@@ -415,25 +400,15 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   std::array<PathInfo, kPathCount> paths_{};
 
   // Flow-cache fast path (single-writer; one cache per device/shard).
-  // A cached walk is stamped with generation_of(): the global generation
-  // (ACL changes, health reroutes, DR swaps) plus the route slot of its
-  // entry VNI plus the mapping slot of its destination's ip32. Every
-  // counter only grows, so the sum moves exactly when a counter it covers
-  // does; VNIs or addresses sharing a slot only over-invalidate. A route
-  // op bumps the route slot of every VNI in its peer group, a mapping op
-  // one mapping slot, so churn in one tenant or on one VM leaves every
-  // other flow's fast path warm.
+  // A cached walk is stamped with generation_of(). Each op bumps its slots
+  // to a fresh op_epoch_: ACL changes, health reroutes and DR swaps the
+  // global slot, a route op the route slot of every VNI in its peer group,
+  // a mapping op the mapping slot of its address's ip32 (colliding v6
+  // digests share it). Churn in one tenant or on one VM leaves every other
+  // flow's fast path warm.
   dataplane::FlowCache<CachedWalk> flow_cache_;
-  std::uint64_t op_epoch_ = 0;    // monotone mutation counter
-  std::uint64_t global_gen_ = 0;  // all-flow invalidation generation
-  static constexpr unsigned kGenSlotBits = 10;
-  static constexpr std::size_t kGenSlots = std::size_t{1} << kGenSlotBits;
-  // Allocated with the cache table, on the first insert: until then no
-  // walk is cached, so there is nothing to invalidate (backup devices and
-  // cache-off runs never pay for them).
-  std::vector<std::uint64_t> route_gens_;  // by gen_slot(entry VNI)
-  std::vector<std::uint64_t> map_gens_;    // by gen_slot(ip32(dst))
-  dataplane::PeerGroups peer_groups_;
+  std::uint64_t op_epoch_ = 0;  // monotone mutation counter
+  dataplane::ReadSetGenerations generations_;
   std::array<std::uint64_t, 4> shard_pipe_bytes_{};
 
   // Registry + pre-resolved counter handles (hot-path instruments).

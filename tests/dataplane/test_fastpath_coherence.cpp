@@ -12,7 +12,6 @@
 #include <functional>
 #include <initializer_list>
 #include <random>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -485,9 +484,8 @@ struct FlowPasses {
 
 template <typename Gw>
 void check_peer_group_isolation() {
-  // XGW-H keys a mapping op's invalidation on the mapping's address;
-  // XGW-x86 on the mapping VNI's peer group.
-  constexpr bool kMapsByAddress = std::is_same_v<Gw, xgwh::XgwH>;
+  // A route op re-walks the flows entering on its VNI's peer group, a
+  // mapping op only the flows toward its address.
   Twins<Gw> twins;
   // Groups {20, 21} and {30, 31} (20 and 30 peer into their partner); 40
   // is alone until 31 peers into it.
@@ -531,16 +529,13 @@ void check_peer_group_isolation() {
   op = {};
   op.add_mapping(VmNcKey{21, migrated}, nc(9));
   twins.apply(op);
-  passes.expect_rewalks(
-      kMapsByAddress ? toward({migrated}) : entering({20, 21}),
-      "migration in {20, 21}");
+  passes.expect_rewalks(toward({migrated}), "migration in {20, 21}");
 
   const IpAddr offboarded(host(40, 3));
   op = {};
   op.del_mapping(VmNcKey{40, offboarded});
   twins.apply(op);
-  passes.expect_rewalks(kMapsByAddress ? toward({offboarded}) : entering({40}),
-                        "offboarding on unpeered 40");
+  passes.expect_rewalks(toward({offboarded}), "offboarding on unpeered 40");
 
   // A peer route merges {30, 31} with 40; the 31 -> 40 flows now resolve.
   op = {};
@@ -551,9 +546,7 @@ void check_peer_group_isolation() {
   op = {};
   op.add_mapping(VmNcKey{40, offboarded}, nc(7));
   twins.apply(op);
-  passes.expect_rewalks(
-      kMapsByAddress ? toward({offboarded}) : entering({30, 31, 40}),
-      "onboarding in {30, 31, 40}");
+  passes.expect_rewalks(toward({offboarded}), "onboarding in {30, 31, 40}");
 
   // Groups never split: after the peer route goes, a route op on 40 still
   // re-walks the whole merged group.
@@ -731,6 +724,42 @@ TEST(FastPathCoherence, XgwX86TwinsAgreeUnderRandomPeeringAndChurn) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     check_random_churn<x86::XgwX86>(seed);
   }
+}
+
+TEST(FastPathCoherence, XgwX86PinnedReaderNeverReplaysNewerState) {
+  // A reader pinned behind the mutator reads the tables as of its pin. Its
+  // flow's mapping slot was bumped after the pin, so it must neither probe
+  // nor fill the cache: a fill would stamp version 2's NC with version 3,
+  // and a reader at version 3 would replay it.
+  x86::XgwX86 gw(cache_config<x86::XgwX86>(1 << 12));
+  const IpAddr vm(host(20, 1));
+  dataplane::TableOpBatch op;
+  op.add_route(20, subnet(20), VxlanRouteAction{RouteScope::kLocal, 0, {}});
+  ASSERT_EQ(gw.apply(op).publish_epoch, 1u);
+  op = {};
+  op.add_mapping(VmNcKey{20, vm}, nc(1));
+  ASSERT_EQ(gw.apply(op).publish_epoch, 2u);
+
+  gw.set_lookup_seq(2);
+  op = {};
+  op.add_mapping(VmNcKey{20, vm}, nc(2));  // the VM migrates
+  ASSERT_EQ(gw.apply(op).publish_epoch, 3u);
+
+  const net::OverlayPacket packet = packet_to(20, vm, 1000);
+  for (int i = 0; i < 2; ++i) {  // a second miss would admit the flow
+    const Verdict verdict = gw.process(packet, 0);
+    EXPECT_EQ(verdict.action, dataplane::Action::kForwardToNc) << i;
+    EXPECT_EQ(verdict.packet.outer_dst_ip, IpAddr(nc(1).nc_ip)) << i;
+  }
+  EXPECT_EQ(gw.flow_cache_stats().misses, 0u);
+  EXPECT_EQ(gw.flow_cache_stats().insertions, 0u);
+
+  gw.set_lookup_seq(3);
+  for (int i = 0; i < 3; ++i) {  // miss, admit, replay
+    const Verdict verdict = gw.process(packet, 0);
+    EXPECT_EQ(verdict.packet.outer_dst_ip, IpAddr(nc(2).nc_ip)) << i;
+  }
+  EXPECT_EQ(gw.flow_cache_stats().hits, 1u);
 }
 
 }  // namespace

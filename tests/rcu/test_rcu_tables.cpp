@@ -38,8 +38,6 @@ TEST(RcuExactTable, VisibilityWindowsAreDisjointPerVersion) {
   EXPECT_EQ(*table.lookup(1, 4), 200);
   EXPECT_EQ(table.lookup(1, 5), nullptr);
   EXPECT_EQ(table.lookup(1, 99), nullptr);
-  // The mutator-side probe tracks the latest version only.
-  EXPECT_EQ(table.find_latest(1), nullptr);
 }
 
 TEST(RcuExactTable, InsertAndEraseReturnValues) {
@@ -246,7 +244,6 @@ TEST(RcuLpm, ReplacementIsInvisibleToEarlierPins) {
     ASSERT_NE(lpm.lookup(9, ip, 2), nullptr);
     EXPECT_EQ(*lpm.lookup(9, ip, 2), 2);
   }
-  EXPECT_EQ(*lpm.find_latest(9, prefix), 2);
 }
 
 }  // namespace
