@@ -11,7 +11,6 @@
 #include "tables/alpm.hpp"
 #include "tables/digest_table.hpp"
 #include "tables/lpm_trie.hpp"
-#include "tables/route_table.hpp"
 #include "workload/rng.hpp"
 #include "x86/rss.hpp"
 #include "x86/snat.hpp"
@@ -59,19 +58,6 @@ void BM_LpmTrieLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LpmTrieLookup);
-
-void BM_SoftwareLpmLookup(benchmark::State& state) {
-  tables::SoftwareLpm<std::uint32_t> lpm;
-  workload::Rng rng(1);
-  fill_routes(lpm, rng);
-  const auto keys = probes(1024);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [vni, ip] = keys[i++ & 1023];
-    benchmark::DoNotOptimize(lpm.lookup(vni, ip));
-  }
-}
-BENCHMARK(BM_SoftwareLpmLookup);
 
 void BM_AlpmLookup(benchmark::State& state) {
   tables::Alpm<std::uint32_t>::Config config;

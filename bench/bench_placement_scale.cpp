@@ -27,7 +27,6 @@
 #include "bench_util.hpp"
 #include "sim/table_printer.hpp"
 #include "tables/alpm.hpp"
-#include "tables/route_table.hpp"
 #include "tables/tcam.hpp"
 #include "workload/rng.hpp"
 #include "workload/zipf.hpp"

@@ -13,10 +13,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,13 +27,19 @@ namespace sf::asic {
 enum class Gress : std::uint8_t { kIngress, kEgress };
 
 /// The scalar observables of one walk — everything a walk reports except
-/// the rewritten packet and the surviving Phv.
+/// the rewritten packet and the surviving Phv. The walk's drop state lives
+/// here and only here.
 struct WalkSummary {
-  bool dropped = false;
-  /// Static-storage drop label forwarded from PacketContext::drop_note
-  /// (never heap-allocated; null when not dropped).
+  /// Human-readable drop label (null when not dropped). Always a pointer
+  /// to a string with static storage duration (a literal or a static
+  /// to_string table entry) — the hot path never allocates a reason string
+  /// per packet.
   const char* drop_note = nullptr;
-  /// Opaque drop classifier forwarded from PacketContext::drop_code.
+  bool dropped = false;
+  /// Machine-readable drop classifier set alongside drop_note. The asic
+  /// layer itself is gateway-agnostic, so codes are opaque here; the
+  /// gateway that programmed the stages maps them back to its typed drop
+  /// taxonomy (0 = "stage gave no code").
   std::uint8_t drop_code = 0;
   /// Pipeline passes (ingress+egress pairs) the packet made.
   unsigned passes = 0;
@@ -48,7 +52,8 @@ struct WalkSummary {
   double latency_us = 0;
 };
 
-/// Mutable state a packet carries through the chip.
+/// Mutable state a packet carries through the chip: plain data, owning no
+/// heap storage.
 struct PacketContext {
   /// The parsed headers the stages match on. The walk reads the packet in
   /// place and never copies it; what the stages decide lives in `meta`
@@ -56,28 +61,19 @@ struct PacketContext {
   const net::OverlayPacket* packet = nullptr;
   Phv meta;
   unsigned pipe = 0;
-  bool dropped = false;
-  /// Human-readable drop label. Always a pointer to a string with static
-  /// storage duration (a literal or a static to_string table entry) — the
-  /// hot path never allocates a reason string per packet.
-  const char* drop_note = nullptr;
-  /// Machine-readable drop classifier set alongside drop_note. The asic
-  /// layer itself is gateway-agnostic, so codes are opaque here; the
-  /// gateway that programmed the stages maps them back to its typed drop
-  /// taxonomy (0 = "stage gave no code").
-  std::uint8_t drop_code = 0;
-  /// Ingress sets this to steer the packet through the traffic manager;
-  /// unset means "stay on the same pipeline".
-  std::optional<unsigned> egress_pipe;
+  /// The pipe whose egress the traffic manager sends the packet to. Each
+  /// arrival at an ingress sets it to that pipe; an ingress stage steers
+  /// the packet by changing it.
+  unsigned egress_pipe = 0;
   /// What the walk reports for this packet, filled in as it walks.
   WalkSummary summary;
 
   /// `note` must have static storage duration (string literal / static
-  /// table entry); the context stores the pointer, not a copy.
+  /// table entry); the summary stores the pointer, not a copy.
   void drop(const char* note, std::uint8_t code = 0) {
-    dropped = true;
-    drop_note = note;
-    drop_code = code;
+    summary.dropped = true;
+    summary.drop_note = note;
+    summary.drop_code = code;
   }
 };
 
@@ -88,7 +84,6 @@ using ContextGroup = std::span<PacketContext* const>;
 using StageFn = std::function<void(ContextGroup)>;
 
 struct GressProgram {
-  std::string name;
   std::vector<StageFn> stages;
 };
 
@@ -100,8 +95,7 @@ class PipelineProgram {
   explicit PipelineProgram(unsigned pipelines = 4)
       : ingress_(pipelines, std::make_shared<const GressProgram>()),
         egress_(ingress_),
-        loopback_(pipelines, false),
-        phv_layout_(std::make_shared<PhvLayout>()) {}
+        loopback_(pipelines, false) {}
 
   void set_ingress(std::span<const unsigned> pipes, GressProgram program) {
     bind(ingress_, pipes, std::move(program));
@@ -123,16 +117,6 @@ class PipelineProgram {
     return static_cast<unsigned>(ingress_.size());
   }
 
-  /// The program's compiled field interner. Gateways intern their field
-  /// names here while binding stages, then freeze(); packets walked under
-  /// this program resolve fields by FieldId only. The layout is shared so
-  /// it outlives the program inside any Phv still referencing it.
-  PhvLayout& phv_layout() { return *phv_layout_; }
-  const PhvLayout& phv_layout() const { return *phv_layout_; }
-  const std::shared_ptr<PhvLayout>& phv_layout_ptr() const {
-    return phv_layout_;
-  }
-
  private:
   using Binding = std::vector<std::shared_ptr<const GressProgram>>;
   static void bind(Binding& gress, std::span<const unsigned> pipes,
@@ -145,7 +129,6 @@ class PipelineProgram {
   Binding ingress_;  // per pipe
   Binding egress_;
   std::vector<bool> loopback_;
-  std::shared_ptr<PhvLayout> phv_layout_;
 };
 
 }  // namespace sf::asic

@@ -36,18 +36,7 @@ void Walker::run(std::span<PacketContext* const> burst,
     if (ctx->pipe >= program_->pipelines()) {
       throw std::out_of_range("Walker::run: ingress pipe out of range");
     }
-    // Reuse the context's Phv when it already belongs to this program (its
-    // slot vector keeps capacity across clear()); a fresh or foreign
-    // context gets a new one bound to the program's layout.
-    if (&ctx->meta.layout() == program_->phv_layout_ptr().get() &&
-        ctx->meta.budget_bits() == chip_->phv_metadata_bits) {
-      ctx->meta.clear();
-    } else {
-      ctx->meta = Phv(chip_->phv_metadata_bits, program_->phv_layout_ptr());
-    }
-    ctx->dropped = false;
-    ctx->drop_note = nullptr;
-    ctx->drop_code = 0;
+    ctx->meta = Phv(chip_->phv_metadata_bits);
     ctx->summary = WalkSummary{};
     arrive(*ctx, Gress::kIngress, arrivals);
     live_[i] = ctx;
@@ -60,14 +49,10 @@ void Walker::run(std::span<PacketContext* const> burst,
   }
 
   std::uint64_t dropped = 0;
-  for (PacketContext* ctx : burst) {
-    WalkSummary& summary = ctx->summary;
-    summary.dropped = ctx->dropped;
-    summary.drop_note = ctx->drop_note;
-    summary.drop_code = ctx->drop_code;
-    dropped += ctx->dropped ? 1 : 0;
+  for (const PacketContext* ctx : burst) {
+    dropped += ctx->summary.dropped ? 1 : 0;
     if (passes_ != nullptr && record_pass_hist) {
-      passes_->record(static_cast<double>(summary.passes));
+      passes_->record(static_cast<double>(ctx->summary.passes));
     }
   }
   if (drops_ != nullptr) drops_->add(dropped);
@@ -75,7 +60,7 @@ void Walker::run(std::span<PacketContext* const> burst,
 
 void Walker::arrive(PacketContext& ctx, Gress gress, Arrivals& arrivals) {
   const bool ingress = gress == Gress::kIngress;
-  if (ingress) ctx.egress_pipe.reset();
+  if (ingress) ctx.egress_pipe = ctx.pipe;
   const std::vector<telemetry::Counter*>& visits =
       ingress ? ingress_packets_ : egress_packets_;
   if (!visits.empty()) visits[ctx.pipe]->add();
@@ -108,19 +93,20 @@ void Walker::visit(Gress gress, unsigned pass, Arrivals& arrivals) {
     for (std::size_t s = 0; s < stages && live != rest; ++s) {
       program.stages[s](std::span<PacketContext* const>(rest, live));
       if (s + 1 < stages) {
-        live = std::remove_if(rest, live,
-                              [](PacketContext* c) { return c->dropped; });
+        live = std::remove_if(rest, live, [](PacketContext* c) {
+          return c->summary.dropped;
+        });
       }
     }
     // Move each packet still walking to its next gress.
     for (auto it = rest; it != live; ++it) {
       PacketContext& ctx = **it;
-      if (ctx.dropped) continue;
       WalkSummary& summary = ctx.summary;
+      if (summary.dropped) continue;
       if (ingress) {
         // Traffic manager: move to the egress pipe; metadata must be
         // bridged to survive. A pass completes at egress.
-        ctx.pipe = ctx.egress_pipe.value_or(ctx.pipe);
+        ctx.pipe = ctx.egress_pipe;
         if (ctx.pipe >= program_->pipelines()) {
           throw std::out_of_range("Walker::run: egress pipe out of range");
         }

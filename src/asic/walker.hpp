@@ -45,10 +45,9 @@ class Walker {
   void set_registry(telemetry::Registry* registry);
 
   /// Walks a burst. Each context enters pointing at its packet and with
-  /// its ingress pipe in `pipe`; the walk reuses the rest of the context as
-  /// scratch — a Phv already bound to this program keeps its slot capacity,
-  /// so warm contexts walk without allocating. The surviving metadata and
-  /// the walk's summary are left in each context. A single packet is a
+  /// its ingress pipe in `pipe`; the walk resets the rest of the context
+  /// (plain data: a walk never allocates for it). The surviving metadata
+  /// and the walk's summary are left in each context. A single packet is a
   /// burst of one.
   /// When `record_pass_hist` is false the per-packet "asic.passes" record
   /// is skipped — batch callers record it later in packet-index order so

@@ -105,6 +105,9 @@ class FlowCache {
   }
 
   bool enabled() const { return capacity_ != 0; }
+  /// False until the first insert allocates the table: until then find()
+  /// and contains() miss without reading the generation.
+  bool allocated() const { return !table_.empty(); }
   std::size_t capacity() const { return capacity_; }
   const Stats& stats() const { return stats_; }
 
@@ -232,15 +235,6 @@ class FlowCache {
     table_.clear();
     seen_.clear();
     stats_ = Stats{};
-  }
-
-  /// Live entries for the current generation (O(capacity); test/debug).
-  std::size_t size(std::uint64_t generation) const {
-    std::size_t live = 0;
-    for (const Entry& entry : table_) {
-      if (entry.occupied && entry.generation == generation) ++live;
-    }
-    return live;
   }
 
  private:

@@ -1,12 +1,12 @@
 // Versioned longest-prefix-match table over the pooled VXLAN key space.
 //
-// Mirrors tables::SoftwareLpm exactly — same `make_pooled_prefix` /
-// `make_pooled_key` canonicalization, same label‖VNI‖address depth space,
-// same probe-distinct-depths-longest-first resolution — but stores the
-// (masked key, depth) entries in an RcuExactTable so lookups run against
-// a pinned version while the mutator churns. Byte-for-byte agreement
-// with SoftwareLpm at every seq is what lets XGW-x86 swap tables without
-// disturbing a single verdict (tests/rcu exercises the differential).
+// XGW-x86's VXLAN route table. It canonicalizes routes with
+// `make_pooled_prefix` / `make_pooled_key` into the label‖VNI‖address
+// depth space, resolves by probing distinct depths longest first, and
+// stores the (masked key, depth) entries in an RcuExactTable so lookups
+// run against a pinned version while the mutator churns. At every seq it
+// agrees with the reference trie (tables::LpmTrie) replayed to that seq
+// (tests/rcu exercises the differential).
 //
 // The depth directory is an append-only set of every prefix depth ever
 // inserted, published as immutable snapshots behind an atomic pointer.

@@ -1,9 +1,9 @@
 // A longest-prefix-match binary trie keyed by (VNI, family, IP prefix).
 //
-// This is the reference LPM structure of the repository: the software
-// gateway (XGW-x86) uses it directly for the VXLAN routing table, the TCAM
-// model is validated against it, and the ALPM implementation partitions its
-// subtrees (tables/alpm.hpp). The VNI is always matched exactly (routes
+// This is the reference LPM structure of the repository: the TCAM model,
+// the ALPM implementation (tables/alpm.hpp, which partitions its subtrees)
+// and the RCU route table XGW-x86 reads (rcu/rcu_lpm.hpp) are all checked
+// against it. The VNI is always matched exactly (routes
 // never wildcard the tenant), so the trie keeps one root per (VNI, family)
 // and runs the binary descent only over the IP bits.
 //

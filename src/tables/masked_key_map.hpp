@@ -4,9 +4,9 @@
 // combined key space (see tables/tcam.hpp for the pooled layout). A
 // longest-match probes the distinct depths present, longest first, with one
 // hash lookup each — the classic DRAM LPM of a software router, and the
-// structure both the XGW-x86 route table and the ALPM pivot directory are
-// built on. Distinct depths are few in practice (tenant route plans reuse a
-// handful of prefix lengths), so lookups cost a handful of hash probes.
+// structure ALPM keeps its route set and pivot directory in. Distinct
+// depths are few in practice (tenant route plans reuse a handful of
+// prefix lengths), so lookups cost a handful of hash probes.
 //
 // The store is a flat open-addressing table (linear probing, tombstone
 // deletes) rather than a node-based map: every probe is one predictable

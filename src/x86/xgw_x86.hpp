@@ -1,8 +1,9 @@
 // XGW-x86: the DPDK-style software gateway node (§2.2).
 //
 // Functionally it is the superset gateway: full VXLAN routing + VM-NC
-// tables in DRAM (tables/route_table.hpp), the stateful SNAT engine, and
-// the tunnel rewrite — everything XGW-H offloads lands here. Its weakness
+// tables in DRAM (the RCU tables of rcu/rcu_lpm.hpp and
+// rcu/rcu_exact_table.hpp), the stateful SNAT engine, and the tunnel
+// rewrite — everything XGW-H offloads lands here. Its weakness
 // is the performance model: run-to-completion cores fed by RSS flow
 // hashing, so heavy-hitter flows overload single cores (Figs. 4-7), which
 // simulate_interval() reproduces.

@@ -9,17 +9,11 @@
 namespace sf::xgwh {
 namespace {
 
-// The PHV metadata fields, indexed by XgwH::Field: names and the widths a
-// P4 program would carry in its bridged header. build_program() interns
-// each name to a dense FieldId once; the stages write every field at this
+// The widths of the PHV metadata fields, indexed by XgwH::Field (kShard,
+// kScope, kFallback, kResolvedVni, kTunnelIp, kNcIp): what a P4 program
+// would carry in its bridged header. The stages write every field at this
 // width and the path table sums these widths, so neither restates them.
-struct FieldDecl {
-  const char* name;
-  unsigned bits;
-};
-constexpr FieldDecl kFieldDecls[] = {{"shard", 1},     {"scope", 3},
-                                     {"fallback", 1},  {"resolved_vni", 24},
-                                     {"tunnel_ip", 32}, {"nc_ip", 32}};
+constexpr unsigned kFieldBits[] = {1, 3, 1, 24, 32, 32};
 
 // The program's stages, in walk order.
 enum Stage : std::uint8_t { kEntry, kAcl, kRoute, kVmNc, kRewrite };
@@ -206,15 +200,9 @@ std::size_t XgwH::mapping_count() const {
 }
 
 void XgwH::build_program() {
-  // Compile step: intern every metadata field name once. The stages below
-  // only touch the PHV through these dense ids — no string hashing per
-  // packet. freeze() turns any runtime intern into a hard error.
-  static_assert(std::size(kFieldDecls) == kFieldCount);
-  asic::PhvLayout& layout = program_.phv_layout();
-  for (unsigned field = 0; field < kFieldCount; ++field) {
-    fid_[field] = layout.intern(kFieldDecls[field].name);
-  }
-  layout.freeze();
+  // The stages index the PHV by Field: each field is a fixed slot.
+  static_assert(std::size(kFieldBits) == kFieldCount);
+  static_assert(kFieldCount <= asic::kMaxPhvFields);
 
   // The program as data: the stages each gress runs, in walk order —
   // entry ingress, loopback egress, loopback ingress, exit egress
@@ -222,27 +210,20 @@ void XgwH::build_program() {
   // ingress runs the whole lookup chain and the loopback gresses are
   // absent. The Walker binding and the path table below both read it.
   const bool folded = config_.compression.fold;
-  struct Gress {
-    const char* name;
-    std::vector<Stage> stages;
-  };
+  using Gress = std::vector<Stage>;
   const std::array<Gress, 4> gresses =
-      folded ? std::array<Gress, 4>{{{"entry", {kEntry, kAcl}},
-                                     {"route", {kRoute}},
-                                     {"vm_nc", {kVmNc}},
-                                     {"rewrite", {kRewrite}}}}
-             : std::array<Gress, 4>{{{"full", {kEntry, kAcl, kRoute, kVmNc}},
-                                     {"", {}},
-                                     {"", {}},
-                                     {"rewrite", {kRewrite}}}};
+      folded ? std::array<Gress, 4>{{{kEntry, kAcl}, {kRoute}, {kVmNc},
+                                     {kRewrite}}}
+             : std::array<Gress, 4>{{{kEntry, kAcl, kRoute, kVmNc}, {}, {},
+                                     {kRewrite}}};
 
   auto bind = [this](const Gress& gress) {
     using StageBody = void (XgwH::*)(asic::ContextGroup);
     constexpr StageBody kStageBodies[] = {
         &XgwH::stage_entry, &XgwH::stage_acl, &XgwH::stage_route_lookup,
         &XgwH::stage_vm_nc_lookup, &XgwH::stage_rewrite};
-    asic::GressProgram program{gress.name, {}};
-    for (const Stage stage : gress.stages) {
+    asic::GressProgram program;
+    for (const Stage stage : gress) {
       const StageBody body = kStageBodies[stage];
       program.stages.push_back(
           [this, body](asic::ContextGroup group) { (this->*body)(group); });
@@ -311,11 +292,11 @@ void XgwH::build_program() {
     info.action = spec.action;
     info.table_counter = spec.table_counter;
     for (unsigned g = 0; g < gresses.size(); ++g) {
-      if (gresses[g].stages.empty()) continue;
+      if (gresses[g].empty()) continue;
       info.visits |= static_cast<std::uint8_t>(1u << g);
       unsigned bridged = 0;
       bool decided = false;
-      for (const Stage stage : gresses[g].stages) {
+      for (const Stage stage : gresses[g]) {
         if (stage == kEntry) bridged |= 1u << kShard;
         if (stage == kRoute) bridged |= spec.route_fields;
         if (stage == kVmNc) bridged |= spec.route_fields | spec.vm_fields;
@@ -328,7 +309,7 @@ void XgwH::build_program() {
       if (decided) break;
       for (unsigned field = 0; field < kFieldCount; ++field) {
         if (bridged & 1u << field) {
-          info.bridged_bits += kFieldDecls[field].bits;
+          info.bridged_bits += kFieldBits[field];
         }
       }
     }
@@ -337,7 +318,7 @@ void XgwH::build_program() {
 
 void XgwH::set_field(asic::PacketContext& ctx, Field field,
                      std::uint64_t value, bool bridged) const {
-  ctx.meta.set(fid_[field], value, kFieldDecls[field].bits, bridged);
+  ctx.meta.set(field, value, kFieldBits[field], bridged);
 }
 
 void XgwH::drop_on(asic::PacketContext& ctx, Path path) {
@@ -459,7 +440,7 @@ void XgwH::stage_vm_nc_lookup(asic::ContextGroup group) {
   for (asic::PacketContext* ctx : group) {
     // Re-bridge the routing verdict across the remaining crossings.
     for (Field field : {kScope, kFallback, kResolvedVni, kTunnelIp}) {
-      ctx->meta.bridge(fid_[field]);
+      ctx->meta.bridge(field);
     }
     if (config_.compression.fold) {
       // Exit through the entry-side pipe paired with this loopback pipe.
@@ -468,11 +449,11 @@ void XgwH::stage_vm_nc_lookup(asic::ContextGroup group) {
     }
     // Fallback and tunnel verdicts skip the lookup. Like the route stage,
     // the mapping lives in the *resolved* VNI's shard.
-    if (ctx->meta.get_or(fid_[kFallback]) == 0 &&
-        static_cast<tables::RouteScope>(ctx->meta.get_or(fid_[kScope])) ==
+    if (ctx->meta.get_or(kFallback) == 0 &&
+        static_cast<tables::RouteScope>(ctx->meta.get_or(kScope)) ==
             tables::RouteScope::kLocal) {
       w.work.push_back(
-          {ctx, static_cast<net::Vni>(ctx->meta.get_or(fid_[kResolvedVni]))});
+          {ctx, static_cast<net::Vni>(ctx->meta.get_or(kResolvedVni))});
     }
   }
 
@@ -512,19 +493,19 @@ void XgwH::stage_rewrite(asic::ContextGroup group) {
   // outer source is always the device IP).
   for (asic::PacketContext* ctx : group) {
     std::uint32_t& outer_dst = record_of(*ctx).outer_dst;
-    if (ctx->meta.get_or(fid_[kFallback]) == 1) {
+    if (ctx->meta.get_or(kFallback) == 1) {
       outer_dst = config_.x86_next_hop.value();
       continue;
     }
     const auto scope =
-        static_cast<tables::RouteScope>(ctx->meta.get_or(fid_[kScope]));
+        static_cast<tables::RouteScope>(ctx->meta.get_or(kScope));
     if (scope == tables::RouteScope::kIdc ||
         scope == tables::RouteScope::kCrossRegion) {
       outer_dst =
-          static_cast<std::uint32_t>(ctx->meta.get_or(fid_[kTunnelIp]));
+          static_cast<std::uint32_t>(ctx->meta.get_or(kTunnelIp));
       continue;
     }
-    const auto nc = ctx->meta.get(fid_[kNcIp]);
+    const auto nc = ctx->meta.get(kNcIp);
     if (!nc) {
       // No path reaches this; walk_contexts() rejects the walk if one
       // ever does.
@@ -710,14 +691,11 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
 
   if (flow_cache_.enabled()) {
     b.key.resize(n);
-    b.gen.resize(n);
     // Phase 1: derive every cache key from the precomputed flow hash and
     // issue its slot prefetch — by the time phase 2 probes slot i, the
     // line has had n-i probes' worth of time to arrive.
     for (std::size_t i = 0; i < n; ++i) {
-      const net::OverlayPacket& packet = packets[indices[i]];
-      b.key[i] = dataplane::make_flow_key(packet.vni, b.hash[i]);
-      b.gen[i] = generation_of(packet.vni, packet.inner.dst);
+      b.key[i] = dataplane::make_flow_key(packets[indices[i]].vni, b.hash[i]);
       flow_cache_.prefetch(b.key[i]);
     }
     // Phase 2: probe in strict packet order — find/note_miss/insert
@@ -725,11 +703,17 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
     // of the byte-identity contract. A capture miss walks at once (a burst
     // of one), so a later packet of its flow in this burst hits; other
     // misses defer to the burst walk. Counters commute, so where a packet
-    // is charged does not matter.
+    // is charged does not matter. The read-set stamp (an ip32 digest and
+    // three slot loads) is taken only where it is read: by a find on an
+    // allocated table, or by an insert. A find on an unallocated table
+    // misses without reading it.
     for (std::size_t i = 0; i < n; ++i) {
       const net::OverlayPacket& packet = packets[indices[i]];
       const unsigned entry_pipe = entry_pipe_of(b.hash[i]);
-      if (const CachedWalk* hit = flow_cache_.find(b.key[i], b.gen[i])) {
+      const bool stamped = flow_cache_.allocated();
+      const std::uint64_t gen =
+          stamped ? generation_of(packet.vni, packet.inner.dst) : 0;
+      if (const CachedWalk* hit = flow_cache_.find(b.key[i], gen)) {
         b.walk[i] = *hit;  // copy: the pointer dies at the next insert
         charge(hit->path, entry_pipe, loopback_pipe_of(packet.vni),
                hit->route_hits);
@@ -739,7 +723,10 @@ void XgwH::process_batch_indexed(std::span<const net::OverlayPacket> packets,
       if (flow_cache_.note_miss(b.key[i])) {
         asic::PacketContext* const one[] = {&ctx};
         walk_contexts(one, /*record_pass_hist=*/false);
-        flow_cache_.insert(b.key[i], b.gen[i], b.walk[i]);
+        flow_cache_.insert(
+            b.key[i],
+            stamped ? gen : generation_of(packet.vni, packet.inner.dst),
+            b.walk[i]);
       } else {
         b.burst.push_back(&ctx);
       }

@@ -106,7 +106,7 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   /// side-effect free: it never touches cache stats or the admission
   /// filter, so probing cannot perturb cache-on/off byte-identity.
   bool flow_established(const net::OverlayPacket& packet) const {
-    if (!flow_cache_.enabled()) return false;
+    if (!flow_cache_.allocated()) return false;
     return flow_cache_.contains(
         dataplane::make_flow_key(packet.vni, packet.inner),
         generation_of(packet.vni, packet.inner.dst));
@@ -309,8 +309,7 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     return batch_.walk[static_cast<std::size_t>(&ctx - batch_.ctx.data())];
   }
   /// Grows the walk scratch to `n` burst positions. It never shrinks, so
-  /// warm contexts keep their Phv and the contexts' addresses stay put
-  /// while a burst is being loaded.
+  /// the contexts' addresses stay put while a burst is being loaded.
   void reserve(std::size_t n) {
     if (batch_.ctx.size() < n) batch_.ctx.resize(n);
     if (batch_.walk.size() < n) batch_.walk.resize(n);
@@ -349,7 +348,6 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   /// capacity across bursts.
   struct BatchScratch {
     std::vector<dataplane::FlowKey> key;
-    std::vector<std::uint64_t> gen;
     std::vector<CachedWalk> walk;
     std::vector<std::uint64_t> hash;  // position-indexed flow hashes
     /// The Walker's scratch: one context per burst position, and the
@@ -386,16 +384,14 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   asic::PipelineProgram program_;
   asic::Walker walker_;  // borrows config_.chip and program_
 
-  /// PHV metadata fields the stages carry (names and widths, each
-  /// declared once, in xgwh.cpp).
-  enum Field : unsigned {
+  /// PHV metadata fields the stages carry: each value is the field's Phv
+  /// slot (widths declared once, in xgwh.cpp).
+  enum Field : asic::FieldId {
     kShard, kScope, kFallback, kResolvedVni, kTunnelIp, kNcIp, kFieldCount
   };
   /// Writes `field` at its declared width.
   void set_field(asic::PacketContext& ctx, Field field, std::uint64_t value,
                  bool bridged = true) const;
-  // Compiled PHV field handles (interned once in build_program()).
-  std::array<asic::FieldId, kFieldCount> fid_{};
   /// The path table (indexed by Path), derived in build_program().
   std::array<PathInfo, kPathCount> paths_{};
 

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <string>
+#include <optional>
 
 #include "asic/memory.hpp"
 #include "asic/phv.hpp"
@@ -96,74 +96,83 @@ TEST(ChipMemory, BadPipelineThrows) {
                std::out_of_range);
 }
 
+// Field ids for the Phv tests, as a program's field enum names them.
+enum Field : FieldId { kA, kB, kC };
+
 TEST(Phv, SetGetAndBudget) {
   Phv phv(64);
-  phv.set("a", 42, 32);
-  EXPECT_EQ(phv.get("a"), 42u);
+  phv.set(kA, 42, 32);
+  EXPECT_EQ(phv.get(kA), 42u);
   EXPECT_EQ(phv.used_bits(), 32u);
-  phv.set("b", 7, 32);
-  EXPECT_THROW(phv.set("c", 1, 1), std::length_error);
+  phv.set(kB, 7, 32);
+  EXPECT_THROW(phv.set(kC, 1, 1), std::length_error);
   // Rewriting an existing field does not double-charge.
-  phv.set("a", 43, 32);
+  phv.set(kA, 43, 32);
   EXPECT_EQ(phv.used_bits(), 64u);
-  EXPECT_EQ(phv.get("a"), 43u);
+  EXPECT_EQ(phv.get(kA), 43u);
 }
 
 TEST(Phv, CrossGressDropsUnbridgedFields) {
+  enum : FieldId { kKeep, kLose };
   Phv phv(256);
-  phv.set("keep", 1, 8, /*bridged=*/true);
-  phv.set("lose", 2, 8);
+  phv.set(kKeep, 1, 8, /*bridged=*/true);
+  phv.set(kLose, 2, 8);
   const unsigned bridged = phv.cross_gress();
   EXPECT_EQ(bridged, 8u);
-  EXPECT_TRUE(phv.has("keep"));
-  EXPECT_FALSE(phv.has("lose"));
+  EXPECT_TRUE(phv.has(kKeep));
+  EXPECT_FALSE(phv.has(kLose));
 }
 
 TEST(Phv, BridgingLastsOneCrossing) {
   Phv phv(256);
-  phv.set("field", 1, 16, /*bridged=*/true);
+  phv.set(kA, 1, 16, /*bridged=*/true);
   phv.cross_gress();
-  ASSERT_TRUE(phv.has("field"));
+  ASSERT_TRUE(phv.has(kA));
   // Without re-bridging, the next crossing drops it.
   phv.cross_gress();
-  EXPECT_FALSE(phv.has("field"));
+  EXPECT_FALSE(phv.has(kA));
 }
 
 TEST(Phv, BridgedBitsAccumulate) {
   Phv phv(256);
-  phv.set("a", 1, 24, true);
+  phv.set(kA, 1, 24, true);
   phv.cross_gress();
-  phv.bridge("a");
+  phv.bridge(kA);
   phv.cross_gress();
   EXPECT_EQ(phv.bridged_bits_total(), 48u);
 }
 
 TEST(Phv, RewritingABridgedFieldChargesItsNewWidthOnce) {
   Phv phv(256);
-  phv.set("a", 1, 8, /*bridged=*/true);
-  phv.set("a", 2, 16);  // a rewrite keeps the field's bridge mark
-  phv.bridge("a");      // marking it again adds nothing
-  phv.set("b", 3, 4);   // not bridged
+  phv.set(kA, 1, 8, /*bridged=*/true);
+  phv.set(kA, 2, 16);  // a rewrite keeps the field's bridge mark
+  phv.bridge(kA);      // marking it again adds nothing
+  phv.set(kB, 3, 4);   // not bridged
   EXPECT_EQ(phv.cross_gress(), 16u);
-  EXPECT_EQ(phv.get("a"), 2u);
-  EXPECT_FALSE(phv.has("b"));
+  EXPECT_EQ(phv.get(kA), 2u);
+  EXPECT_FALSE(phv.has(kB));
   EXPECT_EQ(phv.used_bits(), 16u);
 }
 
-TEST(PhvLayout, HoldsAtMostMaxFields) {
-  PhvLayout layout;
-  for (std::size_t i = 0; i < kMaxPhvFields; ++i) {
-    EXPECT_EQ(layout.intern("f" + std::to_string(i)), i);
+TEST(Phv, HoldsAtMostMaxFields) {
+  Phv phv(64 * kMaxPhvFields + 64);
+  for (FieldId id = 0; id < kMaxPhvFields; ++id) phv.set(id, id, 64);
+  EXPECT_THROW(phv.set(kMaxPhvFields, 1, 8), std::out_of_range);
+  EXPECT_FALSE(phv.has(kMaxPhvFields));
+  EXPECT_EQ(phv.get(kMaxPhvFields), std::nullopt);
+  // The fields below the limit are untouched.
+  for (FieldId id = 0; id < kMaxPhvFields; ++id) {
+    EXPECT_EQ(phv.get(id), id);
   }
-  EXPECT_THROW(layout.intern("one_too_many"), std::length_error);
-  // Names already interned still resolve.
-  EXPECT_EQ(layout.intern("f0"), 0u);
+  EXPECT_EQ(phv.used_bits(), 64 * kMaxPhvFields);
 }
 
 TEST(Phv, RejectsBadWidths) {
   Phv phv(256);
-  EXPECT_THROW(phv.set("zero", 0, 0), std::invalid_argument);
-  EXPECT_THROW(phv.set("wide", 0, 65), std::invalid_argument);
+  EXPECT_THROW(phv.set(kA, 0, 0), std::invalid_argument);
+  EXPECT_THROW(phv.set(kB, 0, 65), std::invalid_argument);
+  EXPECT_FALSE(phv.has(kA));
+  EXPECT_FALSE(phv.has(kB));
 }
 
 }  // namespace

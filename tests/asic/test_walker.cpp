@@ -19,6 +19,10 @@ StageFn each(F fn) {
   };
 }
 
+/// The PHV fields the stages below write, as a program's field enum names
+/// them.
+enum Field : FieldId { kTag, kTmp, kSeen, kOut };
+
 /// A one-pipe binding for set_ingress/set_egress.
 std::array<unsigned, 1> only(unsigned pipe) { return {pipe}; }
 
@@ -48,9 +52,9 @@ TEST(Walker, SinglePassWithoutLoopback) {
   int ingress_runs = 0;
   int egress_runs = 0;
   program.set_ingress(only(0),
-                      {"in", {each([&](PacketContext&) { ++ingress_runs; })}});
+                      {{each([&](PacketContext&) { ++ingress_runs; })}});
   program.set_egress(only(0),
-                     {"out", {each([&](PacketContext&) { ++egress_runs; })}});
+                     {{each([&](PacketContext&) { ++egress_runs; })}});
   const ChipConfig chip;
   Walker walker{chip, &program};
   const WalkSummary result = walk_one(walker, sample_packet(), 0).summary;
@@ -65,10 +69,10 @@ TEST(Walker, SteeringToAnotherEgressPipe) {
   PipelineProgram program(4);
   program.set_ingress(
       only(0),
-      {"in", {each([](PacketContext& ctx) { ctx.egress_pipe = 3; })}});
+      {{each([](PacketContext& ctx) { ctx.egress_pipe = 3; })}});
   int pipe3_egress = 0;
   program.set_egress(only(3),
-                     {"out", {each([&](PacketContext&) { ++pipe3_egress; })}});
+                     {{each([&](PacketContext&) { ++pipe3_egress; })}});
   const ChipConfig chip;
   Walker walker{chip, &program};
   const WalkSummary result = walk_one(walker, sample_packet(), 0).summary;
@@ -79,19 +83,19 @@ TEST(Walker, SteeringToAnotherEgressPipe) {
 TEST(Walker, FoldedPathMakesTwoPasses) {
   PipelineProgram program(4);
   std::vector<std::string> trace;
-  program.set_ingress(only(0), {"in0", {each([&](PacketContext& ctx) {
+  program.set_ingress(only(0), {{each([&](PacketContext& ctx) {
                                   trace.push_back("I0");
                                   ctx.egress_pipe = 1;
                                 })}});
-  program.set_egress(only(1), {"eg1", {each([&](PacketContext&) {
+  program.set_egress(only(1), {{each([&](PacketContext&) {
                                  trace.push_back("E1");
                                })}});
   program.set_loopback(1, true);
-  program.set_ingress(only(1), {"in1", {each([&](PacketContext& ctx) {
+  program.set_ingress(only(1), {{each([&](PacketContext& ctx) {
                                   trace.push_back("I1");
                                   ctx.egress_pipe = 0;
                                 })}});
-  program.set_egress(only(0), {"eg0", {each([&](PacketContext&) {
+  program.set_egress(only(0), {{each([&](PacketContext&) {
                                  trace.push_back("E0");
                                })}});
   const ChipConfig chip;
@@ -108,11 +112,11 @@ TEST(Walker, FoldedPathMakesTwoPasses) {
 TEST(Walker, MetadataDoesNotCrossGressUnbridged) {
   PipelineProgram program(4);
   std::optional<std::uint64_t> seen;
-  program.set_ingress(only(0), {"in", {each([](PacketContext& ctx) {
-                                  ctx.meta.set("secret", 42, 8);  // not bridged
+  program.set_ingress(only(0), {{each([](PacketContext& ctx) {
+                                  ctx.meta.set(kTmp, 42, 8);  // not bridged
                                 })}});
-  program.set_egress(only(0), {"out", {each([&](PacketContext& ctx) {
-                                 seen = ctx.meta.get("secret");
+  program.set_egress(only(0), {{each([&](PacketContext& ctx) {
+                                 seen = ctx.meta.get(kTmp);
                                })}});
   const ChipConfig chip;
   Walker walker{chip, &program};
@@ -123,12 +127,12 @@ TEST(Walker, MetadataDoesNotCrossGressUnbridged) {
 TEST(Walker, BridgedMetadataSurvivesAndIsCharged) {
   PipelineProgram program(4);
   std::optional<std::uint64_t> seen;
-  program.set_ingress(only(0), {"in", {each([](PacketContext& ctx) {
-                                  ctx.meta.set("carry", 7, 24,
+  program.set_ingress(only(0), {{each([](PacketContext& ctx) {
+                                  ctx.meta.set(kTag, 7, 24,
                                                /*bridged=*/true);
                                 })}});
-  program.set_egress(only(0), {"out", {each([&](PacketContext& ctx) {
-                                 seen = ctx.meta.get("carry");
+  program.set_egress(only(0), {{each([&](PacketContext& ctx) {
+                                 seen = ctx.meta.get(kTag);
                                })}});
   const ChipConfig chip;
   Walker walker{chip, &program};
@@ -142,9 +146,9 @@ TEST(Walker, DropInIngressSkipsEgress) {
   int egress_runs = 0;
   program.set_ingress(
       only(0),
-      {"in", {each([](PacketContext& ctx) { ctx.drop("test drop"); })}});
+      {{each([](PacketContext& ctx) { ctx.drop("test drop"); })}});
   program.set_egress(only(0),
-                     {"out", {each([&](PacketContext&) { ++egress_runs; })}});
+                     {{each([&](PacketContext&) { ++egress_runs; })}});
   const ChipConfig chip;
   Walker walker{chip, &program};
   const WalkSummary result = walk_one(walker, sample_packet(), 0).summary;
@@ -171,11 +175,10 @@ TEST(Walker, StagesRunInOrder) {
   PipelineProgram program(4);
   std::vector<int> order;
   program.set_ingress(only(0),
-                      {"in",
-                       {each([&](PacketContext&) { order.push_back(1); }),
+                      {{each([&](PacketContext&) { order.push_back(1); }),
                         each([&](PacketContext&) { order.push_back(2); }),
                         each([&](PacketContext&) { order.push_back(3); })}});
-  program.set_egress(only(0), {"out", {}});
+  program.set_egress(only(0), {{}});
   const ChipConfig chip;
   Walker walker{chip, &program};
   walk_one(walker, sample_packet(), 0);
@@ -194,32 +197,26 @@ struct BurstFixture {
   Walker walker{chip, &program};
 
   BurstFixture() {
-    const FieldId tag = program.phv_layout().intern("tag");
-    const FieldId tmp = program.phv_layout().intern("tmp");
-    const FieldId seen = program.phv_layout().intern("seen");
-    const FieldId out = program.phv_layout().intern("out");
-    program.phv_layout().freeze();
     constexpr std::array<unsigned, 2> kEntry = {0, 2};
     program.set_ingress(
         kEntry,
-        {"entry",
-         {each([=](PacketContext& ctx) {
-            ctx.meta.set(tag, ctx.packet->vni, 24, /*bridged=*/true);
-            ctx.meta.set(tmp, 1, 8);  // not bridged: gone at egress
+        {{each([](PacketContext& ctx) {
+            ctx.meta.set(kTag, ctx.packet->vni, 24, /*bridged=*/true);
+            ctx.meta.set(kTmp, 1, 8);  // not bridged: gone at egress
             if (ctx.packet->vni % 5 == 0) ctx.drop("vni % 5", 7);
           }),
           each([](PacketContext& ctx) {
             ctx.egress_pipe = ctx.packet->vni % 3 == 0 ? 3u : 1u;
           })}});
-    program.set_egress(only(1), {"loop", {each([=](PacketContext& ctx) {
-                                   ctx.meta.bridge(tag);
-                                   ctx.meta.set(seen,
-                                                ctx.meta.has(tmp) ? 2 : 1, 4,
+    program.set_egress(only(1), {{each([](PacketContext& ctx) {
+                                   ctx.meta.bridge(kTag);
+                                   ctx.meta.set(kSeen,
+                                                ctx.meta.has(kTmp) ? 2 : 1, 4,
                                                 /*bridged=*/true);
                                  })}});
     program.set_loopback(1, true);
-    program.set_ingress(only(1), {"back", {each([=](PacketContext& ctx) {
-                                    ctx.meta.bridge(tag);
+    program.set_ingress(only(1), {{each([](PacketContext& ctx) {
+                                    ctx.meta.bridge(kTag);
                                     // VNIs % 7 == 1 circle until the pass
                                     // cap.
                                     if (ctx.packet->vni % 7 != 1) {
@@ -227,11 +224,11 @@ struct BurstFixture {
                                     }
                                   })}});
     // The exit egress writes what the walk carried to the end.
-    const auto exit_stage = each([=](PacketContext& ctx) {
-      ctx.meta.set(out, ctx.meta.get_or(tag, 0xdead), 32);
+    const auto exit_stage = each([](PacketContext& ctx) {
+      ctx.meta.set(kOut, ctx.meta.get_or(kTag, 0xdead), 32);
     });
-    program.set_egress(only(0), {"exit", {exit_stage}});
-    program.set_egress(only(3), {"exit", {exit_stage}});
+    program.set_egress(only(0), {{exit_stage}});
+    program.set_egress(only(3), {{exit_stage}});
     walker.set_registry(&registry);
   }
 
@@ -280,7 +277,7 @@ TEST(Walker, BurstMatchesWalkingOneAtATime) {
     EXPECT_EQ(got.passes, want.passes);
     EXPECT_EQ(got.egress_pipe, want.egress_pipe);
     EXPECT_EQ(got.bridged_bits, want.bridged_bits);
-    for (const char* field : {"tag", "tmp", "seen", "out"}) {
+    for (const Field field : {kTag, kTmp, kSeen, kOut}) {
       EXPECT_EQ(burst[i].meta.get(field), alone[i].meta.get(field)) << field;
     }
     ++outcomes[want.dropped ? want.drop_note : want.egress_pipe == 3

@@ -62,7 +62,9 @@ TEST(ChaosTenantStorm, StormTenantDegradesTierByTierAndVictimsStayBounded) {
   for (std::size_t i = 0; i < report.storm_samples.size(); ++i) {
     const auto& sample = report.storm_samples[i];
     EXPECT_GT(sample.storm_offered_pps, 0.0);
-    if (i > 0) EXPECT_GE(sample.tier, report.storm_samples[i - 1].tier);
+    if (i > 0) {
+      EXPECT_GE(sample.tier, report.storm_samples[i - 1].tier);
+    }
     max_tier = std::max(max_tier, sample.tier);
   }
   EXPECT_EQ(max_tier, 2);

@@ -44,7 +44,7 @@ TEST(FlowCache, StaleGenerationIsAMissAndReclaimsTheSlot) {
   EXPECT_EQ(cache.stats().stale_reclaims, 1u);
   // The slot was reclaimed outright — even the old epoch misses now.
   EXPECT_EQ(cache.find(key, /*generation=*/0), nullptr);
-  EXPECT_EQ(cache.size(0), 0u);
+  EXPECT_EQ(cache.stats().occupied, 0u);
 
   // Refill under the new epoch works as usual.
   cache.insert(key, 1, 43);
@@ -61,7 +61,7 @@ TEST(FlowCache, OverwriteSameKeyUpdatesInPlace) {
   ASSERT_NE(cache.find(key, 0), nullptr);
   EXPECT_EQ(*cache.find(key, 0), 2);
   EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.size(0), 1u);
+  EXPECT_EQ(cache.stats().occupied, 1u);
 }
 
 TEST(FlowCache, ZeroEntriesDisablesTheCache) {
@@ -89,7 +89,7 @@ TEST(FlowCache, EvictionIsBoundedAndTheNewestKeyAlwaysLands) {
     cache.insert(key, 0, i);
     ASSERT_NE(cache.find(key, 0), nullptr) << i;
   }
-  EXPECT_LE(cache.size(0), cache.capacity());
+  EXPECT_LE(cache.stats().high_watermark, cache.capacity());
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
@@ -145,7 +145,7 @@ TEST(FlowCache, ClearDropsEverything) {
   cache.insert(key, 0, 42);
   cache.clear();
   EXPECT_EQ(cache.find(key, 0), nullptr);
-  EXPECT_EQ(cache.size(0), 0u);
+  EXPECT_EQ(cache.stats().occupied, 0u);
 }
 
 TEST(FlowCache, ContainsTracksLiveEntriesOnly) {
@@ -159,7 +159,8 @@ TEST(FlowCache, ContainsTracksLiveEntriesOnly) {
   // contains() is a pure observer; find() still sees the stale entry.
   EXPECT_FALSE(cache.contains(key, 1));
   EXPECT_EQ(cache.stats().stale_reclaims, 0u);
-  EXPECT_EQ(cache.size(0), 1u);
+  EXPECT_EQ(cache.stats().occupied, 1u);
+  EXPECT_NE(cache.find(key, 0), nullptr);
 
   const FlowCache<int> disabled{FlowCache<int>::Config{/*entries=*/0}};
   EXPECT_FALSE(disabled.contains(key, 0));

@@ -3,8 +3,6 @@
 //
 //   * a warmed cache hit performs ZERO heap allocations end to end
 //     (counting global operator new/delete overrides below);
-//   * the packet path performs no string-keyed PHV lookups at all — the
-//     compiled FieldId handles carry every stage (Phv::string_lookups());
 //   * an untraced SailfishRegion::process() of a warm packet makes no heap
 //     allocation on any served path — the path-trace recorder inside it
 //     costs nothing when off.
@@ -19,7 +17,6 @@
 #include <new>
 #include <vector>
 
-#include "asic/phv.hpp"
 #include "core/sailfish.hpp"
 #include "x86/xgw_x86.hpp"
 #include "xgwh/xgwh.hpp"
@@ -246,38 +243,6 @@ TEST(FastPath, XgwHConstructionAllocatesOnlyItsDeclaredTables) {
       g_allocated_bytes.load(std::memory_order_relaxed) - before;
   EXPECT_LE(bytes, 2 * slot_array + (std::uint64_t{1} << 20))
       << "constructing an XgwH allocated " << bytes << " bytes";
-}
-
-TEST(FastPath, NoStringKeyedPhvLookupsOnThePacketPath) {
-  // Misses walk the full pipeline; hits replay. NEITHER may fall back to
-  // string-keyed PHV access — every stage runs on interned FieldIds.
-  xgwh::XgwH::Config config;
-  config.flow_cache_entries = 1 << 10;
-  xgwh::XgwH gw(config);
-  install_tables(gw);
-
-  const std::uint64_t before = asic::Phv::string_lookups();
-  for (int i = 0; i < 200; ++i) {
-    // Rotate ports: a mix of cold flows (walks) and repeats (hits).
-    gw.forward(sample_packet(static_cast<std::uint16_t>(40000 + i % 8)),
-               i * 1e-6);
-  }
-  EXPECT_EQ(asic::Phv::string_lookups(), before)
-      << "a stage regressed to Phv string access on the packet path";
-}
-
-TEST(FastPath, FrozenLayoutRejectsRuntimeInterning) {
-  // The program's layout freezes at build time: a typo'd field name in a
-  // stage must fail loudly instead of silently interning a new slot.
-  auto shared = std::make_shared<asic::PhvLayout>();
-  shared->intern("known");
-  shared->freeze();
-  EXPECT_TRUE(shared->frozen());
-  EXPECT_THROW(shared->intern("late"), std::logic_error);
-  asic::Phv phv(256, shared);
-  EXPECT_THROW(phv.set("unknown", 1, 8), std::logic_error);
-  phv.set("known", 5, 8);
-  EXPECT_EQ(phv.get("known"), 5u);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 #include "rcu/epoch.hpp"
 #include "rcu/rcu_exact_table.hpp"
 #include "rcu/rcu_lpm.hpp"
-#include "tables/route_table.hpp"
+#include "tables/lpm_trie.hpp"
 
 namespace sf::rcu {
 namespace {
@@ -165,10 +165,10 @@ struct LpmOp {
   int value = 0;
 };
 
-// Byte-for-byte agreement with tables::SoftwareLpm at *every* version is
-// what lets XGW-x86 swap its route table for the RCU one without
-// disturbing a single verdict.
-TEST(RcuLpm, DifferentialVsSoftwareLpmAtEverySeq) {
+// Agreement with the reference trie (tables::LpmTrie) at *every* version:
+// a reader pinned at any seq sees exactly the longest-prefix match of the
+// routes as of that seq.
+TEST(RcuLpm, DifferentialVsLpmTrieAtEverySeq) {
   const LpmOp ops[] = {
       {true, 5, "0.0.0.0/0", 1},    {true, 5, "10.0.0.0/8", 2},
       {true, 5, "10.1.0.0/16", 3},  {true, 5, "10.1.2.0/24", 4},
@@ -194,14 +194,14 @@ TEST(RcuLpm, DifferentialVsSoftwareLpmAtEverySeq) {
 
   EpochManager::Reader reader(epoch);
   for (std::uint64_t at = 0; at <= seq; ++at) {
-    // Reference: a fresh SoftwareLpm replayed to the same point.
-    tables::SoftwareLpm<int> ref;
+    // Reference: a fresh LpmTrie replayed to the same point.
+    tables::LpmTrie<int> ref;
     for (std::uint64_t k = 0; k < at; ++k) {
       if (ops[k].insert) {
         ref.insert(ops[k].vni, IpPrefix::must_parse(ops[k].prefix),
                    ops[k].value);
       } else {
-        ref.erase(ops[k].vni, IpPrefix::must_parse(ops[k].prefix));
+        ref.remove(ops[k].vni, IpPrefix::must_parse(ops[k].prefix));
       }
     }
     EpochManager::PinGuard pin(reader, at);

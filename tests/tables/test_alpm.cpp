@@ -1,14 +1,12 @@
 // ALPM correctness: unit behaviors plus a property suite that
-// cross-validates Alpm against the reference binary trie (LpmTrie) and the
-// hash-probe SoftwareLpm across random route sets, bucket sizes and
-// dynamic insert/erase churn.
+// cross-validates Alpm against the reference binary trie (LpmTrie) across
+// random route sets, bucket sizes and dynamic insert/erase churn.
 
 #include "tables/alpm.hpp"
 
 #include <gtest/gtest.h>
 
 #include "tables/lpm_trie.hpp"
-#include "tables/route_table.hpp"
 #include "workload/rng.hpp"
 
 namespace sf::tables {
@@ -147,7 +145,7 @@ TEST(Alpm, RejectsZeroBucket) {
 }
 
 // ---------------------------------------------------------------------------
-// Property suite: Alpm == LpmTrie == SoftwareLpm on random workloads.
+// Property suite: Alpm == LpmTrie on random workloads.
 // ---------------------------------------------------------------------------
 
 struct AlpmPropertyParam {
@@ -184,7 +182,6 @@ TEST_P(AlpmPropertyTest, MatchesReferenceImplementations) {
   config.max_bucket_entries = param.max_bucket;
   Alpm<int> alpm(config);
   LpmTrie<int> trie;
-  SoftwareLpm<int> soft;
 
   struct Installed {
     Vni vni;
@@ -199,18 +196,15 @@ TEST_P(AlpmPropertyTest, MatchesReferenceImplementations) {
     const int value = static_cast<int>(i);
     alpm.insert(vni, prefix, value);
     trie.insert(vni, prefix, value);
-    soft.insert(vni, prefix, value);
     installed.push_back({vni, prefix});
   }
   ASSERT_EQ(alpm.size(), trie.size());
-  ASSERT_EQ(soft.size(), trie.size());
 
   // Lookups on random addresses plus addresses inside installed prefixes
   // (uniform random addresses rarely hit deep prefixes).
   auto check = [&](Vni vni, const IpAddr& addr) {
     const auto expected = trie.lookup(vni, addr);
     EXPECT_EQ(alpm.lookup(vni, addr), expected) << addr.to_string();
-    EXPECT_EQ(soft.lookup(vni, addr), expected) << addr.to_string();
   };
   for (int i = 0; i < 300; ++i) {
     const Vni vni = static_cast<Vni>(rng.uniform(8));
@@ -233,9 +227,7 @@ TEST_P(AlpmPropertyTest, MatchesReferenceImplementations) {
     const Installed& victim = installed[i];
     const bool a_ok = alpm.erase(victim.vni, victim.prefix);
     const bool t_ok = trie.remove(victim.vni, victim.prefix);
-    const bool s_ok = soft.erase(victim.vni, victim.prefix);
     EXPECT_EQ(a_ok, t_ok);
-    EXPECT_EQ(s_ok, t_ok);
   }
   for (int i = 0; i < 300; ++i) {
     const Installed& pick = installed[rng.uniform(installed.size())];

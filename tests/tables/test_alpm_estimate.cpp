@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tables/route_table.hpp"
 #include "tables/tcam.hpp"
 #include "workload/rng.hpp"
 #include "workload/zipf.hpp"

@@ -1,7 +1,7 @@
 // Cross-implementation LPM equivalence: the TCAM model (priority rows)
 // against the reference trie, over randomized route sets — parameterized
 // by family mix and table size. Together with tests/tables/test_alpm.cpp
-// this closes the loop: LpmTrie == SoftwareLpm == Alpm == Tcam.
+// this closes the loop: LpmTrie == Alpm == Tcam.
 
 #include <gtest/gtest.h>
 

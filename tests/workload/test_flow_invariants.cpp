@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "tables/route_table.hpp"
+#include "tables/lpm_trie.hpp"
 #include "workload/flowgen.hpp"
 #include "workload/topology.hpp"
 
@@ -30,7 +30,7 @@ TEST_P(FlowInvariantTest, EveryFlowIsServable) {
   const std::vector<Flow> flows = generate_flows(region, flowgen);
 
   // Reference tables built exactly as a gateway would.
-  tables::SoftwareLpm<tables::VxlanRouteAction> routes;
+  tables::LpmTrie<tables::VxlanRouteAction> routes;
   for (const auto& [key, action] : region.vxlan_routes()) {
     routes.insert(key.vni, key.prefix, action);
   }
