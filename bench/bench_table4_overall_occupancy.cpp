@@ -1,8 +1,9 @@
 // Table 4 — "Overall memory resource consumption": the whole gateway,
 // service tables included, placed per the folded-path layout (Figs. 13-15).
-// Pipes 0/2 host entry/exit tables (ACL TCAM, ALPM directory, rewrite,
-// counters); pipes 1/3 host the sharded bulk (ALPM buckets, pooled VM-NC,
-// meters). Overflowing tables spill to the path's other pipe.
+// Pipes 0/2 host entry/exit tables (ACL TCAM, counters); pipes 1/3 host
+// the route and VM-NC lookups (ALPM directory, pooled VM-NC, meters); the
+// ALPM bucket SRAM is balanced across both. Overflowing tables spill to the
+// path's other pipe.
 
 #include <cstdio>
 
@@ -32,21 +33,13 @@ int main() {
   config.alpm_max_bucket = 32;
   config.alpm_estimated_fill = 0.55;  // measured by the Table 3 bench
 
+  // Each table sits where compute_demands bills it: at the gress of the
+  // stage that reads it. Table 4's own layout balances the bucket SRAM
+  // across the path ("evenly distributed").
   auto demands = asic::compute_demands(chip, workload, config);
-  // Layout per Figs. 13-15: ACL on the entry pipes; the ALPM directory
-  // rides the loopback pipes next to its buckets (directory and bucket
-  // read in consecutive stages of the same gress); bucket SRAM is
-  // balanced across the path ("evenly distributed"); VM-NC and meters on
-  // the loopback ingress; counters on the exit gress.
   for (auto& demand : demands) {
-    if (demand.name == "acl") {
-      demand.slot = asic::PathSlot::kFrontIngress;
-    } else if (demand.name == "vxlan_route_alpm_dir") {
-      demand.slot = asic::PathSlot::kBackEgress;
-    } else if (demand.name == "vxlan_route_alpm_buckets") {
+    if (demand.name == "vxlan_route_alpm_buckets") {
       demand.slot = asic::PathSlot::kBalanced;
-    } else if (demand.name == "counters") {
-      demand.slot = asic::PathSlot::kFrontEgress;
     }
   }
   const auto report = placer.place(demands, config);

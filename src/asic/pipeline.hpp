@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -80,8 +79,23 @@ struct PacketContext {
 /// The live contexts of one group at a gress visit.
 using ContextGroup = std::span<PacketContext* const>;
 
-/// One stage of a gress program: runs once per group, over its contexts.
-using StageFn = std::function<void(ContextGroup)>;
+/// One stage of a gress program: a plain function the walker runs once
+/// per group, over its contexts, on the gateway that bound it.
+struct StageFn {
+  void (*run)(void* gateway, ContextGroup group) = nullptr;
+  void* gateway = nullptr;
+  void operator()(ContextGroup group) const { run(gateway, group); }
+};
+
+/// Binds `Stage`, a member function of `Gateway` taking a ContextGroup, to
+/// the gateway `self`.
+template <auto Stage, typename Gateway>
+StageFn bind_stage(Gateway* self) {
+  return {[](void* gateway, ContextGroup group) {
+            (static_cast<Gateway*>(gateway)->*Stage)(group);
+          },
+          self};
+}
 
 struct GressProgram {
   std::vector<StageFn> stages;

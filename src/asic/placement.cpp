@@ -179,6 +179,8 @@ OccupancyReport Placement::report() const {
 
 unsigned Placement::preferred_pipe(std::size_t path_index,
                                    PathSlot slot) const {
+  // The slot -> pipe rule: a back slot prefers the path's second pipe,
+  // every other slot (and every one-pipe path) its first.
   const std::vector<unsigned>& pipes = paths_[path_index];
   const bool back_slot =
       slot == PathSlot::kBackEgress || slot == PathSlot::kBackIngress;
@@ -187,18 +189,19 @@ unsigned Placement::preferred_pipe(std::size_t path_index,
 
 std::vector<unsigned> Placement::chain_pipes(std::size_t path_index,
                                              PathSlot slot) const {
-  const bool back_slot =
-      slot == PathSlot::kBackEgress || slot == PathSlot::kBackIngress;
   std::vector<unsigned> order;
   order.reserve(config_.cross_path_spill ? paths_.size() * 2 : 2);
-  const auto push_path = [&](const std::vector<unsigned>& pipes) {
-    order.push_back(pipes[back_slot && pipes.size() > 1 ? 1 : 0]);
-    if (pipes.size() > 1) order.push_back(pipes[back_slot ? 0 : 1]);
+  const auto push_path = [&](std::size_t path) {
+    const unsigned preferred = preferred_pipe(path, slot);
+    order.push_back(preferred);
+    for (const unsigned pipe : paths_[path]) {
+      if (pipe != preferred) order.push_back(pipe);  // the sibling
+    }
   };
-  push_path(paths_[path_index]);
+  push_path(path_index);
   if (config_.cross_path_spill) {
     for (std::size_t offset = 1; offset < paths_.size(); ++offset) {
-      push_path(paths_[(path_index + offset) % paths_.size()]);
+      push_path((path_index + offset) % paths_.size());
     }
   }
   return order;
@@ -364,6 +367,13 @@ bool Placement::adjust_balanced(std::size_t table, std::size_t path,
   return true;
 }
 
+bool Placement::adjust(std::size_t table, std::size_t path, MemoryKind kind,
+                       std::size_t target) {
+  return tables_[table].demand.slot == PathSlot::kBalanced
+             ? adjust_balanced(table, path, kind, target)
+             : adjust_chain(table, path, kind, target);
+}
+
 void Placement::recount_feasible() {
   feasible_ = true;
   for (const PlacedTable& table : tables_) {
@@ -407,13 +417,6 @@ bool Placement::apply_demands(const std::vector<TableDemand>& next) {
       t.tcam = (t.tcam + path_count - 1) / path_count;
     }
   }
-
-  const auto adjust = [&](std::size_t table, std::size_t path,
-                          MemoryKind kind, std::size_t target) {
-    return tables_[table].demand.slot == PathSlot::kBalanced
-               ? adjust_balanced(table, path, kind, target)
-               : adjust_chain(table, path, kind, target);
-  };
 
   // Pass 1 — shrink: removed tables to zero, shrunk tables to their new
   // bills. Freeing room first lets the grow pass land where a fresh
@@ -540,105 +543,18 @@ Placement Placer::place_layout(std::vector<TableDemand> demands,
     out.tables_.push_back(std::move(table));
   }
 
-  ChipMemory& memory = *out.memory_;
-  bool feasible = true;
-
+  // A fresh layout grows every chain from empty, path-major in demand
+  // order, along the same spill order a delta follows; its growth is not
+  // delta churn, so the stats start clean.
   for (std::size_t path_index = 0; path_index < path_count; ++path_index) {
-    const std::vector<unsigned>& pipes = out.paths_[path_index];
     for (std::size_t t = 0; t < out.tables_.size(); ++t) {
-      Placement::PlacedTable& table = out.tables_[t];
-      // Slot decides the preferred pipe on the path: front = first pipe,
-      // back = second (same pipe when unfolded).
-      const bool back_slot = table.demand.slot == PathSlot::kBackEgress ||
-                             table.demand.slot == PathSlot::kBackIngress;
-      const unsigned preferred =
-          pipes[back_slot && pipes.size() > 1 ? 1 : 0];
-      const unsigned other =
-          pipes[pipes.size() > 1 ? (back_slot ? 0 : 1) : 0];
-      const bool balanced =
-          table.demand.slot == PathSlot::kBalanced && pipes.size() > 1;
-
-      for (auto [kind, units] :
-           {std::pair{MemoryKind::kSram, table.sram_units},
-            std::pair{MemoryKind::kTcam, table.tcam_units}}) {
-        if (units == 0) continue;
-        auto& demand_vec =
-            kind == MemoryKind::kSram ? out.sram_demand_ : out.tcam_demand_;
-        Placement::KindChain& chain = kind == MemoryKind::kSram
-                                          ? table.sram[path_index]
-                                          : table.tcam[path_index];
-        const auto record = [&](unsigned pipe, std::size_t taken,
-                                std::vector<Extent>& extents) {
-          demand_vec[pipe] += taken;
-          chain.placed += taken;
-          for (Extent& extent : extents) chain.extents.push_back(extent);
-        };
-        // Balanced tables split half/half across the path's pipes ("tables
-        // should be evenly distributed in different pipelines"); slotted
-        // tables try their pipe and spill the remainder to the sibling
-        // ("mapping large tables across pipelines").
-        const std::size_t want_first = balanced ? (units + 1) / 2 : units;
-        const std::size_t room = memory.free_units(preferred, kind);
-        const std::size_t first = std::min(want_first, room);
-        if (first > 0) {
-          if (auto extents = memory.allocate(preferred, kind, first,
-                                             table.demand.name)) {
-            record(preferred, first, *extents);
-          }
-        }
-        std::size_t rest = units - first;
-        if (rest > 0 && other != preferred) {
-          const std::size_t other_room = memory.free_units(other, kind);
-          const std::size_t second = std::min(rest, other_room);
-          if (second > 0) {
-            if (auto extents =
-                    memory.allocate(other, kind, second, table.demand.name)) {
-              record(other, second, *extents);
-              rest -= second;
-            }
-          }
-          // A balanced table's own overflow may still fit back on the
-          // first pipe.
-          if (rest > 0) {
-            const std::size_t back_room = memory.free_units(preferred, kind);
-            const std::size_t third = std::min(rest, back_room);
-            if (third > 0) {
-              if (auto extents = memory.allocate(preferred, kind, third,
-                                                 table.demand.name)) {
-                record(preferred, third, *extents);
-                rest -= third;
-              }
-            }
-          }
-        }
-        if (rest > 0 && config.cross_path_spill && path_count > 1) {
-          // (f): keep spilling into the other paths' pipes, same slot
-          // position first, before giving up.
-          const std::vector<unsigned> order =
-              out.chain_pipes(path_index, table.demand.slot);
-          const std::size_t own = pipes.size() > 1 ? 2 : 1;
-          for (std::size_t i = own; i < order.size() && rest > 0; ++i) {
-            const std::size_t cross_room = memory.free_units(order[i], kind);
-            const std::size_t take = std::min(rest, cross_room);
-            if (take == 0) continue;
-            if (auto extents =
-                    memory.allocate(order[i], kind, take, table.demand.name)) {
-              record(order[i], take, *extents);
-              rest -= take;
-            }
-          }
-        }
-        if (rest > 0) {
-          // Out of memory: record the unplaced demand against the
-          // preferred pipe so occupancy shows the overflow.
-          demand_vec[preferred] += rest;
-          chain.unplaced = rest;
-          feasible = false;
-        }
+      for (const MemoryKind kind : {MemoryKind::kSram, MemoryKind::kTcam}) {
+        out.adjust(t, path_index, kind, out.sharded_units(t, kind));
       }
     }
   }
-  out.feasible_ = feasible;
+  out.recount_feasible();
+  out.stats_ = {};
   return out;
 }
 

@@ -162,6 +162,9 @@ class Placement {
   /// Balanced tables re-balance toward the fresh per-pipe targets.
   bool adjust_balanced(std::size_t table, std::size_t path, MemoryKind kind,
                        std::size_t target);
+  /// adjust_balanced() for a balanced table, adjust_chain() otherwise.
+  bool adjust(std::size_t table, std::size_t path, MemoryKind kind,
+              std::size_t target);
   /// Applies a fresh demand list to this layout in place; false → bail.
   bool apply_demands(const std::vector<TableDemand>& next);
   void grow_on_pipe(std::size_t table, std::size_t path, MemoryKind kind,

@@ -41,6 +41,18 @@ AlpmDemand estimate_alpm(const ChipConfig& chip, std::size_t routes,
   return demand;
 }
 
+// The gress of the XGW-H stage that reads `table` (kGatewayProgram).
+PathSlot reading_gress(std::string_view table) {
+  for (const StageLayout& stage : kGatewayProgram) {
+    if (std::find(stage.tables.begin(), stage.tables.end(), table) !=
+        stage.tables.end()) {
+      return stage.gress;
+    }
+  }
+  throw std::logic_error("compute_demands: no stage reads " +
+                         std::string(table));
+}
+
 }  // namespace
 
 std::vector<TableDemand> compute_demands(const ChipConfig& chip,
@@ -56,30 +68,28 @@ std::vector<TableDemand> compute_demands(const ChipConfig& chip,
                                 ? *config.measured_alpm
                                 : estimate_alpm(chip, routes, config);
     demands.push_back(TableDemand{"vxlan_route_alpm_dir", 0,
-                                  alpm.directory_slices, true,
-                                  PathSlot::kFrontIngress});
+                                  alpm.directory_slices, true});
     demands.push_back(TableDemand{"vxlan_route_alpm_buckets",
-                                  alpm.bucket_words, 0, true,
-                                  PathSlot::kFrontIngress});
+                                  alpm.bucket_words, 0, true});
   } else if (config.pool) {
     // One dual-stack table: every key is the 153-bit pooled key.
     demands.push_back(TableDemand{
         "vxlan_route_pooled", 0,
         routes * chip.tcam_slices_per_entry(tables::kPooledRouteKeyBits),
-        true, PathSlot::kFrontIngress});
+        true});
   } else {
     demands.push_back(TableDemand{
         "vxlan_route_v4", 0,
         workload.vxlan_routes_v4 *
             chip.tcam_slices_per_entry(
                 tables::vxlan_route_key_bits(net::IpFamily::kV4)),
-        true, PathSlot::kFrontIngress});
+        true});
     demands.push_back(TableDemand{
         "vxlan_route_v6", 0,
         workload.vxlan_routes_v6 *
             chip.tcam_slices_per_entry(
                 tables::vxlan_route_key_bits(net::IpFamily::kV6)),
-        true, PathSlot::kFrontIngress});
+        true});
   }
 
   // ---- VM-NC mapping table (exact) ---------------------------------------
@@ -92,11 +102,10 @@ std::vector<TableDemand> compute_demands(const ChipConfig& chip,
     const unsigned conflict_words = chip.sram_words_per_entry(
         tables::vm_nc_key_bits(net::IpFamily::kV6), tables::kVmNcActionBits);
     demands.push_back(TableDemand{
-        "vm_nc_pooled", maps * pooled_words, 0, true,
-        PathSlot::kBackIngress});
+        "vm_nc_pooled", maps * pooled_words, 0, true});
     demands.push_back(TableDemand{
         "vm_nc_conflicts", workload.digest_conflicts * conflict_words, 0,
-        false, PathSlot::kBackIngress});
+        false});
   } else {
     demands.push_back(TableDemand{
         "vm_nc_v4",
@@ -104,14 +113,14 @@ std::vector<TableDemand> compute_demands(const ChipConfig& chip,
             chip.sram_words_per_entry(
                 tables::vm_nc_key_bits(net::IpFamily::kV4),
                 tables::kVmNcActionBits),
-        0, true, PathSlot::kBackIngress});
+        0, true});
     demands.push_back(TableDemand{
         "vm_nc_v6",
         workload.vm_maps_v6 *
             chip.sram_words_per_entry(
                 tables::vm_nc_key_bits(net::IpFamily::kV6),
                 tables::kVmNcActionBits),
-        0, true, PathSlot::kBackIngress});
+        0, true});
   }
 
   // ---- service tables (Table 4 only; zero counts otherwise) --------------
@@ -120,24 +129,24 @@ std::vector<TableDemand> compute_demands(const ChipConfig& chip,
         "acl", 0,
         workload.acl_rules *
             chip.tcam_slices_per_entry(tables::AclTable::kKeyBits),
-        true, PathSlot::kFrontIngress});
+        true});
   }
   if (workload.meters > 0) {
     // Meter state: rate config + bucket level, 1 word each.
-    demands.push_back(TableDemand{"meters", workload.meters, 0, true,
-                                  PathSlot::kBackIngress});
+    demands.push_back(TableDemand{"meters", workload.meters, 0, true});
   }
   if (workload.counters > 0) {
-    demands.push_back(TableDemand{"counters", workload.counters, 0, true,
-                                  PathSlot::kFrontEgress});
+    demands.push_back(TableDemand{"counters", workload.counters, 0, true});
   }
   if (workload.steering_entries > 0) {
     // Fallback steering (special VNI -> XGW-x86 next hop): exact, small.
     demands.push_back(TableDemand{
         "fallback_steering",
         workload.steering_entries * chip.sram_words_per_entry(24, 32), 0,
-        false, PathSlot::kBackEgress});
+        false});
   }
+  // Every table is billed at the gress of the stage that reads it.
+  for (TableDemand& demand : demands) demand.slot = reading_gress(demand.name);
   return demands;
 }
 

@@ -16,16 +16,20 @@
 //  (e) ALPM                   — the LPM bulk moves to SRAM buckets behind a
 //      small TCAM directory (tables/alpm.hpp supplies measured stats).
 //
-// Placement honors the §4.4 layout principles: tables are assigned to path
-// slots following the lookup order (Ingress front pipe -> Egress back pipe
-// -> Ingress back pipe -> Egress front pipe); when a table overflows its
-// slot's pipe it spills to the path's other pipe — exactly the "mapping
-// large tables across pipelines" technique.
+// Placement honors the §4.4 layout principles: each table is assigned the
+// path slot of the stage that reads it (kGatewayProgram below), in lookup
+// order (Ingress front pipe -> Egress back pipe -> Ingress back pipe ->
+// Egress front pipe); when a table overflows its slot's pipe it spills to
+// the path's other pipe — exactly the "mapping large tables across
+// pipelines" technique.
 
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asic/chip_config.hpp"
@@ -102,6 +106,34 @@ enum class PathSlot : std::uint8_t {
   kBalanced,      // evenly split across the path's pipes (§4.4 principle 3)
 };
 
+/// The XGW-H program's stages, in walk order.
+enum class GatewayStage : std::uint8_t {
+  kEntry, kAcl, kRoute, kVmNc, kRewrite
+};
+
+/// One stage of the XGW-H program: the gress it runs in on the folded path
+/// and the placement tables it reads (compute_demands() names; "" pads).
+struct StageLayout {
+  PathSlot gress;
+  std::array<std::string_view, 6> tables;
+};
+
+/// The XGW-H program as data (§4.4, Figs. 13/14), indexed by GatewayStage:
+/// the one description of where each stage runs and which tables it reads.
+/// XgwH::build_program() binds its gresses from it (unfolded, the entry
+/// ingress runs every stage before the rewrite), and compute_demands()
+/// bills each table at its reading stage's gress.
+inline constexpr StageLayout kGatewayProgram[] = {
+    {PathSlot::kFrontIngress, {}},  // entry: VNI check, shard select
+    {PathSlot::kFrontIngress, {"acl"}},
+    {PathSlot::kBackEgress,
+     {"vxlan_route_alpm_dir", "vxlan_route_alpm_buckets", "vxlan_route_pooled",
+      "vxlan_route_v4", "vxlan_route_v6", "fallback_steering"}},
+    {PathSlot::kBackIngress,
+     {"vm_nc_pooled", "vm_nc_conflicts", "vm_nc_v4", "vm_nc_v6", "meters"}},
+    {PathSlot::kFrontEgress, {"counters"}},  // the tunnel rewrite
+};
+
 /// One logical table's memory bill.
 struct TableDemand {
   std::string name;
@@ -150,7 +182,7 @@ class Placer {
                            const CompressionConfig& config) const;
 
   /// Places externally computed demands (used by Table 4's bench, which
-  /// adds service tables with explicit slots).
+  /// balances the ALPM buckets across the path).
   OccupancyReport place(std::vector<TableDemand> demands,
                         const CompressionConfig& config) const;
 

@@ -15,8 +15,13 @@ namespace {
 // width and the path table sums these widths, so neither restates them.
 constexpr unsigned kFieldBits[] = {1, 3, 1, 24, 32, 32};
 
-// The program's stages, in walk order.
-enum Stage : std::uint8_t { kEntry, kAcl, kRoute, kVmNc, kRewrite };
+using Stage = asic::GatewayStage;
+using enum asic::GatewayStage;
+
+/// Bit `gress` of a PathInfo::visits mask.
+constexpr unsigned bit(asic::PathSlot gress) {
+  return 1u << static_cast<unsigned>(gress);
+}
 
 }  // namespace
 
@@ -204,29 +209,31 @@ void XgwH::build_program() {
   static_assert(std::size(kFieldBits) == kFieldCount);
   static_assert(kFieldCount <= asic::kMaxPhvFields);
 
-  // The program as data: the stages each gress runs, in walk order —
-  // entry ingress, loopback egress, loopback ingress, exit egress
-  // (Figs. 13/14; index i is Visit bit 1 << i). Unfolded, the entry
-  // ingress runs the whole lookup chain and the loopback gresses are
-  // absent. The Walker binding and the path table below both read it.
+  // The stages each gress runs, in walk order, from the program's one
+  // description (asic::kGatewayProgram; index g is PathSlot g: entry
+  // ingress, loopback egress, loopback ingress, exit egress). Unfolded,
+  // the entry ingress runs the whole lookup chain and the loopback gresses
+  // are empty. The Walker binding and the path table below both read it.
   const bool folded = config_.compression.fold;
-  using Gress = std::vector<Stage>;
-  const std::array<Gress, 4> gresses =
-      folded ? std::array<Gress, 4>{{{kEntry, kAcl}, {kRoute}, {kVmNc},
-                                     {kRewrite}}}
-             : std::array<Gress, 4>{{{kEntry, kAcl, kRoute, kVmNc}, {}, {},
-                                     {kRewrite}}};
+  std::array<std::vector<Stage>, 4> gresses;
+  for (std::size_t s = 0; s < std::size(asic::kGatewayProgram); ++s) {
+    auto g = static_cast<std::size_t>(asic::kGatewayProgram[s].gress);
+    if (!folded && g < 3) g = 0;
+    gresses[g].push_back(static_cast<Stage>(s));
+  }
 
-  auto bind = [this](const Gress& gress) {
-    using StageBody = void (XgwH::*)(asic::ContextGroup);
-    constexpr StageBody kStageBodies[] = {
-        &XgwH::stage_entry, &XgwH::stage_acl, &XgwH::stage_route_lookup,
-        &XgwH::stage_vm_nc_lookup, &XgwH::stage_rewrite};
+  // The stage bodies, indexed by Stage.
+  const asic::StageFn bodies[] = {
+      asic::bind_stage<&XgwH::stage_entry>(this),
+      asic::bind_stage<&XgwH::stage_acl>(this),
+      asic::bind_stage<&XgwH::stage_route_lookup>(this),
+      asic::bind_stage<&XgwH::stage_vm_nc_lookup>(this),
+      asic::bind_stage<&XgwH::stage_rewrite>(this)};
+  static_assert(std::size(bodies) == std::size(asic::kGatewayProgram));
+  auto bind = [&bodies](const std::vector<Stage>& gress) {
     asic::GressProgram program;
     for (const Stage stage : gress) {
-      const StageBody body = kStageBodies[stage];
-      program.stages.push_back(
-          [this, body](asic::ContextGroup group) { (this->*body)(group); });
+      program.stages.push_back(bodies[static_cast<std::size_t>(stage)]);
     }
     return program;
   };
@@ -557,9 +564,13 @@ void XgwH::charge(Path path, unsigned entry_pipe, unsigned loopback_pipe,
   ctr_asic_packets_->add();
   if (info.drop != dataplane::DropReason::kNone) ctr_asic_drops_->add();
   ctr_asic_ingress_[entry_pipe]->add();  // every path enters there
-  if (info.visits & kLoopbackEgress) ctr_asic_egress_[loopback_pipe]->add();
-  if (info.visits & kLoopbackIngress) ctr_asic_ingress_[loopback_pipe]->add();
-  if (info.visits & kExitEgress) {
+  if (info.visits & bit(asic::PathSlot::kBackEgress)) {
+    ctr_asic_egress_[loopback_pipe]->add();
+  }
+  if (info.visits & bit(asic::PathSlot::kBackIngress)) {
+    ctr_asic_ingress_[loopback_pipe]->add();
+  }
+  if (info.visits & bit(asic::PathSlot::kFrontEgress)) {
     ctr_asic_egress_[exit_pipe(entry_pipe, loopback_pipe)]->add();
   }
   ctr_route_hit_->add(route_hits);
@@ -630,7 +641,7 @@ ForwardResult XgwH::forward(const net::OverlayPacket& packet, double now) {
   const PathInfo& info = path_info(batch_.walk[0].path);
   const unsigned loopback_pipe = loopback_pipe_of(packet.vni);
   result.passes = info.passes;
-  if (info.visits & kExitEgress) {
+  if (info.visits & bit(asic::PathSlot::kFrontEgress)) {
     result.egress_pipe =
         exit_pipe(entry_pipe_of(batch_.hash[0]), loopback_pipe);
   }

@@ -1,7 +1,9 @@
 // XGW-H: the Tofino-based hardware gateway (one SfChip running the Sailfish
 // gateway program).
 //
-// Datapath (folded mode, Fig. 13/14 of the paper):
+// Datapath (folded mode, Fig. 13/14 of the paper), as asic::kGatewayProgram
+// describes it once — build_program() binds these gresses from it and the
+// placer bills each table at the gress of the stage that reads it:
 //   Ingress 0/2 : entry pipes — ACL, shard select (hash of VNI) -> egress 1|3
 //   Egress  1/3 : loopback pipes — VXLAN route lookup in that shard
 //   Ingress 1/3 : VM-NC lookup in that shard -> exit pipe select
@@ -171,15 +173,6 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   static constexpr std::size_t kPathCount =
       static_cast<std::size_t>(Path::kLocal) + 1;
 
-  /// The four pipe visits a walk can charge, in walk order. Unfolded
-  /// programs only have the entry ingress and the exit egress.
-  enum Visit : std::uint8_t {
-    kEntryIngress = 1,
-    kLoopbackEgress = 2,
-    kLoopbackIngress = 4,
-    kExitEgress = 8,  // the rewrite stage runs here
-  };
-
   /// One row of the path table. build_program() derives every row from
   /// the program's gress layout and the PHV field widths.
   struct PathInfo {
@@ -187,7 +180,9 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     dataplane::Action action = dataplane::Action::kDrop;  // when not dropped
     std::uint8_t passes = 0;
     std::uint16_t bridged_bits = 0;
-    std::uint8_t visits = 0;  // Visit bits
+    /// Bit g set: the path visits gress g (asic::PathSlot order, the walk
+    /// order). Unfolded paths visit only the entry ingress and exit egress.
+    std::uint8_t visits = 0;
     /// The one table counter the path bumps besides route hits (ACL deny,
     /// route miss, VM-NC hit or miss), or null.
     telemetry::Counter* table_counter = nullptr;

@@ -8,21 +8,18 @@
 // is enabled, remainder unplaced and charged to the preferred pipe. The
 // differential tests replay workloads and packets through this and
 // through the real placer and FATAL on any divergence, so the hot path
-// can be refactored without fear. lookup_table_names() below is the
-// per-packet lookup list the differential test replays through both.
+// can be refactored without fear.
 
 #pragma once
 
 #include <cstddef>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "asic/chip_config.hpp"
 #include "asic/memory.hpp"
 #include "asic/placer.hpp"
-#include "net/ip.hpp"
 
 namespace sf::asic::testref {
 
@@ -168,44 +165,6 @@ inline NaiveLayout naive_place(const ChipConfig& chip,
     }
   }
   return out;
-}
-
-/// Placement-table names (asic::compute_demands naming) a packet of the
-/// given IP family consults under a compression config, grouped by the
-/// folded-path slot compute_demands bills each table to: front ingress
-/// (ACL, VXLAN route), back egress (fallback steering), back ingress
-/// (VM-NC, meters), front egress (counters). This is the placer's billing
-/// order, not the gress order XgwH::build_program() walks: there the
-/// route stage runs in the loopback egress. Service tables are listed
-/// unconditionally; callers intersect with the tables their workload
-/// actually placed.
-inline std::vector<std::string> lookup_table_names(
-    const CompressionConfig& config, net::IpFamily family) {
-  const bool v4 = family == net::IpFamily::kV4;
-  std::vector<std::string> names;
-  // Ingress front pipe.
-  names.push_back("acl");
-  if (config.alpm) {
-    names.push_back("vxlan_route_alpm_dir");
-    names.push_back("vxlan_route_alpm_buckets");
-  } else if (config.pool) {
-    names.push_back("vxlan_route_pooled");
-  } else {
-    names.push_back(v4 ? "vxlan_route_v4" : "vxlan_route_v6");
-  }
-  // Egress back pipe.
-  names.push_back("fallback_steering");
-  // Ingress back pipe.
-  if (config.compress) {
-    names.push_back("vm_nc_pooled");
-    names.push_back("vm_nc_conflicts");
-  } else {
-    names.push_back(v4 ? "vm_nc_v4" : "vm_nc_v6");
-  }
-  names.push_back("meters");
-  // Egress front pipe.
-  names.push_back("counters");
-  return names;
 }
 
 }  // namespace sf::asic::testref

@@ -2,8 +2,8 @@
 // workloads evolve through Placer::replace() while every step is checked
 // against (1) a from-scratch placement and (2) the naive reference
 // interpreter in placement_reference.hpp — an independent coding of the
-// §4.4 rules. Packets are replayed through the lookup list
-// (testref::lookup_table_names) and their unit->pipe verdicts compared.
+// §4.4 rules. Packets are replayed through the tables the program's stages
+// read (asic::kGatewayProgram) and their unit->pipe verdicts compared.
 // Any divergence is fatal: occupancy accounting must match exactly, and
 // fresh layouts must agree with the reference segment for segment.
 
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asic/placement.hpp"
@@ -121,18 +122,31 @@ void expect_matches_reference(const Placement& layout,
   }
 }
 
+// The tables a packet of `family` reads, in walk order: every table the
+// program's stages read but the other family's unpooled tables. Callers
+// skip the names their workload did not place.
+std::vector<std::string_view> lookup_tables(net::IpFamily family) {
+  const std::string_view other =
+      family == net::IpFamily::kV4 ? "_v6" : "_v4";
+  std::vector<std::string_view> names;
+  for (const StageLayout& stage : kGatewayProgram) {
+    for (const std::string_view name : stage.tables) {
+      if (!name.empty() && !name.ends_with(other)) names.push_back(name);
+    }
+  }
+  return names;
+}
+
 // Replay packets through the lookup order and compare unit->pipe
 // verdicts between the engine layout and the reference.
 void replay_packets(const Placement& layout, const NaiveLayout& naive,
-                    const CompressionConfig& config, std::uint64_t seed,
-                    std::size_t packets) {
+                    std::uint64_t seed, std::size_t packets) {
   for (std::size_t i = 0; i < packets; ++i) {
     const std::uint64_t h = mix(seed * 1'000'003 + i);
     const net::IpFamily family =
         (h & 3) == 0 ? net::IpFamily::kV6 : net::IpFamily::kV4;
     const std::size_t path = (h >> 2) % layout.paths().size();
-    for (const std::string& name :
-         testref::lookup_table_names(config, family)) {
+    for (const std::string_view name : lookup_tables(family)) {
       const auto table = layout.table_index(name);
       if (!table) continue;  // not part of this workload's program
       for (MemoryKind kind : {MemoryKind::kSram, MemoryKind::kTcam}) {
@@ -211,7 +225,7 @@ void run_differential(std::uint64_t seed, const Scenario& scenario) {
     const NaiveLayout naive =
         testref::naive_place(chip, compute_demands(chip, w, config), config);
     expect_matches_reference(live, naive);
-    replay_packets(live, naive, config, seed, 64);
+    replay_packets(live, naive, seed, 64);
   }
 
   for (int step = 0; step < 10; ++step) {
@@ -226,7 +240,7 @@ void run_differential(std::uint64_t seed, const Scenario& scenario) {
     const NaiveLayout naive =
         testref::naive_place(chip, compute_demands(chip, w, config), config);
     expect_matches_reference(fresh, naive);
-    replay_packets(fresh, naive, config, seed * 31 + step, 64);
+    replay_packets(fresh, naive, seed * 31 + step, 64);
     expect_evolved_parity(live, fresh);
   }
   const PlacementStats& stats = live.stats();

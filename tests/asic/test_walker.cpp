@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -11,12 +12,16 @@
 namespace sf::asic {
 namespace {
 
-/// A stage that runs `fn` once per context of its group.
+/// A stage that runs `fn` once per context of its group. The StageFn
+/// points at a copy of `fn` kept for the test binary's lifetime (deque
+/// elements never move), so it outlives every program it is bound into.
 template <typename F>
 StageFn each(F fn) {
-  return [fn](ContextGroup group) mutable {
-    for (PacketContext* ctx : group) fn(*ctx);
-  };
+  static std::deque<F> bodies;
+  return {[](void* body, ContextGroup group) {
+            for (PacketContext* ctx : group) (*static_cast<F*>(body))(*ctx);
+          },
+          &bodies.emplace_back(std::move(fn))};
 }
 
 /// The PHV fields the stages below write, as a program's field enum names

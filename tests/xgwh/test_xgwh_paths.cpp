@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "xgwh/compression_plan.hpp"
 #include "xgwh/xgwh.hpp"
 
 namespace sf::xgwh {
@@ -234,6 +235,51 @@ void check_fold(bool folded) {
 TEST(XgwHPaths, TableMatchesWalker) {
   check_fold(/*folded=*/true);
   check_fold(/*folded=*/false);
+}
+
+/// The gress a walk on `path` ends in: the last gress it visits.
+asic::PathSlot last_gress(const XgwH& gw, Path path) {
+  const unsigned visits = gw.path_info(path).visits;
+  unsigned gress = 0;
+  while (visits >> (gress + 1) != 0) ++gress;
+  return static_cast<asic::PathSlot>(gress);
+}
+
+// The placer bills each table at the gress where a built XgwH reads it: an
+// ACL deny ends its walk in the ACL stage's gress, a peer loop in the route
+// stage's (Fig. 14: the entry ingress and the loopback egress). For every
+// folded config, every ACL and route demand compute_demands emits must
+// carry that gress.
+TEST(XgwHPaths, PlacerBillsTablesWhereTheWalkReadsThem) {
+  std::vector<asic::CompressionConfig> configs;
+  for (const char* steps : {"a", "ab", "abc", "abcd", "abcde"}) {
+    configs.push_back(config_for_steps(steps));
+  }
+  configs.push_back(asic::CompressionConfig::all());
+  asic::GatewayWorkload workload;
+  workload.acl_rules = 1000;
+  for (const asic::CompressionConfig& compression : configs) {
+    XgwH::Config config;
+    config.compression = compression;
+    config.flow_cache_entries = 0;
+    const XgwH gw(config);
+    const asic::PathSlot acl = last_gress(gw, Path::kAclDeny);
+    const asic::PathSlot route = last_gress(gw, Path::kPeerLoop);
+    EXPECT_EQ(acl, asic::PathSlot::kFrontIngress);
+    EXPECT_EQ(route, asic::PathSlot::kBackEgress);
+    std::size_t checked = 0;
+    for (const asic::TableDemand& demand :
+         asic::compute_demands(config.chip, workload, compression)) {
+      if (demand.name == "acl") {
+        EXPECT_EQ(demand.slot, acl);
+        ++checked;
+      } else if (demand.name.starts_with("vxlan_route")) {
+        EXPECT_EQ(demand.slot, route) << demand.name;
+        ++checked;
+      }
+    }
+    EXPECT_GE(checked, 2u);
+  }
 }
 
 }  // namespace
