@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 #include "asic/placement.hpp"
@@ -261,7 +262,7 @@ int main() {
     for (std::size_t i = 0; i < kDeltas; ++i) {
       const asic::WorkloadDelta delta = random_delta(rng);
       const auto t0 = std::chrono::steady_clock::now();
-      live = placer.replace(live, delta);
+      live = placer.replace(std::move(live), delta);
       const std::chrono::duration<double> dt =
           std::chrono::steady_clock::now() - t0;
       delta_us.push_back(dt.count() * 1e6);

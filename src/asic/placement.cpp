@@ -572,10 +572,10 @@ OccupancyReport Placer::place(std::vector<TableDemand> demands,
   return place_layout(std::move(demands), config, GatewayWorkload{}).report();
 }
 
-Placement Placer::replace(const Placement& base,
-                          const WorkloadDelta& delta) const {
+Placement Placer::replace(Placement base, const WorkloadDelta& delta) const {
   const GatewayWorkload next = delta.applied_to(base.workload());
-  const CompressionConfig& config = base.compression();
+  // A copy: `base` is moved into the incremental layout below.
+  const CompressionConfig config = base.compression();
   std::vector<TableDemand> next_demands =
       compute_demands(chip_, next, config);
 
@@ -594,7 +594,7 @@ Placement Placer::replace(const Placement& base,
     return adopt_shadow();
   }
 
-  Placement incremental = base;
+  Placement incremental = std::move(base);
   incremental.workload_ = next;
   std::vector<TableDemand> fresh_demands;
   fresh_demands.reserve(shadow.table_count());

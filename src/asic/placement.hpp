@@ -25,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "asic/memory.hpp"
@@ -221,7 +222,7 @@ class PlacementEngine {
   /// Applies a delta to the live layout. Empty deltas are a no-op.
   void apply(const WorkloadDelta& delta) {
     if (delta.empty()) return;
-    placement_ = placer_.replace(placement_, delta);
+    placement_ = placer_.replace(std::move(placement_), delta);
   }
 
   const Placement& placement() const { return placement_; }

@@ -204,8 +204,9 @@ class Placer {
   /// layout would diverge, or once fragmentation crosses
   /// CompressionConfig::replace_fragmentation_limit). Defined for layouts
   /// built from a GatewayWorkload — demand-vector layouts (Table 4 style)
-  /// should be re-placed instead.
-  Placement replace(const Placement& base, const WorkloadDelta& delta) const;
+  /// should be re-placed instead. `base` is taken by value so a caller
+  /// that moves its live layout in pays no copy of the extent lists.
+  Placement replace(Placement base, const WorkloadDelta& delta) const;
 
   const ChipConfig& chip() const { return chip_; }
 

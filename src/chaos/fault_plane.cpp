@@ -16,13 +16,11 @@ std::uint64_t slot_key(std::size_t cluster, std::size_t device) {
   return (static_cast<std::uint64_t>(cluster) << 32) | device;
 }
 
-}  // namespace
-
-workload::VpcRecord synthetic_vpc(net::Vni vni, unsigned ordinal,
-                                  std::uint32_t block, std::uint32_t nc_base) {
+workload::VpcRecord synthetic_vpc(const SyntheticBlock& where,
+                                  unsigned ordinal) {
   workload::VpcRecord vpc;
-  vpc.vni = vni;
-  const std::uint32_t base = block | ((ordinal & 0xffffu) << 8);
+  vpc.vni = where.vni_base + static_cast<net::Vni>(ordinal);
+  const std::uint32_t base = where.block | ((ordinal & 0xffffu) << 8);
   workload::RouteRecord route;
   route.prefix = net::Ipv4Prefix(net::Ipv4Addr(base), 24);
   route.action =
@@ -31,10 +29,22 @@ workload::VpcRecord synthetic_vpc(net::Vni vni, unsigned ordinal,
   for (std::uint32_t vm_index = 0; vm_index < 2; ++vm_index) {
     workload::VmRecord vm;
     vm.ip = net::IpAddr(net::Ipv4Addr(base + 1 + vm_index));
-    vm.nc_ip = net::Ipv4Addr(nc_base + ordinal);
+    vm.nc_ip = net::Ipv4Addr(where.nc_base + ordinal);
     vpc.vms.push_back(vm);
   }
   return vpc;
+}
+
+}  // namespace
+
+std::size_t onboard_wave(cluster::Controller& controller,
+                         const SyntheticBlock& where, unsigned count,
+                         unsigned& next_ordinal) {
+  std::size_t admitted = 0;
+  for (unsigned v = 0; v < count; ++v) {
+    if (controller.add_vpc(synthetic_vpc(where, next_ordinal++))) ++admitted;
+  }
+  return admitted;
 }
 
 /// Records every recovery-initiated device transition, then forwards it to
@@ -54,17 +64,19 @@ struct FaultPlane::Tap : cluster::RecoveryListener {
     plane->transitions_.push_back({cluster, device, false, now});
     auto it = plane->windows_.find(slot_key(cluster, device));
     if (it != plane->windows_.end()) {
-      for (DownWindow& w : it->second) w.end = std::min(w.end, now);
+      for (FaultWindow& w : it->second) w.end = std::min(w.end, now);
     }
     plane->monitor_.on_device_marked_recovered(cluster, device, now);
   }
 };
 
 FaultPlane::FaultPlane(core::SailfishRegion& region,
-                       cluster::HealthMonitor::Config health, double tick_s)
+                       cluster::HealthMonitor::Config health, double tick_s,
+                       const ChaosSchedule& schedule)
     : region_(region),
       health_(health),
       tick_s_(tick_s),
+      schedule_(schedule),
       monitor_(&region.disaster_recovery(), health),
       tap_(std::make_unique<Tap>()) {
   // The monitor registered itself as recovery's listener; the tap takes
@@ -77,19 +89,28 @@ FaultPlane::~FaultPlane() {
   region_.disaster_recovery().set_listener(nullptr);
 }
 
+std::optional<std::size_t> FaultPlane::next_due(double now) {
+  const auto& events = schedule_.events();
+  if (next_event_ == events.size() ||
+      events[next_event_].time > now + kTimeEpsilon) {
+    return std::nullopt;
+  }
+  return next_event_++;
+}
+
 double FaultPlane::arm(const ChaosEvent& event, std::size_t owner) {
   cluster::Controller& controller = region_.controller();
   const double end = event.time + event.duration;
   switch (event.kind) {
     case FaultKind::kDeviceCrash:
       windows_[slot_key(event.cluster, event.device)].push_back(
-          DownWindow{event.time, end, owner});
+          FaultWindow{event.time, end, owner});
       return end;
     case FaultKind::kDeviceFlap: {
       auto& slot = windows_[slot_key(event.cluster, event.device)];
       for (unsigned cycle = 0; cycle < event.count; ++cycle) {
         const double start = event.time + 2.0 * cycle * event.duration;
-        slot.push_back(DownWindow{start, start + event.duration, owner});
+        slot.push_back(FaultWindow{start, start + event.duration, owner});
       }
       return event.time + 2.0 * event.count * event.duration;
     }
@@ -116,27 +137,19 @@ double FaultPlane::arm(const ChaosEvent& event, std::size_t owner) {
       return event.time + reports * tick_s_;
     }
     case FaultKind::kChannelOutage:
-      if (!channel_down_) {
-        controller.set_update_channel_up(false);
-        channel_down_ = true;
-      }
-      channel_down_until_ = std::max(channel_down_until_, end);
+      if (!channel_.held) controller.set_update_channel_up(false);
+      channel_.hold(end);
       return end;
     case FaultKind::kControllerBrownout:
       // The channel stays nominally up but refuses every attempt.
-      if (!browned_out_) {
-        controller.set_update_channel_degraded(true);
-        browned_out_ = true;
-      }
-      brownout_until_ = std::max(brownout_until_, end);
+      if (!brownout_.held) controller.set_update_channel_degraded(true);
+      brownout_.hold(end);
       return end;
     case FaultKind::kDpuFailure: {
       if (region_.dpu_node_count() == 0) return event.time;
       const std::size_t node = event.device % region_.dpu_node_count();
       region_.set_dpu_failed(node, true);
-      DpuDark& dark = dpu_dark_[node];
-      dark.until = std::max(dark.until, end);
-      dark.dark = true;
+      dpu_dark_[node].hold(end);
       return end;
     }
     case FaultKind::kUpdateStorm:
@@ -148,18 +161,25 @@ double FaultPlane::arm(const ChaosEvent& event, std::size_t owner) {
   return event.time;
 }
 
-void FaultPlane::deliver_heartbeats(double now) {
+const StormWindow& FaultPlane::arm_storm(const ChaosEvent& event,
+                                         std::size_t owner, net::Vni vni) {
+  return storms_.emplace_back(StormWindow{
+      {event.time, event.time + event.duration, owner}, vni, event.error_rate});
+}
+
+FaultPlane::Observation FaultPlane::observe(double now) {
+  Observation seen;
+  cluster::Controller& controller = region_.controller();
   transitions_.clear();
-  const cluster::Controller& controller = region_.controller();
+  // Heartbeats in cluster-major order: missed while a window is active.
   for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
     const std::size_t devices = controller.cluster(c).device_count();
     for (std::size_t d = 0; d < devices; ++d) {
       monitor_.report_heartbeat(c, d, !slot_down(c, d, now), now);
     }
   }
-}
-
-void FaultPlane::deliver_port_reports(double now) {
+  // Port error reports in sorted port-key order. Clean reports continue
+  // until the monitor lets the port back in, then the track retires.
   for (auto it = tracks_.begin(); it != tracks_.end();) {
     PortTrack& track = it->second;
     if (track.bad_remaining > 0) {
@@ -176,37 +196,36 @@ void FaultPlane::deliver_port_reports(double now) {
              ? std::next(it)
              : tracks_.erase(it);
   }
-}
+  // Only the transitions the probes caused: anything recorded from here to
+  // the next observe() is cleared unseen.
+  seen.transitions.swap(transitions_);
 
-FaultPlane::Restored FaultPlane::restore_expired(double now) {
-  cluster::Controller& controller = region_.controller();
-  Restored restored;
-  if (channel_down_ && now + kTimeEpsilon >= channel_down_until_) {
+  // Level-triggered restores: the channel outage, the brownout and every
+  // DPU dark window whose latest end has passed.
+  if (channel_.release(now)) {
     controller.set_update_channel_up(true);
-    channel_down_ = false;
-    restored.channel = true;
+    seen.channel_restored = true;
   }
-  if (browned_out_ && now + kTimeEpsilon >= brownout_until_) {
+  if (brownout_.release(now)) {
     controller.set_update_channel_degraded(false);
-    browned_out_ = false;
-    restored.brownout = true;
+    seen.brownout_cleared = true;
   }
   for (auto& [node, dark] : dpu_dark_) {
-    if (dark.dark && now + kTimeEpsilon >= dark.until) {
+    if (dark.release(now)) {
       region_.set_dpu_failed(node, false);
-      dark.dark = false;
-      restored.dpu_nodes.push_back(node);
+      seen.dpu_nodes_restored.push_back(node);
     }
   }
-  return restored;
+  seen.replayed = controller.advance_clock(now);
+  return seen;
 }
 
 bool FaultPlane::slot_down(std::size_t cluster, std::size_t device,
                            double now, std::size_t* owner) const {
   auto it = windows_.find(slot_key(cluster, device));
   if (it == windows_.end()) return false;
-  for (const DownWindow& w : it->second) {
-    if (w.start <= now + kTimeEpsilon && now < w.end - kTimeEpsilon) {
+  for (const FaultWindow& w : it->second) {
+    if (w.active(now)) {
       if (owner != nullptr) *owner = w.owner;
       return true;
     }
@@ -217,10 +236,7 @@ bool FaultPlane::slot_down(std::size_t cluster, std::size_t device,
 FaultPlane::PortState FaultPlane::port_state(std::size_t owner) const {
   PortState state;
   for (const auto& [key, track] : tracks_) {
-    if (std::find(track.owners.begin(), track.owners.end(), owner) ==
-        track.owners.end()) {
-      continue;
-    }
+    if (std::ranges::find(track.owners, owner) == track.owners.end()) continue;
     state.tracked = true;
     state.isolated = state.isolated ||
                      monitor_.port_considered_isolated(
@@ -237,12 +253,12 @@ double FaultPlane::dpu_dark_until(std::size_t node) const {
 bool FaultPlane::device_faults_active(double now) const {
   if (!tracks_.empty()) return true;
   for (const auto& [key, slot_windows] : windows_) {
-    for (const DownWindow& w : slot_windows) {
+    for (const FaultWindow& w : slot_windows) {
       if (now < w.end - kTimeEpsilon) return true;
     }
   }
   for (const auto& [node, dark] : dpu_dark_) {
-    if (dark.dark) return true;
+    if (dark.held) return true;
   }
   const cluster::Controller& controller = region_.controller();
   for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
@@ -325,6 +341,17 @@ std::vector<std::string> FaultPlane::audit(
                                guard::name(guard->tier_of(vni))));
       }
     }
+  }
+  return leaks;
+}
+
+std::vector<std::string> FaultPlane::final_audit(double now) const {
+  std::vector<net::Vni> storm_vnis;
+  for (const StormWindow& storm : storms_) storm_vnis.push_back(storm.vni);
+  std::vector<std::string> leaks = audit(region_, now, &monitor_, storm_vnis);
+  if (next_event_ != schedule_.size()) {
+    leaks.insert(leaks.begin(), format("%zu scheduled events never fired",
+                                       schedule_.size() - next_event_));
   }
   return leaks;
 }

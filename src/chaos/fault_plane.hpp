@@ -6,6 +6,8 @@
 // differ in cadence and in the faces each owns. The plane holds what they
 // share, written once:
 //
+//   * the schedule cursor, which yields each event once, at the first tick
+//     at or after its time;
 //   * the HealthMonitor, with a RecoveryListener tap spliced in front of it
 //     so every device transition recovery decides on its own (escalation,
 //     cold-standby replacement) is seen at the instant it happens;
@@ -13,20 +15,24 @@
 //     missed, and port error tracks (error bursts, link loss);
 //   * the update channel's outage and brownout windows and each DPU node's
 //     dark window, all held until the latest end of overlapping faults;
-//   * the region leak audit.
+//   * tenant-storm windows and the synthetic-tenant onboarding wave;
+//   * the final leak audit.
 //
-// Each call is one phase of a tick — arm() the events due, then
-// deliver_heartbeats(), deliver_port_reports(), restore_expired() — so a
-// harness keeps its own phase order and interleaves its own work.
+// Both harnesses run the same tick: fire what next_due() yields (arm() plus
+// the harness's own faces), then observe() — heartbeats, port reports,
+// restores of expired windows, the controller clock — then whatever the
+// harness measures. Nothing here knows which harness is calling.
 //
 // Determinism: every container iterated is ordered, and heartbeats go out
 // in fixed cluster-major order, port reports in sorted port-key order.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,12 +47,42 @@ namespace sf::chaos {
 /// Tolerance for comparing simulated instants against window edges.
 inline constexpr double kTimeEpsilon = 1e-9;
 
-/// A synthetic tenant a harness onboards mid-run: one /24 route out of the
-/// /9 at `block` (the ordinal picks the /24) and two VMs behind NC
-/// `nc_base` + ordinal. The injector and the timeline use disjoint blocks,
-/// both outside generated topologies, so they can share a region.
-workload::VpcRecord synthetic_vpc(net::Vni vni, unsigned ordinal,
-                                  std::uint32_t block, std::uint32_t nc_base);
+/// Where a harness's synthetic tenants live. Tenant `ordinal` is VNI
+/// `vni_base` + ordinal with one /24 route out of the /9 at `block` (the
+/// ordinal picks the /24) and two VMs behind NC `nc_base` + ordinal. The
+/// injector and the timeline use disjoint blocks, both outside generated
+/// topologies, so they can share a region.
+struct SyntheticBlock {
+  net::Vni vni_base = 0;
+  std::uint32_t block = 0;
+  std::uint32_t nc_base = 0;
+};
+
+/// One onboarding wave: `count` fresh synthetic tenants, their ordinals
+/// taken from `next_ordinal`, pushed through the controller. Returns how
+/// many it admitted.
+std::size_t onboard_wave(cluster::Controller& controller,
+                         const SyntheticBlock& where, unsigned count,
+                         unsigned& next_ordinal);
+
+/// A fault's active span [start, end), tagged with the schedule index of
+/// the event that armed it.
+struct FaultWindow {
+  double start = 0;
+  double end = 0;
+  std::size_t owner = 0;
+
+  bool active(double now) const {
+    return start <= now + kTimeEpsilon && now < end - kTimeEpsilon;
+  }
+};
+
+/// A tenant storm: `vni` offers `multiplier` times its usual traffic while
+/// the window is active.
+struct StormWindow : FaultWindow {
+  net::Vni vni = 0;
+  double multiplier = 1.0;
+};
 
 class FaultPlane {
  public:
@@ -58,11 +94,14 @@ class FaultPlane {
     double time = 0;
   };
 
-  /// What restore_expired() lifted.
-  struct Restored {
-    bool channel = false;
-    bool brownout = false;
-    std::vector<std::size_t> dpu_nodes;
+  /// What one observe() saw, in the order it happened: the probes'
+  /// transitions, the windows lifted, the deferred ops replayed.
+  struct Observation {
+    std::vector<Transition> transitions;
+    bool channel_restored = false;
+    bool brownout_cleared = false;
+    std::vector<std::size_t> dpu_nodes_restored;
+    std::size_t replayed = 0;
   };
 
   /// Port tracks owned by one fault.
@@ -73,13 +112,21 @@ class FaultPlane {
 
   /// Splices the monitor (behind the tap) into the region's recovery
   /// listener slot; the destructor detaches it. `tick_s` is the probe
-  /// cadence: one port error report goes out per tick.
+  /// cadence: one port error report goes out per tick. `schedule` must
+  /// outlive the plane.
   FaultPlane(core::SailfishRegion& region,
-             cluster::HealthMonitor::Config health, double tick_s);
+             cluster::HealthMonitor::Config health, double tick_s,
+             const ChaosSchedule& schedule);
   ~FaultPlane();
 
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
+
+  /// The schedule cursor: the index of the next event due at `now` (its
+  /// time at or before it), each event once in schedule order; nullopt
+  /// once none is due.
+  std::optional<std::size_t> next_due(double now);
+  std::size_t events_fired() const { return next_event_; }
 
   /// Arms the plane's part of `event`: down-windows, port tracks, channel
   /// outage and brownout, DPU dark window. Other kinds belong to the
@@ -87,30 +134,36 @@ class FaultPlane {
   /// `owner`. Returns the instant injection ends.
   double arm(const ChaosEvent& event, std::size_t owner);
 
-  /// Heartbeats in cluster-major order: missed while a window is active.
-  void deliver_heartbeats(double now);
-  /// Port error reports in sorted port-key order. Clean reports continue
-  /// until the monitor lets the port back in, then the track retires.
-  void deliver_port_reports(double now);
-  /// Transitions recorded since the last deliver_heartbeats().
-  const std::vector<Transition>& transitions() const { return transitions_; }
+  /// Arms a tenant storm on `vni` over the event's [time, time + duration)
+  /// with the event's error_rate as the multiplier.
+  const StormWindow& arm_storm(const ChaosEvent& event, std::size_t owner,
+                               net::Vni vni);
+  /// Every storm armed, in arming order.
+  const std::vector<StormWindow>& storms() const { return storms_; }
 
-  /// Lifts the channel outage, the brownout and every DPU dark window
-  /// whose latest end has passed.
-  Restored restore_expired(double now);
+  /// One tick's observation: heartbeats in cluster-major order (missed
+  /// while a down-window is active), port error reports in sorted
+  /// port-key order, then the restores of every channel, brownout and DPU
+  /// window whose latest end has passed, then the controller's clock.
+  Observation observe(double now);
 
   /// Whether a down-window covers the slot; `owner` receives its tag.
   bool slot_down(std::size_t cluster, std::size_t device, double now,
                  std::size_t* owner = nullptr) const;
   PortState port_state(std::size_t owner) const;
-  bool channel_down() const { return channel_down_; }
-  bool browned_out() const { return browned_out_; }
-  /// When the node's latest dark window ends (or ended); restore_expired()
+  bool channel_down() const { return channel_.held; }
+  bool browned_out() const { return brownout_.held; }
+  /// When the node's latest dark window ends (or ended); observe()
   /// brings it back at that instant.
   double dpu_dark_until(std::size_t node) const;
   /// A device, port or DPU fault is still injected, or recovery
   /// hysteresis is still unwinding.
   bool device_faults_active(double now) const;
+  /// The channel is down or browned out, or table ops are still deferred.
+  bool control_faults_active() const {
+    return channel_.held || brownout_.held ||
+           region_.controller().deferred_op_count() != 0;
+  }
 
   const cluster::HealthMonitor& monitor() const { return monitor_; }
 
@@ -124,13 +177,12 @@ class FaultPlane {
       const core::SailfishRegion& region, double now,
       const cluster::HealthMonitor* monitor,
       std::span<const net::Vni> storm_vnis);
+  /// The end-of-run audit: "N scheduled events never fired" when the
+  /// cursor stopped short, then audit() with this plane's monitor and
+  /// storm tenants.
+  std::vector<std::string> final_audit(double now) const;
 
  private:
-  struct DownWindow {
-    double start = 0;
-    double end = 0;
-    std::size_t owner = 0;
-  };
   /// A port with outstanding injected error reports: `error_rate` while
   /// `bad_remaining` is positive, clean afterwards.
   struct PortTrack {
@@ -141,26 +193,39 @@ class FaultPlane {
     double error_rate = 0;
     std::vector<std::size_t> owners;
   };
-  struct DpuDark {
+  /// A window held until the latest end of the faults that overlap it.
+  struct HeldWindow {
     double until = -1;
-    bool dark = false;
+    bool held = false;
+
+    void hold(double end) {
+      held = true;
+      until = std::max(until, end);
+    }
+    /// Lets go once `now` reaches the end; returns whether it did.
+    bool release(double now) {
+      if (!held || now + kTimeEpsilon < until) return false;
+      held = false;
+      return true;
+    }
   };
   struct Tap;
 
   core::SailfishRegion& region_;
   cluster::HealthMonitor::Config health_;
   double tick_s_;
+  const ChaosSchedule& schedule_;
+  std::size_t next_event_ = 0;
   cluster::HealthMonitor monitor_;
   std::unique_ptr<Tap> tap_;
   std::vector<Transition> transitions_;
   // slot -> down-windows; port key -> track; node -> dark window.
-  std::map<std::uint64_t, std::vector<DownWindow>> windows_;
+  std::map<std::uint64_t, std::vector<FaultWindow>> windows_;
   std::map<std::uint64_t, PortTrack> tracks_;
-  std::map<std::size_t, DpuDark> dpu_dark_;
-  double channel_down_until_ = -1;
-  bool channel_down_ = false;
-  double brownout_until_ = -1;
-  bool browned_out_ = false;
+  std::map<std::size_t, HeldWindow> dpu_dark_;
+  HeldWindow channel_;
+  HeldWindow brownout_;
+  std::vector<StormWindow> storms_;
 };
 
 }  // namespace sf::chaos

@@ -24,22 +24,19 @@ bool is_device_fault(FaultKind kind) {
   return kind == FaultKind::kDeviceCrash || kind == FaultKind::kDeviceFlap;
 }
 
-// Storm tenants take /24s out of 10.0/9 and NCs out of 172.16/16.
-constexpr std::uint32_t kStormBlock = 0x0a000000u;
-constexpr std::uint32_t kStormNcBase = 0xac100000u;
-
-workload::VpcRecord storm_vpc(net::Vni vni, unsigned ordinal) {
-  return synthetic_vpc(vni, ordinal, kStormBlock, kStormNcBase);
-}
+// Storm tenants take VNIs from 0xC0DE00 (outside topology VNIs), /24s out
+// of 10.0/9 and NCs out of 172.16/16.
+constexpr SyntheticBlock kStormTenants{0xC0DE00, 0x0a000000u, 0xac100000u};
 
 /// Appends a storm tenant's flood to a flow population: `flow_count`
 /// Zipf-skewed flows whose weights sum to `weight_total`, addressed
 /// between the storm VPC's two VMs so every packet resolves through the
 /// tables storm provisioning installed.
 void append_storm_flows(std::vector<workload::Flow>& out, net::Vni vni,
-                        unsigned ordinal, unsigned flow_count,
-                        double weight_total, double zipf_exponent) {
-  const std::uint32_t base = kStormBlock | ((ordinal & 0xffffu) << 8);
+                        unsigned flow_count, double weight_total,
+                        double zipf_exponent) {
+  const std::uint32_t ordinal = vni - kStormTenants.vni_base;
+  const std::uint32_t base = kStormTenants.block | ((ordinal & 0xffffu) << 8);
   double norm = 0;
   for (unsigned k = 0; k < flow_count; ++k) {
     norm += 1.0 / std::pow(static_cast<double>(k + 1), zipf_exponent);
@@ -48,7 +45,7 @@ void append_storm_flows(std::vector<workload::Flow>& out, net::Vni vni,
     workload::Flow flow;
     flow.vni = vni;
     flow.scope = tables::RouteScope::kLocal;
-    flow.dst_nc = net::Ipv4Addr(kStormNcBase + ordinal);
+    flow.dst_nc = net::Ipv4Addr(kStormTenants.nc_base + ordinal);
     flow.tuple.src = net::IpAddr(net::Ipv4Addr(base + 1));
     flow.tuple.dst = net::IpAddr(net::Ipv4Addr(base + 2));
     flow.tuple.proto = 17;
@@ -62,271 +59,232 @@ void append_storm_flows(std::vector<workload::Flow>& out, net::Vni vni,
 
 }  // namespace
 
-struct ChaosInjector::ActiveFault {
-  bool done = false;
-  /// Injection keeps running until this instant (down windows, report
-  /// bursts); recovery is then verified against the live machinery.
-  double end = 0;
-};
-
-ChaosInjector::ChaosInjector(core::SailfishRegion& region,
-                             std::span<const workload::Flow> flows,
-                             Config config)
-    : region_(region), flows_(flows), config_(config) {}
-
-ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
-  log_.clear();
+/// One run() in flight: the plane, the report under construction and each
+/// fault's lifecycle. Each phase is one step of the tick, called in run()'s
+/// order.
+struct ChaosInjector::Run {
+  ChaosInjector& injector;
+  core::SailfishRegion& region;
+  cluster::Controller& controller;
+  sim::EventLog& log;
+  const bool sampling;
+  const double deadline;
+  FaultPlane plane;
   ChaosReport report;
-  report.schedule_seed = schedule.seed();
-
-  cluster::Controller& controller = region_.controller();
-  const cluster::DisasterRecovery& recovery = region_.disaster_recovery();
-  FaultPlane plane(region_, cluster::HealthMonitor::Config{},
-                   kProbeIntervalS);
-  const cluster::HealthMonitor& monitor = plane.monitor();
-
-  const auto& events = schedule.events();
-  std::vector<ActiveFault> faults;
-  faults.reserve(events.size());
-  report.faults.reserve(events.size());
-  bool has_brownout_events = false;
+  // Per fault: injection keeps running until this instant (down windows,
+  // report bursts); recovery is then verified against the live machinery.
+  std::vector<double> ends;
   bool has_dpu_events = false;
-  for (const ChaosEvent& event : events) {
-    report.faults.push_back(FaultRecord{event});
-    faults.push_back(ActiveFault{});
-    has_brownout_events =
-        has_brownout_events || event.kind == FaultKind::kControllerBrownout;
-    has_dpu_events = has_dpu_events || event.kind == FaultKind::kDpuFailure;
-  }
-
   // Brownout transitions are observed by diffing the breaker's stats tick
   // over tick.
-  const guard::CircuitBreaker* breaker = controller.breaker();
-  report.breaker_tracked = has_brownout_events && breaker != nullptr;
+  const guard::CircuitBreaker* breaker;
   guard::CircuitBreaker::Stats breaker_base{};
-  if (breaker != nullptr) breaker_base = breaker->stats();
-  guard::CircuitBreaker::Stats breaker_prev = breaker_base;
-
-  // Tenant storms armed this run (the flood blends into interval samples
-  // while the owning fault's [time, end) covers the tick).
-  struct Storm {
-    std::size_t fault = 0;  // owning FaultRecord index
-    net::Vni vni = 0;
-    unsigned ordinal = 0;
-    unsigned flow_count = 0;
-    double magnitude = 0;  // offered rate as a multiple of interval_bps
-  };
-  std::vector<Storm> storms;
-  const auto storm_active = [&](const Storm& storm, double now) {
-    return report.faults[storm.fault].event.time <= now + kTimeEpsilon &&
-           now < faults[storm.fault].end - kTimeEpsilon;
-  };
-
-  // DPU node each armed kDpuFailure took dark (by FaultRecord index), and
-  // the last interval sample's DPU-served rate: recovery is the placer
-  // re-promoting elephants onto the node after the plane restores it.
-  std::map<std::size_t, std::size_t> dpu_nodes;
+  guard::CircuitBreaker::Stats breaker_prev{};
+  // The last interval sample's DPU-served rate: a kDpuFailure recovers
+  // when the placer re-promotes elephants onto the node after the plane
+  // restores it.
   double last_dpu_pps = 0;
   double last_dpu_sample_at = -1;
 
-  // Provisions `count` storm tenants through the update channel.
-  const auto onboard = [&](unsigned count) {
-    std::size_t admitted = 0;
-    for (unsigned v = 0; v < count; ++v) {
-      const unsigned ordinal = storm_vni_next_++;
-      if (controller.add_vpc(storm_vpc(kStormVniBase + ordinal, ordinal))) {
-        ++admitted;
-      }
+  Run(ChaosInjector& owner, const ChaosSchedule& schedule)
+      : injector(owner),
+        region(owner.region_),
+        controller(owner.region_.controller()),
+        log(owner.log_),
+        sampling(owner.config_.interval_bps > 0),
+        deadline(schedule.horizon() + owner.config_.settle_s),
+        plane(region, cluster::HealthMonitor::Config{}, kProbeIntervalS,
+              schedule),
+        ends(schedule.size()),
+        breaker(controller.breaker()) {
+    report.schedule_seed = schedule.seed();
+    report.faults.reserve(schedule.size());
+    bool has_brownout_events = false;
+    for (const ChaosEvent& event : schedule.events()) {
+      report.faults.push_back(FaultRecord{event});
+      has_brownout_events =
+          has_brownout_events || event.kind == FaultKind::kControllerBrownout;
+      has_dpu_events = has_dpu_events || event.kind == FaultKind::kDpuFailure;
     }
-    return admitted;
-  };
+    report.breaker_tracked = has_brownout_events && breaker != nullptr;
+    if (breaker != nullptr) breaker_base = breaker->stats();
+    breaker_prev = breaker_base;
+  }
 
-  // Retires fault `i` as recovered at `at`, with the log line saying why.
-  const auto recover = [&](std::size_t i, double at, double now,
-                           const std::string& why) {
+  /// Fault `i` has been injected and has not yet recovered.
+  bool in_flight(std::size_t i, double now) const {
+    const FaultRecord& record = report.faults[i];
+    return record.recovered_at < 0 && record.event.time <= now + kTimeEpsilon;
+  }
+  /// Retires fault `i` as recovered at `at`, with the log line saying why.
+  void recover(std::size_t i, double at, double now, const std::string& why) {
     report.faults[i].recovered_at = at;
-    faults[i].done = true;
-    log_.append(now, "recover", why);
-  };
-  // Retires fault `i` at injection: detected and recovered on the spot.
-  const auto retire = [&](std::size_t i, double now) {
+    log.append(now, "recover", why);
+  }
+  /// Retires fault `i` at injection: detected and recovered on the spot.
+  void retire(std::size_t i, double now) {
     report.faults[i].detected_at = now;
     report.faults[i].recovered_at = now;
-    faults[i].done = true;
-  };
+  }
+  /// Provisions `count` storm tenants through the update channel.
+  std::size_t onboard(unsigned count) {
+    return onboard_wave(controller, kStormTenants, count,
+                        injector.storm_vni_next_);
+  }
 
-  const bool sampling = config_.interval_bps > 0;
-  const double deadline = schedule.horizon() + config_.settle_s;
-  std::size_t next_event = 0;
-  const std::size_t probe_count = std::min(kProbeFlows, flows_.size());
+  // ---- phase 1: fire the schedule events due at this tick ----------------
+  void fire_due(double now) {
+    while (const std::optional<std::size_t> index = plane.next_due(now)) {
+      fire(*index, now);
+    }
+  }
 
-  for (std::uint64_t tick = 0;; ++tick) {
-    const double now = static_cast<double>(tick) * kProbeIntervalS;
-
-    // ---- 1. fire schedule events due at this tick -------------------------
-    while (next_event < events.size() &&
-           events[next_event].time <= now + kTimeEpsilon) {
-      const std::size_t index = next_event++;
-      const ChaosEvent& event = events[index];
-      ActiveFault& fault = faults[index];
-      FaultRecord& record = report.faults[index];
-      log_.append(now, "inject", event.to_string());
-      switch (event.kind) {
-        case FaultKind::kDeviceCrash:
-        case FaultKind::kDeviceFlap:
-        case FaultKind::kPortErrorBurst:
-        case FaultKind::kLinkLoss:
-          fault.end = plane.arm(event, index);
-          break;
-        case FaultKind::kChannelOutage: {
-          const bool was_down = plane.channel_down();
-          fault.end = plane.arm(event, index);
-          if (!was_down) log_.append(now, "channel", "update channel down");
-          record.detected_at = now;
-          break;
-        }
-        case FaultKind::kUpdateStorm: {
-          const std::size_t admitted = onboard(event.count);
-          record.detected_at = now;
-          log_.append(now, "storm",
-                      format("%zu vpcs admitted, %zu table ops deferred",
-                             admitted, controller.deferred_op_count()));
-          break;
-        }
-        case FaultKind::kMidUpgradeFailure: {
-          cluster::XgwHCluster& c = controller.cluster(event.cluster);
-          const std::size_t fail_at =
-              event.device % c.config().primary_devices;
-          std::size_t invocation = 0;
-          cluster::RollingUpgrade roll;
-          const cluster::RollingUpgrade::Result result = roll.run(
-              c,
-              [&](xgwh::XgwH&) { return invocation++ != fail_at; },
-              [&](const cluster::XgwHCluster& cc) {
-                return !cc.failed_over();
-              });
+  void fire(std::size_t index, double now) {
+    FaultRecord& record = report.faults[index];
+    const ChaosEvent& event = record.event;
+    double& end = ends[index];
+    log.append(now, "inject", event.to_string());
+    switch (event.kind) {
+      case FaultKind::kDeviceCrash:
+      case FaultKind::kDeviceFlap:
+      case FaultKind::kPortErrorBurst:
+      case FaultKind::kLinkLoss:
+        end = plane.arm(event, index);
+        break;
+      case FaultKind::kChannelOutage: {
+        const bool was_down = plane.channel_down();
+        end = plane.arm(event, index);
+        if (!was_down) log.append(now, "channel", "update channel down");
+        record.detected_at = now;
+        break;
+      }
+      case FaultKind::kUpdateStorm: {
+        const std::size_t admitted = onboard(event.count);
+        record.detected_at = now;
+        log.append(now, "storm",
+                   format("%zu vpcs admitted, %zu table ops deferred",
+                          admitted, controller.deferred_op_count()));
+        break;
+      }
+      case FaultKind::kMidUpgradeFailure: {
+        cluster::XgwHCluster& c = controller.cluster(event.cluster);
+        const std::size_t fail_at = event.device % c.config().primary_devices;
+        std::size_t invocation = 0;
+        cluster::RollingUpgrade roll;
+        const cluster::RollingUpgrade::Result result = roll.run(
+            c, [&](xgwh::XgwH&) { return invocation++ != fail_at; },
+            [&](const cluster::XgwHCluster& cc) { return !cc.failed_over(); });
+        retire(index, now);
+        record.rerouted_at = now;
+        log.append(now, "upgrade",
+                   result.completed ? "roll completed"
+                                    : "roll aborted: " + result.abort_reason);
+        break;
+      }
+      case FaultKind::kTenantStorm: {
+        const net::Vni vni = kStormTenants.vni_base + injector.storm_vni_next_;
+        onboard(1);
+        guard::TenantGuard* guard = region.tenant_guard();
+        if (guard == nullptr || !sampling) {
+          // Without a guard (or interval sampling to meter against) there
+          // is nothing to degrade or verify — retire immediately.
           retire(index, now);
-          record.rerouted_at = now;
-          log_.append(now, "upgrade",
-                      result.completed
-                          ? "roll completed"
-                          : "roll aborted: " + result.abort_reason);
+          log.append(now, "tenant-storm",
+                     "skipped: region has no guard or interval sampling");
           break;
         }
-        case FaultKind::kTenantStorm: {
-          const unsigned ordinal = storm_vni_next_++;
-          const net::Vni vni = kStormVniBase + static_cast<net::Vni>(ordinal);
-          controller.add_vpc(storm_vpc(vni, ordinal));
-          guard::TenantGuard* guard = region_.tenant_guard();
-          if (guard == nullptr || !sampling) {
-            // Without a guard (or interval sampling to meter against)
-            // there is nothing to degrade or verify — retire immediately.
-            retire(index, now);
-            log_.append(now, "tenant-storm",
-                        "skipped: region has no guard or interval sampling");
-            break;
+        const double limit_bps =
+            kStormLimitFraction * injector.config_.interval_bps;
+        guard->set_limit(guard::TenantLimit{vni, limit_bps, 0.0});
+        end = plane.arm_storm(event, index, vni).end;
+        record.detected_at = now;
+        log.append(now, "tenant-storm",
+                   format("vni %u armed: limit %.3e bps, flood %.1fx region "
+                          "rate over %u flows for %.1fs",
+                          static_cast<unsigned>(vni), limit_bps,
+                          event.error_rate, event.count, event.duration));
+        break;
+      }
+      case FaultKind::kChurnStorm: {
+        // Tenant-onboarding wave: a burst of new VPCs through the update
+        // channel (each is several route/mapping table ops)...
+        const unsigned first_ordinal = injector.storm_vni_next_;
+        const std::size_t admitted = onboard(event.count);
+        // ...then a VM-migration wave: the freshly onboarded tenants
+        // immediately re-place onto other clusters, churning both the
+        // source and target cluster tables mid-run.
+        std::size_t migrated = 0;
+        if (controller.cluster_count() > 1) {
+          for (unsigned v = 0; v < event.count; ++v) {
+            const net::Vni vni = kStormTenants.vni_base +
+                                 static_cast<net::Vni>(first_ordinal + v);
+            const std::uint32_t target = static_cast<std::uint32_t>(
+                (event.cluster + 1 + v) % controller.cluster_count());
+            if (controller.migrate_vpc(vni, target)) ++migrated;
           }
-          const double limit_bps = kStormLimitFraction * config_.interval_bps;
-          guard->set_limit(guard::TenantLimit{vni, limit_bps, 0.0});
-          fault.end = event.time + event.duration;
-          storms.push_back(
-              Storm{index, vni, ordinal, event.count, event.error_rate});
-          record.detected_at = now;
-          log_.append(now, "tenant-storm",
-                      format("vni %u armed: limit %.3e bps, flood %.1fx "
-                             "region rate over %u flows for %.1fs",
-                             static_cast<unsigned>(vni), limit_bps,
-                             event.error_rate, event.count, event.duration));
+        }
+        record.detected_at = now;
+        log.append(now, "churn-storm",
+                   format("%zu vpcs onboarded, %zu migrated, %zu table ops "
+                          "deferred",
+                          admitted, migrated, controller.deferred_op_count()));
+        break;
+      }
+      case FaultKind::kDpuFailure: {
+        if (region.dpu_node_count() == 0) {
+          // No DPU tier in this region — nothing to fail or verify.
+          retire(index, now);
+          log.append(now, "dpu-failure", "skipped: region has no DPU tier");
           break;
         }
-        case FaultKind::kChurnStorm: {
-          // Tenant-onboarding wave: a burst of new VPCs through the
-          // update channel (each is several route/mapping table ops)...
-          const unsigned first_ordinal = storm_vni_next_;
-          const std::size_t admitted = onboard(event.count);
-          // ...then a VM-migration wave: the freshly onboarded tenants
-          // immediately re-place onto other clusters, churning both the
-          // source and target cluster tables mid-run.
-          std::size_t migrated = 0;
-          if (controller.cluster_count() > 1) {
-            for (unsigned v = 0; v < event.count; ++v) {
-              const net::Vni vni =
-                  kStormVniBase + static_cast<net::Vni>(first_ordinal + v);
-              const std::uint32_t target = static_cast<std::uint32_t>(
-                  (event.cluster + 1 + v) % controller.cluster_count());
-              if (controller.migrate_vpc(vni, target)) ++migrated;
-            }
-          }
-          record.detected_at = now;
-          log_.append(now, "churn-storm",
-                      format("%zu vpcs onboarded, %zu migrated, %zu table "
-                             "ops deferred",
-                             admitted, migrated,
-                             controller.deferred_op_count()));
-          break;
+        const std::size_t node = event.device % region.dpu_node_count();
+        const std::uint64_t placed_before = region.dpu_node(node).flow_count();
+        end = plane.arm(event, index);
+        // The failure is injected below the health plane: the region fails
+        // the node over synchronously (placement misses fall back to x86),
+        // so detect and reroute coincide with injection.
+        record.detected_at = now;
+        record.rerouted_at = now;
+        log.append(now, "dpu-failure",
+                   format("node %zu dark for %.1fs, %llu placed flows "
+                          "failing over to x86",
+                          node, event.duration,
+                          static_cast<unsigned long long>(placed_before)));
+        break;
+      }
+      case FaultKind::kControllerBrownout: {
+        const bool was_browned_out = plane.browned_out();
+        end = plane.arm(event, index);
+        if (!was_browned_out) {
+          log.append(now, "brownout", "update channel browned out");
         }
-        case FaultKind::kDpuFailure: {
-          if (region_.dpu_node_count() == 0) {
-            // No DPU tier in this region — nothing to fail or verify.
-            retire(index, now);
-            log_.append(now, "dpu-failure",
-                        "skipped: region has no DPU tier");
-            break;
-          }
-          const std::size_t node = event.device % region_.dpu_node_count();
-          const std::uint64_t placed_before =
-              region_.dpu_node(node).flow_count();
-          fault.end = plane.arm(event, index);
-          dpu_nodes[index] = node;
-          // The failure is injected below the health plane: the region
-          // fails the node over synchronously (placement misses fall back
-          // to x86), so detect and reroute coincide with injection.
-          record.detected_at = now;
-          record.rerouted_at = now;
-          log_.append(now, "dpu-failure",
-                      format("node %zu dark for %.1fs, %llu placed flows "
-                             "failing over to x86",
-                             node, event.duration,
-                             static_cast<unsigned long long>(placed_before)));
-          break;
-        }
-        case FaultKind::kControllerBrownout: {
-          const bool was_browned_out = plane.browned_out();
-          fault.end = plane.arm(event, index);
-          if (!was_browned_out) {
-            log_.append(now, "brownout", "update channel browned out");
-          }
-          // Provisioning keeps arriving during the brownout: a small wave
-          // of onboardings whose pushes get refused, feeding the breaker
-          // (or piling onto the retry queue when none is configured).
-          const std::size_t admitted = onboard(std::max(4u, event.count));
-          record.detected_at = now;
-          // The control plane rides the retry queue until the brownout
-          // lifts — the deferral itself is the reroute.
-          record.rerouted_at = now;
-          log_.append(now, "brownout",
-                      format("%zu vpcs admitted into the brownout, %zu "
-                             "table ops deferred",
-                             admitted, controller.deferred_op_count()));
-          break;
-        }
+        // Provisioning keeps arriving during the brownout: a small wave of
+        // onboardings whose pushes get refused, feeding the breaker (or
+        // piling onto the retry queue when none is configured).
+        const std::size_t admitted = onboard(std::max(4u, event.count));
+        record.detected_at = now;
+        // The control plane rides the retry queue until the brownout lifts
+        // — the deferral itself is the reroute.
+        record.rerouted_at = now;
+        log.append(now, "brownout",
+                   format("%zu vpcs admitted into the brownout, %zu table "
+                          "ops deferred",
+                          admitted, controller.deferred_op_count()));
+        break;
       }
     }
+  }
 
-    // ---- 2-3. heartbeat and port error probes -----------------------------
-    plane.deliver_heartbeats(now);
-    plane.deliver_port_reports(now);
-
-    // ---- 4. recovery transitions observed this tick -----------------------
-    for (const FaultPlane::Transition& tr : plane.transitions()) {
-      log_.append(now, "recovery",
-                  format("cluster %zu device %zu marked %s", tr.cluster,
-                         tr.device, tr.failed ? "failed" : "recovered"));
-      for (std::size_t i = 0; i < faults.size(); ++i) {
-        ActiveFault& fault = faults[i];
+  // ---- phase 2: probes, restores and the control-plane clock, logged -----
+  void observe(double now) {
+    const FaultPlane::Observation seen = plane.observe(now);
+    for (const FaultPlane::Transition& tr : seen.transitions) {
+      log.append(now, "recovery",
+                 format("cluster %zu device %zu marked %s", tr.cluster,
+                        tr.device, tr.failed ? "failed" : "recovered"));
+      for (std::size_t i = 0; i < report.faults.size(); ++i) {
         FaultRecord& record = report.faults[i];
-        if (fault.done || record.event.time > now + kTimeEpsilon) continue;
-        if (record.event.cluster != tr.cluster ||
+        if (!in_flight(i, now) || record.event.cluster != tr.cluster ||
             record.event.device != tr.device) {
           continue;
         }
@@ -334,72 +292,70 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
           if (record.detected_at < 0) record.detected_at = tr.time;
           if (record.rerouted_at < 0) record.rerouted_at = tr.time;
           if (is_port_fault(record.event.kind)) record.escalated = true;
-        } else if (is_device_fault(record.event.kind) && now < fault.end) {
+        } else if (is_device_fault(record.event.kind) && now < ends[i]) {
           // The slot came back while the schedule still holds the device
           // down: a cold standby took over (the plane has already cut the
           // remaining down windows).
           record.replaced = true;
           record.recovered_at = tr.time;
-          fault.done = true;
         }
       }
     }
-
-    // ---- 5. control-plane clock: lift expired windows, drain pushes -------
-    const FaultPlane::Restored restored = plane.restore_expired(now);
-    if (restored.channel) {
-      log_.append(now, "channel", "update channel restored");
+    if (seen.channel_restored) {
+      log.append(now, "channel", "update channel restored");
     }
-    if (restored.brownout) {
-      log_.append(now, "brownout", "update channel brownout cleared");
+    if (seen.brownout_cleared) {
+      log.append(now, "brownout", "update channel brownout cleared");
     }
-    const std::size_t replayed = controller.advance_clock(now);
-    if (replayed > 0) {
-      log_.append(now, "retry",
-                  format("replayed %zu deferred table ops, %zu pending",
-                         replayed, controller.deferred_op_count()));
+    if (seen.replayed > 0) {
+      log.append(now, "retry",
+                 format("replayed %zu deferred table ops, %zu pending",
+                        seen.replayed, controller.deferred_op_count()));
     }
     if (report.breaker_tracked) {
       const guard::CircuitBreaker::Stats& bs = breaker->stats();
       for (auto n = breaker_prev.trips; n < bs.trips; ++n) {
         report.breaker_transitions.emplace_back(now, "open");
-        log_.append(now, "breaker", "tripped open");
+        log.append(now, "breaker", "tripped open");
       }
       for (auto n = breaker_prev.reopens; n < bs.reopens; ++n) {
         report.breaker_transitions.emplace_back(now, "reopen");
-        log_.append(now, "breaker", "half-open probe refused; re-opened");
+        log.append(now, "breaker", "half-open probe refused; re-opened");
       }
       for (auto n = breaker_prev.closes; n < bs.closes; ++n) {
         report.breaker_transitions.emplace_back(now, "close");
-        log_.append(now, "breaker", "half-open probe succeeded; closed");
+        log.append(now, "breaker", "half-open probe succeeded; closed");
       }
       breaker_prev = bs;
     }
-    for (const std::size_t node : restored.dpu_nodes) {
-      log_.append(now, "dpu-failure", format("node %zu restored", node));
+    for (const std::size_t node : seen.dpu_nodes_restored) {
+      log.append(now, "dpu-failure", format("node %zu restored", node));
     }
+  }
 
-    // ---- 6. fault lifecycle updates (level-triggered) ---------------------
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      ActiveFault& fault = faults[i];
+  // ---- phase 3: fault lifecycle updates (level-triggered) ----------------
+  void update_faults(double now) {
+    const cluster::HealthMonitor& monitor = plane.monitor();
+    const cluster::DisasterRecovery& recovery = region.disaster_recovery();
+    for (std::size_t i = 0; i < report.faults.size(); ++i) {
+      if (!in_flight(i, now)) continue;
       FaultRecord& record = report.faults[i];
-      if (fault.done || record.event.time > now + kTimeEpsilon) continue;
+      const double end = ends[i];
       const std::size_t ec = record.event.cluster;
       const std::size_t ed = record.event.device;
       switch (record.event.kind) {
         case FaultKind::kDeviceCrash:
-        case FaultKind::kDeviceFlap: {
-          if (now + kTimeEpsilon >= fault.end &&
+        case FaultKind::kDeviceFlap:
+          if (now + kTimeEpsilon >= end &&
               !monitor.device_considered_failed(ec, ed) &&
               controller.cluster(ec).device_health(ed) ==
                   cluster::DeviceHealth::kHealthy) {
-            // Either fully recovered, or so brief the debounce never
-            // acted — both count as converged.
-            recover(i, record.detected_at < 0 ? fault.end : now, now,
+            // Either fully recovered, or so brief the debounce never acted
+            // — both count as converged.
+            recover(i, record.detected_at < 0 ? end : now, now,
                     format("cluster %zu device %zu converged", ec, ed));
           }
           break;
-        }
         case FaultKind::kPortErrorBurst:
         case FaultKind::kLinkLoss: {
           const FaultPlane::PortState ports = plane.port_state(i);
@@ -435,8 +391,8 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
           const bool closed =
               breaker == nullptr ||
               breaker->state(now) == guard::CircuitBreaker::State::kClosed;
-          if (!plane.browned_out() && now + kTimeEpsilon >= fault.end &&
-              closed && controller.deferred_op_count() == 0) {
+          if (!plane.browned_out() && now + kTimeEpsilon >= end && closed &&
+              controller.deferred_op_count() == 0) {
             recover(i, now, now,
                     "brownout cleared; breaker closed and queue drained");
           }
@@ -447,14 +403,13 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
         case FaultKind::kTenantStorm: {
           // Done when the flood is over AND the guard has walked the
           // tenant back down the ladder to full service.
-          if (now + kTimeEpsilon < fault.end) break;
-          const guard::TenantGuard* guard = region_.tenant_guard();
+          if (now + kTimeEpsilon < end) break;
+          const guard::TenantGuard* guard = region.tenant_guard();
           net::Vni vni = 0;
-          for (const Storm& storm : storms) {
-            if (storm.fault == i) vni = storm.vni;
+          for (const StormWindow& storm : plane.storms()) {
+            if (storm.owner == i) vni = storm.vni;
           }
-          if (guard == nullptr ||
-              guard->tier_of(vni) == guard::Tier::kFull) {
+          if (guard == nullptr || guard->tier_of(vni) == guard::Tier::kFull) {
             recover(i, now, now,
                     format("storm tenant %u back to full service",
                            static_cast<unsigned>(vni)));
@@ -462,9 +417,8 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
           break;
         }
         case FaultKind::kDpuFailure: {
-          const auto armed = dpu_nodes.find(i);
-          if (armed == dpu_nodes.end()) break;  // skipped at injection
-          const std::size_t node = armed->second;
+          // In flight only if armed, so the region has a DPU tier.
+          const std::size_t node = ed % region.dpu_node_count();
           const double restored_at = plane.dpu_dark_until(node);
           if (now + kTimeEpsilon < restored_at) break;  // still dark
           // Recovered once the placer has re-promoted elephants after the
@@ -480,10 +434,13 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
         }
       }
     }
+  }
 
-    // ---- 7. probe traffic through the functional path ---------------------
-    for (std::size_t f = 0; f < probe_count; ++f) {
-      const workload::Flow& flow = flows_[f];
+  // ---- phase 4: probe traffic through the functional path ----------------
+  void send_probes(double now) {
+    const std::span<const workload::Flow> flows = injector.flows_;
+    for (std::size_t f = 0; f < std::min(kProbeFlows, flows.size()); ++f) {
+      const workload::Flow& flow = flows[f];
       ++report.probes_sent;
       const auto cluster_id = controller.cluster_for(flow.vni);
       if (cluster_id.has_value()) {
@@ -504,144 +461,160 @@ ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
       pkt.vni = flow.vni;
       pkt.inner = flow.tuple;
       pkt.payload_size = 96;
-      const dataplane::Verdict verdict = region_.process(pkt, now);
+      const dataplane::Verdict verdict = region.process(pkt, now);
       if (verdict.dropped()) ++report.probe_drops;
     }
+  }
 
-    // ---- 8. interval-simulator sample (the fig19-under-failure series) ----
-    if (sampling && tick % kIntervalEvery == 0) {
-      // While a tenant storm rages, the flood rides on top of the base
-      // population: the base keeps its absolute offered rate and each
-      // storm adds `magnitude` x interval_bps of Zipf-skewed flows.
-      double storm_total = 0;
-      for (const Storm& storm : storms) {
-        if (storm_active(storm, now)) storm_total += storm.magnitude;
+  // ---- phase 5: interval-simulator sample (fig19-under-failure series) ---
+  void sample_interval(std::uint64_t tick, double now) {
+    const std::span<const workload::Flow> flows = injector.flows_;
+    const double interval_bps = injector.config_.interval_bps;
+    // While a tenant storm rages, the flood rides on top of the base
+    // population: the base keeps its absolute offered rate and each storm
+    // adds `multiplier` x interval_bps of Zipf-skewed flows.
+    double storm_total = 0;
+    for (const StormWindow& storm : plane.storms()) {
+      if (storm.active(now)) storm_total += storm.multiplier;
+    }
+    core::SailfishRegion::IntervalReport interval;
+    if (storm_total > 0) {
+      std::vector<workload::Flow> blended(flows.begin(), flows.end());
+      const double scale = 1.0 / (1.0 + storm_total);
+      for (workload::Flow& flow : blended) flow.weight *= scale;
+      for (const StormWindow& storm : plane.storms()) {
+        if (!storm.active(now)) continue;
+        append_storm_flows(blended, storm.vni,
+                           report.faults[storm.owner].event.count,
+                           storm.multiplier * scale, kStormZipfExponent);
       }
-      core::SailfishRegion::IntervalReport interval;
-      if (storm_total > 0) {
-        std::vector<workload::Flow> blended(flows_.begin(), flows_.end());
-        const double scale = 1.0 / (1.0 + storm_total);
-        for (workload::Flow& flow : blended) flow.weight *= scale;
-        for (const Storm& storm : storms) {
-          if (!storm_active(storm, now)) continue;
-          append_storm_flows(blended, storm.vni, storm.ordinal,
-                             storm.flow_count, storm.magnitude * scale,
-                             kStormZipfExponent);
-        }
-        interval = region_.simulate_interval(
-            blended, config_.interval_bps * (1.0 + storm_total), tick);
-      } else {
-        interval =
-            region_.simulate_interval(flows_, config_.interval_bps, tick);
-      }
-      report.drop_rate_series.emplace_back(now, interval.drop_rate);
-      report.peak_drop_rate =
-          std::max(report.peak_drop_rate, interval.drop_rate);
-      last_dpu_pps = interval.dpu_pps;
-      last_dpu_sample_at = now;
-      if (has_dpu_events && region_.dpu_node_count() > 0) {
-        report.dpu_samples.push_back(ChaosReport::DpuSample{
-            now, interval.dpu_pps, interval.overflow_x86_pps,
-            interval.punt_queue_occupancy, interval.p99_latency_us,
-            interval.dpu_flow_entries});
-      }
+      interval = region.simulate_interval(
+          blended, interval_bps * (1.0 + storm_total), tick);
+    } else {
+      interval = region.simulate_interval(flows, interval_bps, tick);
+    }
+    report.drop_rate_series.emplace_back(now, interval.drop_rate);
+    report.peak_drop_rate = std::max(report.peak_drop_rate, interval.drop_rate);
+    last_dpu_pps = interval.dpu_pps;
+    last_dpu_sample_at = now;
+    if (has_dpu_events && region.dpu_node_count() > 0) {
+      report.dpu_samples.push_back(ChaosReport::DpuSample{
+          now, interval.dpu_pps, interval.overflow_x86_pps,
+          interval.punt_queue_occupancy, interval.p99_latency_us,
+          interval.dpu_flow_entries});
+    }
 
-      // Storm isolation samples: the storm tenant's ladder tier and the
-      // drop rate over everyone else (guard sheds excluded — they hit
-      // only the storm tenant).
-      double all_storm_offered_pps = 0;
+    // Storm isolation samples: the storm tenant's ladder tier and the drop
+    // rate over everyone else (guard sheds excluded — they hit only the
+    // storm tenant).
+    double all_storm_offered_pps = 0;
+    for (const auto& tenant : interval.guard_tenants) {
+      all_storm_offered_pps += tenant.offered_pps;
+    }
+    for (const StormWindow& storm : plane.storms()) {
+      if (!storm.active(now)) continue;
+      ChaosReport::StormSample sample;
+      sample.time = now;
+      sample.vni = storm.vni;
       for (const auto& tenant : interval.guard_tenants) {
-        all_storm_offered_pps += tenant.offered_pps;
+        if (tenant.vni != storm.vni) continue;
+        sample.tier = static_cast<int>(tenant.tier);
+        sample.storm_offered_pps = tenant.offered_pps;
+        sample.storm_shed_pps = tenant.shed_pps;
       }
-      for (const Storm& storm : storms) {
-        if (!storm_active(storm, now)) continue;
-        ChaosReport::StormSample sample;
-        sample.time = now;
-        sample.vni = storm.vni;
-        for (const auto& tenant : interval.guard_tenants) {
-          if (tenant.vni != storm.vni) continue;
-          sample.tier = static_cast<int>(tenant.tier);
-          sample.storm_offered_pps = tenant.offered_pps;
-          sample.storm_shed_pps = tenant.shed_pps;
-        }
-        const double victim_pps =
-            interval.offered_pps - all_storm_offered_pps;
-        const double victim_dropped =
-            interval.dropped_pps - interval.guard_shed_pps;
-        sample.victim_drop_rate =
-            victim_pps > 0 ? std::max(victim_dropped, 0.0) / victim_pps : 0;
-        if (report.faults[storm.fault].rerouted_at < 0 && sample.tier > 0) {
-          // "Rerouted" for a storm: the guard moved the tenant off full
-          // service.
-          report.faults[storm.fault].rerouted_at = now;
-        }
-        report.peak_victim_drop_rate =
-            std::max(report.peak_victim_drop_rate, sample.victim_drop_rate);
-        report.storm_samples.push_back(sample);
+      const double victim_pps = interval.offered_pps - all_storm_offered_pps;
+      const double victim_dropped =
+          interval.dropped_pps - interval.guard_shed_pps;
+      sample.victim_drop_rate =
+          victim_pps > 0 ? std::max(victim_dropped, 0.0) / victim_pps : 0;
+      if (report.faults[storm.owner].rerouted_at < 0 && sample.tier > 0) {
+        // "Rerouted" for a storm: the guard moved the tenant off full
+        // service.
+        report.faults[storm.owner].rerouted_at = now;
       }
+      report.peak_victim_drop_rate =
+          std::max(report.peak_victim_drop_rate, sample.victim_drop_rate);
+      report.storm_samples.push_back(sample);
     }
+  }
 
-
-    // ---- 9. termination ---------------------------------------------------
-    bool all_done = next_event == events.size();
-    for (const ActiveFault& fault : faults) {
-      all_done = all_done && fault.done;
+  // ---- phase 6: termination ----------------------------------------------
+  bool finished(double now) {
+    // A fault recovers only once fired, so this also waits for the rest
+    // of the schedule.
+    bool all_done = true;
+    for (const FaultRecord& record : report.faults) {
+      all_done = all_done && record.recovered_at >= 0;
     }
-    if (all_done && !plane.channel_down() &&
-        controller.deferred_op_count() == 0) {
-      log_.append(now, "converged", "all faults recovered");
-      break;
+    if (all_done && !plane.control_faults_active()) {
+      log.append(now, "converged", "all faults recovered");
+      return true;
     }
     if (now + kTimeEpsilon >= deadline) {
-      log_.append(now, "deadline", "settle window exhausted");
-      break;
+      log.append(now, "deadline", "settle window exhausted");
+      return true;
     }
+    return false;
   }
 
-  report.events_applied = next_event;
-
-  // ---- leak audit: nothing may survive a fully recovered schedule --------
-  std::vector<net::Vni> storm_vnis;
-  for (const Storm& storm : storms) storm_vnis.push_back(storm.vni);
-  report.leaks = FaultPlane::audit(region_, deadline, &monitor, storm_vnis);
-  if (report.breaker_tracked) {
-    const guard::CircuitBreaker::Stats& bs = breaker->stats();
-    report.breaker_trips = bs.trips - breaker_base.trips;
-    report.breaker_reopens = bs.reopens - breaker_base.reopens;
-    report.breaker_closes = bs.closes - breaker_base.closes;
-    report.breaker_short_circuited =
-        bs.short_circuited - breaker_base.short_circuited;
-  }
-  for (const std::string& leak : report.leaks) {
-    log_.append(deadline, "leak", leak);
-  }
-
-
-  // ---- aggregates --------------------------------------------------------
-  std::size_t detected = 0;
-  std::size_t rerouted = 0;
-  for (const FaultRecord& record : report.faults) {
-    if (record.time_to_detect() >= 0) {
-      ++detected;
-      report.mean_time_to_detect += record.time_to_detect();
-      report.max_time_to_detect =
-          std::max(report.max_time_to_detect, record.time_to_detect());
+  // ---- after the last tick: leak audit and aggregates --------------------
+  ChaosReport finish() {
+    report.events_applied = plane.events_fired();
+    // Nothing may survive a fully recovered schedule.
+    report.leaks = plane.final_audit(deadline);
+    if (report.breaker_tracked) {
+      const guard::CircuitBreaker::Stats& bs = breaker->stats();
+      report.breaker_trips = bs.trips - breaker_base.trips;
+      report.breaker_reopens = bs.reopens - breaker_base.reopens;
+      report.breaker_closes = bs.closes - breaker_base.closes;
+      report.breaker_short_circuited =
+          bs.short_circuited - breaker_base.short_circuited;
     }
-    if (record.time_to_reroute() >= 0) {
-      ++rerouted;
-      report.mean_time_to_reroute += record.time_to_reroute();
-      report.max_time_to_reroute =
-          std::max(report.max_time_to_reroute, record.time_to_reroute());
+    for (const std::string& leak : report.leaks) {
+      log.append(deadline, "leak", leak);
     }
-  }
-  if (detected > 0) {
-    report.mean_time_to_detect /= static_cast<double>(detected);
-  }
-  if (rerouted > 0) {
-    report.mean_time_to_reroute /= static_cast<double>(rerouted);
-  }
 
-  return report;
+    // Mean and max of one latency over the faults that have it.
+    const auto aggregate = [&](double (FaultRecord::*latency)() const,
+                               double& mean, double& max) {
+      std::size_t measured = 0;
+      for (const FaultRecord& record : report.faults) {
+        const double t = (record.*latency)();
+        if (t < 0) continue;
+        ++measured;
+        mean += t;
+        max = std::max(max, t);
+      }
+      if (measured > 0) mean /= static_cast<double>(measured);
+    };
+    aggregate(&FaultRecord::time_to_detect, report.mean_time_to_detect,
+              report.max_time_to_detect);
+    aggregate(&FaultRecord::time_to_reroute, report.mean_time_to_reroute,
+              report.max_time_to_reroute);
+    return std::move(report);
+  }
+};
+
+ChaosInjector::ChaosInjector(core::SailfishRegion& region,
+                             std::span<const workload::Flow> flows,
+                             Config config)
+    : region_(region), flows_(flows), config_(config) {}
+
+ChaosReport ChaosInjector::run(const ChaosSchedule& schedule) {
+  log_.clear();
+  Run run(*this, schedule);
+  for (std::uint64_t tick = 0;; ++tick) {
+    const double now = static_cast<double>(tick) * kProbeIntervalS;
+    run.fire_due(now);
+    run.observe(now);
+    run.update_faults(now);
+    run.send_probes(now);
+    if (run.sampling && tick % kIntervalEvery == 0) {
+      run.sample_interval(tick, now);
+    }
+    if (run.finished(now)) break;
+  }
+  return run.finish();
 }
 
 std::string ChaosReport::to_json() const {

@@ -5,7 +5,10 @@
 // through the FaultPlane (fault_plane.hpp), which turns them into the
 // observations the health monitor would see; the injector owns the other
 // faces (update, tenant and churn storms, aborted upgrades) and watches
-// the recovery machinery converge. For every fault it measures time-to-detect,
+// the recovery machinery converge. run() is the plane's tick, one named
+// phase after another: fire the due faces, observe and log, update each
+// fault's lifecycle, send probes, sample the interval simulator, check for
+// termination. For every fault it measures time-to-detect,
 // time-to-reroute and time-to-recover, counts the probe packets lost
 // inside the convergence window (blackholed at a dead-but-not-yet-failed
 // device, or dropped with a verdict reason), and samples the interval
@@ -20,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -134,8 +136,6 @@ class ChaosInjector {
   static constexpr std::size_t kProbeFlows = 24;
   /// Ticks between interval-simulator samples (one every 2 s).
   static constexpr std::size_t kIntervalEvery = 4;
-  /// Base VNI for storm-provisioned tenants (outside topology VNIs).
-  static constexpr net::Vni kStormVniBase = 0xC0DE00;
   /// Tenant-storm shape (kTenantStorm). The storm tenant's byte-rate limit
   /// is armed on the region's guard as this fraction of `interval_bps`; the
   /// flood itself is Zipf-skewed over the event's `count` flows with this
@@ -164,7 +164,7 @@ class ChaosInjector {
   const sim::EventLog& log() const { return log_; }
 
  private:
-  struct ActiveFault;
+  struct Run;
 
   core::SailfishRegion& region_;
   std::span<const workload::Flow> flows_;

@@ -130,67 +130,47 @@ ChaosSchedule ChaosSchedule::random(std::uint64_t seed,
     if (face == brownout_face) {
       event.kind = FaultKind::kControllerBrownout;
       event.duration = 3.0 + static_cast<double>(rng.uniform(6));
-      schedule.add(event);
-      continue;
-    }
-    if (face == churn_face) {
+    } else if (face == churn_face) {
       event.kind = FaultKind::kChurnStorm;
       event.count = 8 + static_cast<unsigned>(rng.uniform(24));
-      schedule.add(event);
-      continue;
-    }
-    if (face == dpu_face) {
+    } else if (face == dpu_face) {
       event.kind = FaultKind::kDpuFailure;
       event.duration = 3.0 + static_cast<double>(rng.uniform(6));
-      schedule.add(event);
-      continue;
-    }
-    if (face == tenant_face) {
+    } else if (face == tenant_face) {
       event.kind = FaultKind::kTenantStorm;
       event.count = 16 + static_cast<unsigned>(rng.uniform(16));
       event.duration = 3.0 + static_cast<double>(rng.uniform(5));
       // error_rate doubles as the storm magnitude: the tenant offers this
       // multiple of the region's nominal interval rate.
       event.error_rate = 2.0 + static_cast<double>(rng.uniform(4));
-      schedule.add(event);
-      continue;
-    }
-    switch (face) {
-      case 0:
-        event.kind = FaultKind::kDeviceCrash;
-        event.duration = 2.0 + static_cast<double>(rng.uniform(8));
-        break;
-      case 1:
-        event.kind = FaultKind::kDeviceFlap;
-        event.count = 2 + static_cast<unsigned>(rng.uniform(4));
-        event.duration = 1.0;  // half-period: one probe tick
-        break;
-      case 2:
-        event.kind = FaultKind::kPortErrorBurst;
-        event.count = 2 + static_cast<unsigned>(rng.uniform(6));
-        event.error_rate = 1e-4;
-        break;
-      case 3:
-        event.kind = FaultKind::kLinkLoss;
-        // A few ports go dark together (a cut trunk), occasionally the
-        // whole device — which must escalate to node-level failure.
-        event.count = rng.chance(0.2)
-                          ? config.ports_per_device
-                          : 2 + static_cast<unsigned>(rng.uniform(
-                                    config.ports_per_device / 2));
-        event.error_rate = 1e-3;
-        break;
-      case 4:
-        event.kind = FaultKind::kChannelOutage;
-        event.duration = 2.0 + static_cast<double>(rng.uniform(6));
-        break;
-      case 5:
-        event.kind = FaultKind::kUpdateStorm;
-        event.count = 8 + static_cast<unsigned>(rng.uniform(24));
-        break;
-      default:
-        event.kind = FaultKind::kMidUpgradeFailure;
-        break;
+    } else if (face == 0) {
+      event.kind = FaultKind::kDeviceCrash;
+      event.duration = 2.0 + static_cast<double>(rng.uniform(8));
+    } else if (face == 1) {
+      event.kind = FaultKind::kDeviceFlap;
+      event.count = 2 + static_cast<unsigned>(rng.uniform(4));
+      event.duration = 1.0;  // half-period: one probe tick
+    } else if (face == 2) {
+      event.kind = FaultKind::kPortErrorBurst;
+      event.count = 2 + static_cast<unsigned>(rng.uniform(6));
+      event.error_rate = 1e-4;
+    } else if (face == 3) {
+      event.kind = FaultKind::kLinkLoss;
+      // A few ports go dark together (a cut trunk), occasionally the whole
+      // device — which must escalate to node-level failure.
+      event.count = rng.chance(0.2)
+                        ? config.ports_per_device
+                        : 2 + static_cast<unsigned>(rng.uniform(
+                                  config.ports_per_device / 2));
+      event.error_rate = 1e-3;
+    } else if (face == 4) {
+      event.kind = FaultKind::kChannelOutage;
+      event.duration = 2.0 + static_cast<double>(rng.uniform(6));
+    } else if (face == 5) {
+      event.kind = FaultKind::kUpdateStorm;
+      event.count = 8 + static_cast<unsigned>(rng.uniform(24));
+    } else {
+      event.kind = FaultKind::kMidUpgradeFailure;
     }
     schedule.add(event);
   }

@@ -21,15 +21,8 @@
 //
 // plus, in *strict* mode (valid only when no fault is active and the
 // retry queue has drained), the chaos harnesses' own region leak audit
-// (chaos::FaultPlane::audit):
-//
-//   * no leaked DR ledgers — disaster recovery quiescent, every device
-//     healthy and in ECMP, no ports isolated, no cluster failed over, no
-//     DPU node left failed;
-//   * controller/device consistency — desired state fully installed
-//     (check_consistency reports nothing missing);
-//   * control plane drained — no deferred ops, channel up and undegraded,
-//     breaker closed.
+// (chaos::FaultPlane::audit, which lists its checks): no leaked DR
+// ledgers, desired state fully installed, control plane drained.
 //
 // The auditor only reports; the SoakEngine decides whether a violation is
 // fatal.

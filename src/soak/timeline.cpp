@@ -1,8 +1,8 @@
 #include "soak/timeline.hpp"
 
 #include <algorithm>
+#include <optional>
 
-#include "sim/table_printer.hpp"
 #include "workload/rng.hpp"
 
 namespace sf::soak {
@@ -15,34 +15,26 @@ constexpr cluster::HealthMonitor::Config kHealth{
     /*port_error_rate_threshold=*/1e-6,
     /*isolate_port_after=*/2, /*recover_port_after_ok=*/2};
 
-/// Base VNI for churn-onboarded synthetic tenants.
-constexpr net::Vni kChurnVniBase = 0xB0A000;
+// Churn tenants take VNIs from 0xB0A000, /24s out of 10.128/9 and NCs out
+// of 172.32/16.
+constexpr chaos::SyntheticBlock kChurnTenants{0xB0A000, 0x0a800000u,
+                                              0xac200000u};
 
-// Churn tenants take /24s out of 10.128/9 and NCs out of 172.32/16.
-constexpr std::uint32_t kChurnBlock = 0x0a800000u;
-constexpr std::uint32_t kChurnNcBase = 0xac200000u;
-
-}  // namespace
-
-ChaosTimeline::ChaosTimeline(core::SailfishRegion& region, Config config)
-    : region_(region),
-      config_(std::move(config)),
-      plane_(region, kHealth, config_.interval_s) {
-  draw_schedule();
-}
-
-void ChaosTimeline::draw_schedule() {
-  workload::Rng rng(config_.seed ^ 0x50a11f00d5eedULL);
-  const double interval = config_.interval_s;
+/// The seeded schedule, with durations in whole intervals.
+chaos::ChaosSchedule draw_schedule(const core::SailfishRegion& region,
+                                   const ChaosTimeline::Config& config) {
+  chaos::ChaosSchedule schedule;
+  workload::Rng rng(config.seed ^ 0x50a11f00d5eedULL);
+  const double interval = config.interval_s;
   const std::size_t intervals =
-      static_cast<std::size_t>(config_.horizon_s / interval);
+      static_cast<std::size_t>(config.horizon_s / interval);
   const std::size_t events = static_cast<std::size_t>(
-      config_.events_per_day * config_.horizon_s / 86400.0);
+      config.events_per_day * config.horizon_s / 86400.0);
 
-  const std::size_t clusters = region_.controller().cluster_count();
+  const std::size_t clusters = region.controller().cluster_count();
   const std::size_t devices =
-      clusters > 0 ? region_.controller().cluster(0).device_count() : 0;
-  const unsigned ports = region_.config().recovery.ports_per_device;
+      clusters > 0 ? region.controller().cluster(0).device_count() : 0;
+  const unsigned ports = region.config().recovery.ports_per_device;
 
   // Faces in a fixed order; a storm without tenants or a DPU fault
   // without a DPU tier falls back to a device crash.
@@ -53,8 +45,7 @@ void ChaosTimeline::draw_schedule() {
     // room to settle before the final audit.
     const std::size_t lo = std::max<std::size_t>(3, intervals / 50);
     const std::size_t hi = intervals > 2 * lo ? intervals - lo : intervals;
-    event.time =
-        interval * static_cast<double>(lo + rng.uniform(hi - lo));
+    event.time = interval * static_cast<double>(lo + rng.uniform(hi - lo));
     event.cluster = rng.uniform(std::max<std::size_t>(1, clusters));
     event.device = rng.uniform(std::max<std::size_t>(1, devices));
     event.port = static_cast<unsigned>(rng.uniform(std::max(1u, ports)));
@@ -63,8 +54,7 @@ void ChaosTimeline::draw_schedule() {
       case 0:
       default:
         event.kind = chaos::FaultKind::kDeviceCrash;
-        event.duration = interval * (2.0 + static_cast<double>(
-                                               rng.uniform(3)));
+        event.duration = interval * (2.0 + static_cast<double>(rng.uniform(3)));
         break;
       case 1:
         event.kind = chaos::FaultKind::kPortErrorBurst;
@@ -79,17 +69,15 @@ void ChaosTimeline::draw_schedule() {
         break;
       case 3:
         event.kind = chaos::FaultKind::kChannelOutage;
-        event.duration = interval * (1.0 + static_cast<double>(
-                                               rng.uniform(2)));
+        event.duration = interval * (1.0 + static_cast<double>(rng.uniform(2)));
         break;
       case 4:
         event.kind = chaos::FaultKind::kControllerBrownout;
-        event.duration = interval * (1.0 + static_cast<double>(
-                                               rng.uniform(3)));
+        event.duration = interval * (1.0 + static_cast<double>(rng.uniform(3)));
         event.count = 4 + static_cast<unsigned>(rng.uniform(8));
         break;
       case 5:
-        if (config_.tenant_vnis.empty()) {
+        if (config.tenant_vnis.empty()) {
           event.kind = chaos::FaultKind::kDeviceCrash;
           event.duration = interval * 2.0;
           break;
@@ -97,32 +85,41 @@ void ChaosTimeline::draw_schedule() {
         event.kind = chaos::FaultKind::kTenantStorm;
         // device doubles as the tenant index; error_rate as the
         // multiplier (same overloading the injector uses).
-        event.device = rng.uniform(config_.tenant_vnis.size());
-        event.duration = interval * (3.0 + static_cast<double>(
-                                               rng.uniform(5)));
+        event.device = rng.uniform(config.tenant_vnis.size());
+        event.duration = interval * (3.0 + static_cast<double>(rng.uniform(5)));
         event.error_rate =
-            kStormMultiplierMin +
-            (kStormMultiplierMax - kStormMultiplierMin) * rng.uniform_real();
+            ChaosTimeline::kStormMultiplierMin +
+            (ChaosTimeline::kStormMultiplierMax -
+             ChaosTimeline::kStormMultiplierMin) *
+                rng.uniform_real();
         break;
       case 6:
         event.kind = chaos::FaultKind::kChurnStorm;
         event.count = 6 + static_cast<unsigned>(rng.uniform(18));
         break;
       case 7:
-        if (region_.dpu_node_count() == 0) {
+        if (region.dpu_node_count() == 0) {
           event.kind = chaos::FaultKind::kDeviceCrash;
           event.duration = interval * 2.0;
           break;
         }
         event.kind = chaos::FaultKind::kDpuFailure;
-        event.device = rng.uniform(region_.dpu_node_count());
-        event.duration = interval * (2.0 + static_cast<double>(
-                                               rng.uniform(3)));
+        event.device = rng.uniform(region.dpu_node_count());
+        event.duration = interval * (2.0 + static_cast<double>(rng.uniform(3)));
         break;
     }
-    schedule_.add(event);
+    schedule.add(event);
   }
+  return schedule;
 }
+
+}  // namespace
+
+ChaosTimeline::ChaosTimeline(core::SailfishRegion& region, Config config)
+    : region_(region),
+      config_(std::move(config)),
+      schedule_(draw_schedule(region, config_)),
+      plane_(region, kHealth, config_.interval_s, schedule_) {}
 
 void ChaosTimeline::retarget_wave(unsigned count) {
   if (config_.migratable_vms.empty()) return;
@@ -153,22 +150,17 @@ void ChaosTimeline::fire_event(const chaos::ChaosEvent& event,
       // attempt is refused, feeding the breaker trip / short-circuit path.
       retarget_wave(std::max(4u, event.count));
       break;
-    case chaos::FaultKind::kTenantStorm: {
-      const net::Vni vni =
-          config_.tenant_vnis[event.device % config_.tenant_vnis.size()];
-      storms_.push_back(Storm{vni, event.error_rate, event.time,
-                              event.time + event.duration});
+    case chaos::FaultKind::kTenantStorm:
+      plane_.arm_storm(
+          event, index,
+          config_.tenant_vnis[event.device % config_.tenant_vnis.size()]);
       break;
-    }
     case chaos::FaultKind::kChurnStorm:
       // Onboarding wave: fresh tenants pushed through the rate-limited
       // channel (overflow-admitted once hardware is at its water levels;
       // the ops still mirror to x86 and exercise the retry queue).
-      for (unsigned v = 0; v < event.count; ++v) {
-        const unsigned ordinal = churn_ordinal_next_++;
-        region_.controller().add_vpc(chaos::synthetic_vpc(
-            kChurnVniBase + ordinal, ordinal, kChurnBlock, kChurnNcBase));
-      }
+      chaos::onboard_wave(region_.controller(), kChurnTenants, event.count,
+                          churn_ordinal_next_);
       // VM-migration wave on *live* tenants: each re-target is a
       // hardware-table update that rides the RCU publish path, bumps
       // generations on the x86 mirrors, and feeds the placement engine.
@@ -181,15 +173,11 @@ void ChaosTimeline::fire_event(const chaos::ChaosEvent& event,
 }
 
 ChaosTimeline::StepResult ChaosTimeline::step(double now) {
-  cluster::Controller& controller = region_.controller();
   StepResult result;
 
   // 1. Fire events due at this boundary.
-  const auto& events = schedule_.events();
-  while (next_event_ < events.size() &&
-         events[next_event_].time <= now + chaos::kTimeEpsilon) {
-    fire_event(events[next_event_], next_event_);
-    ++next_event_;
+  while (const std::optional<std::size_t> index = plane_.next_due(now)) {
+    fire_event(schedule_.events()[*index], *index);
     ++result.events_fired;
   }
 
@@ -199,43 +187,21 @@ ChaosTimeline::StepResult ChaosTimeline::step(double now) {
   // without burning a channel attempt.
   if (plane_.browned_out()) retarget_wave(2);
 
-  // 2-4. Probes, then level-triggered restores.
-  plane_.deliver_heartbeats(now);
-  plane_.deliver_port_reports(now);
-  plane_.restore_expired(now);
+  // 2. Probes, level-triggered restores, then the control plane drains.
+  plane_.observe(now);
 
-  // 5. Drain the control plane.
-  controller.advance_clock(now);
-
-  // 6. Report what is active.
-  for (const Storm& storm : storms_) {
-    if (storm.start <= now + chaos::kTimeEpsilon &&
-        now < storm.end - chaos::kTimeEpsilon) {
-      result.active_storms.push_back(StormSpec{storm.vni, storm.multiplier});
-    }
+  // 3. Report what is active.
+  for (const StormSpec& storm : plane_.storms()) {
+    if (storm.active(now)) result.active_storms.push_back(storm);
   }
   std::sort(result.active_storms.begin(), result.active_storms.end(),
             [](const StormSpec& a, const StormSpec& b) {
               return a.vni < b.vni;
             });
   result.device_faults_active = plane_.device_faults_active(now);
-  result.deferred_ops = controller.deferred_op_count();
-  result.control_faults_active = plane_.channel_down() ||
-                                 plane_.browned_out() ||
-                                 result.deferred_ops != 0;
+  result.deferred_ops = region_.controller().deferred_op_count();
+  result.control_faults_active = plane_.control_faults_active();
   return result;
-}
-
-std::vector<std::string> ChaosTimeline::final_audit(double now) {
-  std::vector<net::Vni> storm_vnis;
-  for (const Storm& storm : storms_) storm_vnis.push_back(storm.vni);
-  std::vector<std::string> leaks =
-      chaos::FaultPlane::audit(region_, now, &plane_.monitor(), storm_vnis);
-  if (next_event_ != schedule_.size()) {
-    leaks.insert(leaks.begin(), sim::format("%zu scheduled events never fired",
-                                            schedule_.size() - next_event_));
-  }
-  return leaks;
 }
 
 std::map<std::string, std::size_t> ChaosTimeline::event_counts() const {

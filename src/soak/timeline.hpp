@@ -4,13 +4,13 @@
 // tick; a simulated week at that cadence would be ~1.2M ticks. The soak
 // instead advances in interval-sized steps (default 600 s) and needs
 // faults whose lifecycles are visible at that granularity, so the
-// timeline draws its own seeded schedule — reusing ChaosEvent/FaultKind
-// and the schedule container — with durations measured in whole
-// intervals. Device, port, channel, brownout and DPU faults go through the
-// same chaos::FaultPlane the injector drives; the timeline adds its
-// cadence, the schedule draw, tenant storms (weight multipliers on
-// *existing* metered tenants) and churn storms (onboarding plus VM-mapping
-// re-target waves through the RCU publish path). Upgrade failures and
+// timeline draws its own seeded schedule with durations in whole
+// intervals. Each step is the chaos::FaultPlane tick the injector runs
+// too — fire what is due, observe, report — and the timeline keeps only
+// what differs at its cadence: the schedule draw, its storm face (weight
+// multipliers on *existing* metered tenants), its churn face (onboarding
+// plus VM-mapping re-target waves through the RCU publish path) and the
+// re-target trickle while a brownout holds. Upgrade failures and
 // second-scale flaps stay with the injector — their lifecycles are
 // invisible between 600 s boundaries.
 //
@@ -31,12 +31,9 @@
 
 namespace sf::soak {
 
-/// A tenant whose offered traffic is inflated this interval.
-struct StormSpec {
-  net::Vni vni = 0;
-  /// Weight multiplier applied to the tenant's flows.
-  double multiplier = 1.0;
-};
+/// A tenant whose offered traffic is inflated (flow weights times
+/// `multiplier`) this interval.
+using StormSpec = chaos::StormWindow;
 
 class ChaosTimeline {
  public:
@@ -83,22 +80,16 @@ class ChaosTimeline {
 
   /// Strict end-of-run leak audit (call after the horizon plus enough
   /// settle intervals for hysteresis to unwind). Returns violations.
-  std::vector<std::string> final_audit(double now);
+  std::vector<std::string> final_audit(double now) const {
+    return plane_.final_audit(now);
+  }
 
   const chaos::ChaosSchedule& schedule() const { return schedule_; }
-  std::size_t events_fired() const { return next_event_; }
+  std::size_t events_fired() const { return plane_.events_fired(); }
   /// Per-kind counts over the whole drawn schedule.
   std::map<std::string, std::size_t> event_counts() const;
 
  private:
-  struct Storm {
-    net::Vni vni = 0;
-    double multiplier = 1.0;
-    double start = 0;
-    double end = 0;
-  };
-
-  void draw_schedule();
   void fire_event(const chaos::ChaosEvent& event, std::size_t index);
   /// A wave of VM-mapping re-targets over migratable_vms — hardware-tier
   /// updates that consume the (possibly refused) update channel.
@@ -108,8 +99,6 @@ class ChaosTimeline {
   Config config_;
   chaos::ChaosSchedule schedule_;
   chaos::FaultPlane plane_;
-  std::size_t next_event_ = 0;
-  std::vector<Storm> storms_;
   unsigned churn_ordinal_next_ = 0;
   /// VM-migration waves: next mapping to re-target and the wave ordinal
   /// (each wave lands the VM on a fresh synthetic NC).

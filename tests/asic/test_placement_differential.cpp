@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "asic/placement.hpp"
@@ -233,7 +234,7 @@ void run_differential(std::uint64_t seed, const Scenario& scenario) {
     WorkloadDelta delta = random_delta(rng);
     if (step == 5) delta.counters = 40'000'000;   // overflow burst
     if (step == 6) delta.counters = -40'000'000;  // and recovery
-    live = placer.replace(live, delta);
+    live = placer.replace(std::move(live), delta);
     w = delta.applied_to(w);
 
     const Placement fresh = placer.place_layout(w, config);
