@@ -127,6 +127,10 @@ ChaosSchedule ChaosSchedule::random(std::uint64_t seed,
     const std::uint64_t brownout_face =
         config.controller_brownouts ? next_face++ : kNoFace;
     const std::uint64_t face = rng.uniform(next_face);
+    // The base faces index the enabled base kinds: with control-plane
+    // faults off, the face after the data-plane four is the upgrade one.
+    const std::uint64_t base =
+        face >= 4 && !config.control_plane_faults ? face + 2 : face;
     if (face == brownout_face) {
       event.kind = FaultKind::kControllerBrownout;
       event.duration = 3.0 + static_cast<double>(rng.uniform(6));
@@ -143,18 +147,18 @@ ChaosSchedule ChaosSchedule::random(std::uint64_t seed,
       // error_rate doubles as the storm magnitude: the tenant offers this
       // multiple of the region's nominal interval rate.
       event.error_rate = 2.0 + static_cast<double>(rng.uniform(4));
-    } else if (face == 0) {
+    } else if (base == 0) {
       event.kind = FaultKind::kDeviceCrash;
       event.duration = 2.0 + static_cast<double>(rng.uniform(8));
-    } else if (face == 1) {
+    } else if (base == 1) {
       event.kind = FaultKind::kDeviceFlap;
       event.count = 2 + static_cast<unsigned>(rng.uniform(4));
       event.duration = 1.0;  // half-period: one probe tick
-    } else if (face == 2) {
+    } else if (base == 2) {
       event.kind = FaultKind::kPortErrorBurst;
       event.count = 2 + static_cast<unsigned>(rng.uniform(6));
       event.error_rate = 1e-4;
-    } else if (face == 3) {
+    } else if (base == 3) {
       event.kind = FaultKind::kLinkLoss;
       // A few ports go dark together (a cut trunk), occasionally the whole
       // device — which must escalate to node-level failure.
@@ -163,10 +167,10 @@ ChaosSchedule ChaosSchedule::random(std::uint64_t seed,
                         : 2 + static_cast<unsigned>(rng.uniform(
                                   config.ports_per_device / 2));
       event.error_rate = 1e-3;
-    } else if (face == 4) {
+    } else if (base == 4) {
       event.kind = FaultKind::kChannelOutage;
       event.duration = 2.0 + static_cast<double>(rng.uniform(6));
-    } else if (face == 5) {
+    } else if (base == 5) {
       event.kind = FaultKind::kUpdateStorm;
       event.count = 8 + static_cast<unsigned>(rng.uniform(24));
     } else {

@@ -59,6 +59,27 @@ TEST(ChaosSchedule, ControlPlaneFaultsCanBeDisabled) {
   }
 }
 
+// Regression: with control-plane faults off, the upgrade face used to
+// draw channel outages, and a mid-upgrade failure was never drawn.
+TEST(ChaosSchedule, UpgradeFaultsWithoutControlPlaneFaults) {
+  ChaosSchedule::RandomConfig config;
+  config.events = 24;
+  config.control_plane_faults = false;
+  config.upgrade_faults = true;
+  std::size_t outages = 0, storms = 0, upgrades = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const ChaosSchedule schedule = ChaosSchedule::random(seed, config);
+    for (const ChaosEvent& event : schedule.events()) {
+      outages += event.kind == FaultKind::kChannelOutage;
+      storms += event.kind == FaultKind::kUpdateStorm;
+      upgrades += event.kind == FaultKind::kMidUpgradeFailure;
+    }
+  }
+  EXPECT_EQ(outages, 0u);
+  EXPECT_EQ(storms, 0u);
+  EXPECT_GE(upgrades, 1u);
+}
+
 TEST(ChaosSchedule, AddKeepsTimeOrderStableForTies) {
   ChaosSchedule schedule;
   ChaosEvent a{2.0, FaultKind::kDeviceCrash, 0, 0, 0, 0, 1.0, 1e-3};
