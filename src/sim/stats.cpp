@@ -33,15 +33,22 @@ double min_value(std::span<const double> values) {
 }
 
 double percentile(std::span<const double> values, double p) {
-  if (values.empty()) return 0;  // documented: empty input yields 0
-  if (std::isnan(p)) return std::numeric_limits<double>::quiet_NaN();
-  if (values.size() == 1) return values.front();
-  // Out-of-range p clamps to the extremes; the fast paths also dodge the
-  // rank == size-1 boundary of the interpolation below.
-  if (p <= 0) return min_value(values);
-  if (p >= 100) return max_value(values);
+  // Out-of-range p clamps to the extremes, which need no sorted copy.
+  if (!values.empty() && p <= 0) return min_value(values);
+  if (!values.empty() && p >= 100) return max_value(values);
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  if (sorted.empty()) return 0;  // documented: empty input yields 0
+  if (std::isnan(p)) return std::numeric_limits<double>::quiet_NaN();
+  if (sorted.size() == 1) return sorted.front();
+  // The clamps also dodge the rank == size-1 boundary of the
+  // interpolation below.
+  if (p <= 0) return sorted.front();
+  if (p >= 100) return sorted.back();
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(rank);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);

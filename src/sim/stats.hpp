@@ -17,6 +17,11 @@ double min_value(std::span<const double> values);
 /// single element is returned for any p, and a NaN p yields NaN.
 double percentile(std::span<const double> values, double p);
 
+/// percentile() over values already sorted ascending: the one place the
+/// rank and the interpolation are written. Many percentiles of one sample
+/// then cost one sort.
+double percentile_sorted(std::span<const double> sorted, double p);
+
 /// Jain's fairness index: 1.0 means perfectly balanced shares.
 double fairness_index(std::span<const double> values);
 

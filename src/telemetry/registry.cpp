@@ -1,6 +1,7 @@
 #include "telemetry/registry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -63,6 +64,15 @@ double Histogram::mean() const {
 
 double Histogram::percentile(double p) const {
   return sim::percentile(reservoir_, p);
+}
+
+void Histogram::percentiles(std::span<const double> ps,
+                            std::span<double> out) const {
+  std::vector<double> sorted(reservoir_);
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    out[i] = sim::percentile_sorted(sorted, ps[i]);
+  }
 }
 
 std::vector<Histogram::Bucket> Histogram::buckets() const {
@@ -193,9 +203,12 @@ Snapshot Registry::snapshot() const {
     h.sum = hist->sum();
     h.min = hist->min();
     h.max = hist->max();
-    h.p50 = hist->percentile(50);
-    h.p90 = hist->percentile(90);
-    h.p99 = hist->percentile(99);
+    constexpr std::array<double, 3> kPercentiles = {50, 90, 99};
+    std::array<double, 3> at{};
+    hist->percentiles(kPercentiles, at);
+    h.p50 = at[0];
+    h.p90 = at[1];
+    h.p99 = at[2];
     h.buckets = hist->buckets();
     snap.histograms.emplace(name, std::move(h));
   }

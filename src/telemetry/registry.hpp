@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,9 @@ class Histogram {
 
   /// Percentile estimate over the retained reservoir; p in [0, 100].
   double percentile(double p) const;
+  /// percentile(ps[i]) into out[i] for each i, from one sorted copy of
+  /// the reservoir.
+  void percentiles(std::span<const double> ps, std::span<double> out) const;
 
   /// Bucket counts, overflow bucket last.
   std::vector<Bucket> buckets() const;

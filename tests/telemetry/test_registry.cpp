@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace sf::telemetry {
@@ -47,6 +49,27 @@ TEST(Histogram, TracksMomentsAndExtremes) {
   EXPECT_DOUBLE_EQ(hist.mean(), 2.0);
   EXPECT_DOUBLE_EQ(hist.percentile(0), 1.0);
   EXPECT_DOUBLE_EQ(hist.percentile(100), 3.0);
+}
+
+// A snapshot reads p50/p90/p99 from one sorted copy of the reservoir;
+// each must be bit-equal to its own percentile() call, whatever the
+// reservoir size, with heavy duplication.
+TEST(Histogram, SnapshotPercentilesMatchSeparateCalls) {
+  for (const std::size_t size : {0u, 1u, 2u, 511u, 512u}) {
+    Registry registry;
+    Histogram& hist = registry.histogram("lat");
+    for (std::size_t i = 0; i < size; ++i) {
+      hist.record(0.25 * static_cast<double>((i * 7) % 13) + 1.0 / 3.0);
+    }
+    const HistogramSnapshot snap = registry.snapshot().histograms.at("lat");
+    SCOPED_TRACE(size);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(snap.p50),
+              std::bit_cast<std::uint64_t>(hist.percentile(50)));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(snap.p90),
+              std::bit_cast<std::uint64_t>(hist.percentile(90)));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(snap.p99),
+              std::bit_cast<std::uint64_t>(hist.percentile(99)));
+  }
 }
 
 TEST(Histogram, LogBucketsBoundMemoryAndCatchOverflow) {
