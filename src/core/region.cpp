@@ -604,10 +604,11 @@ SailfishRegion::IntervalReport SailfishRegion::simulate_interval(
     ctr_dpu_demotions_->add(placed.demoted);
   }
 
-  // ---- Phase A: hash-sharded parallel classification ----------------------
-  // Each flow is classified exactly once, by the shard that owns its
-  // steering hash, into its private slot; per-shard registries count what
-  // each shard saw and merge through the snapshot machinery.
+  // ---- Phase A: classification over contiguous chunks ---------------------
+  // Classifying flow i reads only sealed shared state (the controller's
+  // cluster and overflow maps, guard_admit, the DPU placement) and writes
+  // only classified[i], so which worker takes which chunk cannot change a
+  // result.
   enum class Kind : std::uint8_t {
     kHardware,
     kSoftware,
@@ -623,109 +624,136 @@ SailfishRegion::IntervalReport SailfishRegion::simulate_interval(
     std::uint8_t pipe = 0;
     Kind kind = Kind::kUnknownVni;
   };
+  constexpr std::size_t kChunks = 16;
   std::vector<Classified> classified(flows.size());
-
-  const auto owner = [&flows](std::size_t i) -> std::size_t {
-    const workload::Flow& flow = flows[i];
-    // The keys the dataplane already steers by: the RSS tuple hash on the
-    // software path, the VNI hash on the hardware path.
-    return flow.scope == tables::RouteScope::kInternet
-               ? static_cast<std::size_t>(flow.tuple.hash())
-               : static_cast<std::size_t>(net::mix64(flow.vni));
-  };
-  const telemetry::Snapshot engine_stats = engine_->run_sharded(
-      flows.size(), owner,
-      [&](std::size_t, std::span<const std::uint32_t> indices,
-          telemetry::Registry& registry) {
-        telemetry::Counter& seen = registry.counter("engine.flows");
-        telemetry::Counter& hw = registry.counter("engine.hw_flows");
-        telemetry::Counter& sw = registry.counter("engine.sw_flows");
-        telemetry::Counter& unknown =
-            registry.counter("engine.unknown_vni_flows");
-        for (const std::uint32_t i : indices) {
-          const workload::Flow& flow = flows[i];
-          Classified& out = classified[i];
-          out.bps = flow.weight * total_bps;
-          out.pps = out.bps / 8.0 / static_cast<double>(flow.packet_size);
-          // Guard: downstream sees only the admitted share; the shed
-          // share is accounted as guard drops in the reduce. (Read-only
-          // lookup — the map was sealed before this pass.)
-          if (!guard_admit.empty()) {
-            if (auto it = guard_admit.find(flow.vni);
-                it != guard_admit.end()) {
-              out.bps *= it->second;
-              out.pps *= it->second;
-            }
+  std::vector<std::function<void()>> chunk_tasks;
+  chunk_tasks.reserve(kChunks);
+  for (std::size_t chunk = 0; chunk < kChunks; ++chunk) {
+    chunk_tasks.push_back([&, chunk] {
+      const std::size_t end = flows.size() * (chunk + 1) / kChunks;
+      for (std::size_t i = flows.size() * chunk / kChunks; i < end; ++i) {
+        const workload::Flow& flow = flows[i];
+        Classified& out = classified[i];
+        out.bps = flow.weight * total_bps;
+        out.pps = out.bps / 8.0 / static_cast<double>(flow.packet_size);
+        // Guard: downstream sees only the admitted share; the shed share
+        // is accounted as guard drops in the reduce.
+        if (!guard_admit.empty()) {
+          if (auto it = guard_admit.find(flow.vni); it != guard_admit.end()) {
+            out.bps *= it->second;
+            out.pps *= it->second;
           }
-          seen.add();
-          if (flow.scope == tables::RouteScope::kInternet) {
-            out.kind = Kind::kSoftware;
-            out.node = x86_index_for(flow.tuple);
-            sw.add();
-            continue;
-          }
-          const auto cluster_id = controller_.cluster_for(flow.vni);
-          if (!cluster_id) {
-            // Software-tier tenants are *admitted*, just not in hardware:
-            // a placed elephant rides its DPU entry, the rest crosses to
-            // x86. Counters register lazily so runs without overflow
-            // tenants keep byte-identical snapshots.
-            if (controller_.is_overflow(flow.vni)) {
-              if (dpu_active) {
-                if (const auto node = placer_->placement(
-                        telemetry::FlowKey{flow.vni, flow.tuple})) {
-                  out.kind = Kind::kDpu;
-                  out.node = static_cast<std::uint32_t>(*node);
-                  registry.counter("engine.dpu_flows").add();
-                  continue;
-                }
-              }
-              out.kind = Kind::kOverflowX86;
-              out.node = x86_index_for(flow.tuple);
-              registry.counter("engine.overflow_x86_flows").add();
-              continue;
-            }
-            out.kind = Kind::kUnknownVni;
-            unknown.add();
-            continue;
-          }
+        }
+        if (flow.scope == tables::RouteScope::kInternet) {
+          out.kind = Kind::kSoftware;
+          out.node = x86_index_for(flow.tuple);
+        } else if (const auto cluster_id = controller_.cluster_for(flow.vni)) {
           out.kind = Kind::kHardware;
           out.cluster = *cluster_id;
           // Loopback-pipe accounting: the VNI's shard picks pipe 1 or 3
           // (Fig. 14).
           out.pipe = static_cast<std::uint8_t>(
               1 + 2 * xgwh::XgwH::shard_of_vni(flow.vni));
-          hw.add();
-        }
-      });
+        } else if (controller_.is_overflow(flow.vni)) {
+          // Software-tier tenants are *admitted*, just not in hardware: a
+          // placed elephant rides its DPU entry, the rest crosses to x86.
+          const auto node =
+              dpu_active ? placer_->placement(
+                               telemetry::FlowKey{flow.vni, flow.tuple})
+                         : std::nullopt;
+          out.kind = node ? Kind::kDpu : Kind::kOverflowX86;
+          out.node = static_cast<std::uint32_t>(
+              node ? *node : x86_index_for(flow.tuple));
+        }  // any other VNI keeps the default kind, kUnknownVni
+      }
+    });
+  }
+  engine_->run_tasks(std::move(chunk_tasks));
 
-  // ---- Phase B: parallel accumulation over disjoint accumulators ----------
-  // Each task owns its outputs outright and walks the classified flows in
-  // original index order, so every floating-point sum reproduces the
-  // sequential order exactly — parallelism never reassociates an addition.
+  // ---- Phase B: one index-order sweep -------------------------------------
+  // One pass over the classified flows, in index order and on one thread,
+  // feeds every accumulator, so each floating-point sum receives its
+  // additions in flow order whatever the thread count.
   struct DeviceLoad {
     double pps = 0;
     double bps = 0;
   };
-  std::vector<std::vector<DeviceLoad>> hw_load(clusters);
+  // Each Flow aggregates a tenant's many real 5-tuples, so ECMP spreads it
+  // near-uniformly over the cluster's live devices (device-level bins are
+  // huge — §5.2's balls-into-bins argument; contrast with the per-core
+  // lumping modeled in x86::simulate_interval). Every live device of a
+  // cluster would receive the same additions, so one sum per cluster
+  // stands for each of them.
+  std::vector<DeviceLoad> device_share(clusters);
   std::vector<std::size_t> live_devices(clusters);
   for (std::size_t c = 0; c < clusters; ++c) {
-    hw_load[c].resize(controller_.cluster(c).device_count());
     live_devices[c] =
         std::max<std::size_t>(1, controller_.cluster(c).live_device_count());
+  }
+  double offered_pps = 0;
+  double fallback_bps = 0;
+  double fallback_pps = 0;
+  double unknown_vni_pps = 0;
+  double overflow_x86_offered_pps = 0;
+  std::array<double, 4> shard_pipe_bps{};
+  std::vector<DeviceLoad> dpu_load(dpu_nodes_.size());
+  // Each x86 node's RSS flow list, and where its overflow entries sit.
+  std::vector<std::vector<x86::FlowRate>> node_flows(nodes);
+  std::vector<std::vector<std::size_t>> node_overflow(nodes);
+  std::array<std::uint64_t, 5> kind_count{};  // indexed by Kind
+  for (std::size_t i = 0; i < classified.size(); ++i) {
+    const Classified& f = classified[i];
+    ++kind_count[static_cast<std::size_t>(f.kind)];
+    offered_pps += f.pps;
+    switch (f.kind) {
+      case Kind::kHardware: {
+        shard_pipe_bps[f.pipe] += f.bps;
+        const auto devices = static_cast<double>(live_devices[f.cluster]);
+        device_share[f.cluster].pps += f.pps / devices;
+        device_share[f.cluster].bps += f.bps / devices;
+        break;
+      }
+      case Kind::kSoftware:
+        fallback_bps += f.bps;
+        fallback_pps += f.pps;
+        node_flows[f.node].push_back({flows[i].tuple, f.pps, f.bps});
+        break;
+      case Kind::kUnknownVni:
+        unknown_vni_pps += f.pps;
+        break;
+      case Kind::kDpu:
+        dpu_load[f.node].pps += f.pps;
+        dpu_load[f.node].bps += f.bps;
+        break;
+      case Kind::kOverflowX86:
+        overflow_x86_offered_pps += f.pps;
+        node_overflow[f.node].push_back(node_flows[f.node].size());
+        node_flows[f.node].push_back({flows[i].tuple, f.pps, f.bps});
+        break;
+    }
+  }
+  const auto count_of = [&](Kind kind) {
+    return kind_count[static_cast<std::size_t>(kind)];
+  };
+  registry_->counter("region.engine.flows").add(flows.size());
+  registry_->counter("region.engine.hw_flows").add(count_of(Kind::kHardware));
+  registry_->counter("region.engine.sw_flows").add(count_of(Kind::kSoftware));
+  registry_->counter("region.engine.unknown_vni_flows")
+      .add(count_of(Kind::kUnknownVni));
+  // These register lazily so runs without overflow tenants keep
+  // byte-identical snapshots.
+  if (count_of(Kind::kDpu) > 0) {
+    registry_->counter("region.engine.dpu_flows").add(count_of(Kind::kDpu));
+  }
+  if (count_of(Kind::kOverflowX86) > 0) {
+    registry_->counter("region.engine.overflow_x86_flows")
+        .add(count_of(Kind::kOverflowX86));
   }
 
   // Overflow spillover toward x86 crosses the punt lanes as a fluid
   // queue: offered beyond the drain capacity drops (the interval-model
   // analog of kPuntQueueFull), and the occupancy fraction reports how
-  // deep the lanes run. Computed sequentially before Phase B because the
-  // per-node tasks need the admitted scale.
-  double overflow_x86_offered_pps = 0;
-  if (overflow_active) {
-    for (const Classified& f : classified) {
-      if (f.kind == Kind::kOverflowX86) overflow_x86_offered_pps += f.pps;
-    }
-  }
+  // deep the lanes run.
   double overflow_scale = 1.0;
   if (overflow_active && punt_queue_) {
     const double drain_pps =
@@ -738,87 +766,23 @@ SailfishRegion::IntervalReport SailfishRegion::simulate_interval(
                       : 1.0;
   }
 
-  double offered_pps = 0;
-  double fallback_bps = 0;
-  double fallback_pps = 0;
-  double unknown_vni_pps = 0;
-  std::array<double, 4> shard_pipe_bps{};
+  // Software path: one task per non-empty node scales its overflow
+  // entries to the punt-lane-admitted share and runs the node's core
+  // simulation.
   std::vector<x86::IntervalReport> node_reports(nodes);
-  std::vector<char> node_active(nodes, 0);
-  std::vector<DeviceLoad> dpu_load(dpu_nodes_.size());
-
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(1 + clusters + nodes + dpu_nodes_.size());
-  // Scalar totals: one pass over all flows in index order.
-  tasks.push_back([&] {
-    for (const Classified& f : classified) {
-      offered_pps += f.pps;
-      switch (f.kind) {
-        case Kind::kSoftware:
-          fallback_bps += f.bps;
-          fallback_pps += f.pps;
-          break;
-        case Kind::kUnknownVni:
-          unknown_vni_pps += f.pps;
-          break;
-        case Kind::kHardware:
-          shard_pipe_bps[f.pipe] += f.bps;
-          break;
-        case Kind::kDpu:
-        case Kind::kOverflowX86:
-          break;  // summed by the DPU tasks / the fluid-lane pass above
-      }
-    }
-  });
-  // Per-device offered load on the hardware path: one task per cluster.
-  // Each Flow aggregates a tenant's many real 5-tuples, so ECMP spreads
-  // it near-uniformly over the cluster's live devices (device-level bins
-  // are huge — §5.2's balls-into-bins argument; contrast with the
-  // per-core lumping modeled in x86::simulate_interval).
-  for (std::size_t c = 0; c < clusters; ++c) {
-    tasks.push_back([&, c] {
-      const auto devices = static_cast<double>(live_devices[c]);
-      for (const Classified& f : classified) {
-        if (f.kind != Kind::kHardware || f.cluster != c) continue;
-        for (std::size_t device = 0; device < live_devices[c]; ++device) {
-          hw_load[c][device].pps += f.pps / devices;
-          hw_load[c][device].bps += f.bps / devices;
-        }
-      }
-    });
-  }
-  // DPU tier: one task per node sums its placed elephants (index order).
-  for (std::size_t d = 0; d < dpu_load.size(); ++d) {
-    tasks.push_back([&, d] {
-      for (const Classified& f : classified) {
-        if (f.kind != Kind::kDpu || f.node != d) continue;
-        dpu_load[d].pps += f.pps;
-        dpu_load[d].bps += f.bps;
-      }
-    });
-  }
-  // Software path: one task per node builds its RSS flow list (index
-  // order) and runs the node's core simulation. Overflow spillover joins
-  // its node's list at the punt-lane-admitted share.
+  std::vector<std::function<void()>> node_tasks;
+  node_tasks.reserve(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
-    tasks.push_back([&, n] {
-      std::vector<x86::FlowRate> node_flows;
-      for (std::size_t i = 0; i < classified.size(); ++i) {
-        const Classified& f = classified[i];
-        if (f.kind == Kind::kSoftware && f.node == n) {
-          node_flows.push_back(x86::FlowRate{flows[i].tuple, f.pps, f.bps});
-        } else if (f.kind == Kind::kOverflowX86 && f.node == n) {
-          node_flows.push_back(x86::FlowRate{
-              flows[i].tuple, f.pps * overflow_scale,
-              f.bps * overflow_scale});
-        }
+    if (node_flows[n].empty()) continue;
+    node_tasks.push_back([&, n] {
+      for (const std::size_t at : node_overflow[n]) {
+        node_flows[n][at].pps *= overflow_scale;
+        node_flows[n][at].bps *= overflow_scale;
       }
-      if (node_flows.empty()) return;
-      node_reports[n] = x86_nodes_[n]->simulate_interval(node_flows);
-      node_active[n] = 1;
+      node_reports[n] = x86_nodes_[n]->simulate_interval(node_flows[n]);
     });
   }
-  engine_->run_tasks(std::move(tasks));
+  engine_->run_tasks(std::move(node_tasks));
 
   // ---- Phase C: sequential reduce (fixed order, one thread) ---------------
   // Offered is the raw (pre-shed) rate: the served sum plus what the
@@ -850,7 +814,10 @@ SailfishRegion::IntervalReport SailfishRegion::simulate_interval(
     const double cap_bps =
         controller_.cluster(c).device(0).max_throughput_bps() *
         capacity_scale;
-    for (const DeviceLoad& load : hw_load[c]) {
+    for (std::size_t d = 0; d < device_count; ++d) {
+      // The first live_devices[c] devices carry the cluster's share.
+      const DeviceLoad load =
+          d < live_devices[c] ? device_share[c] : DeviceLoad{};
       hw_pps += load.pps;
       const double overload =
           std::max({load.pps / cap_pps, load.bps / cap_bps, 1.0});
@@ -864,7 +831,7 @@ SailfishRegion::IntervalReport SailfishRegion::simulate_interval(
 
   // Software path: fold the per-node reports in node order.
   for (std::size_t n = 0; n < nodes; ++n) {
-    if (!node_active[n]) continue;
+    if (node_flows[n].empty()) continue;
     report.dropped_pps += node_reports[n].dropped_pps;
     report.x86_max_core_utilization = std::max(
         report.x86_max_core_utilization, node_reports[n].max_core_utilization);
@@ -948,11 +915,6 @@ SailfishRegion::IntervalReport SailfishRegion::simulate_interval(
       report.offered_pps > 0 ? report.dropped_pps / report.offered_pps : 0;
   report.fallback_ratio =
       total_bps > 0 ? report.fallback_bps / total_bps : 0;
-
-  // Fold the merged per-shard engine counters into the region registry.
-  for (const auto& [name, value] : engine_stats.counters) {
-    registry_->counter("region." + name).add(value);
-  }
 
   // Accumulate the interval into the registry; deltas of successive
   // snapshots recover the per-interval series the figures plot.

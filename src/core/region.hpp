@@ -203,13 +203,14 @@ class SailfishRegion : public dataplane::Gateway {
   /// `jitter_key` deterministically perturbs the hardware loss floor so a
   /// time series shows the Fig. 19 band rather than a flat line.
   ///
-  /// Internally the flow population is partitioned by the hash the
-  /// steering already uses (VNI hash for hardware flows, RSS tuple hash
-  /// for software ones) across `Config::interval_engine.shards` shards and
-  /// fanned out over the engine's thread pool. The report is byte-
-  /// identical for every thread count: per-shard work writes only
-  /// shard-private state, and every floating-point reduction runs
-  /// single-threaded in a fixed order.
+  /// Internally the flows are classified in a fixed set of contiguous
+  /// chunks over the engine's thread pool (classifying a flow writes only
+  /// its own slot), then one single-threaded sweep in flow order sums
+  /// every load, and the x86 nodes simulate in parallel. The report is
+  /// byte-identical for every thread count: every floating-point sum
+  /// receives its additions in flow order on one thread. The guard and
+  /// DPU sketch passes still shard by VNI hash, since they step
+  /// per-shard state.
   IntervalReport simulate_interval(std::span<const workload::Flow> flows,
                                    double total_bps,
                                    std::uint64_t jitter_key = 0) const;
