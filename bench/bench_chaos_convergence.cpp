@@ -93,8 +93,7 @@ SeedResult run_seed(std::uint64_t seed) {
   result.json = result.report.to_json();
   result.replay_identical =
       result.json == report_eight.to_json() &&
-      injector_one.log().to_string() == injector_eight.log().to_string() &&
-      injector_one.log().fingerprint() == injector_eight.log().fingerprint();
+      injector_one.log().to_string() == injector_eight.log().to_string();
   result.within_budget =
       result.report.max_time_to_detect <= kDetectBudgetS &&
       result.report.max_time_to_reroute <= kRerouteBudgetS;

@@ -100,27 +100,6 @@ void BM_DigestVmNcLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_DigestVmNcLookup);
 
-void BM_TcamLookup(benchmark::State& state) {
-  tables::Tcam<std::uint32_t> tcam;
-  workload::Rng rng(3);
-  for (std::size_t i = 0; i < 1024; ++i) {
-    const net::IpPrefix prefix = net::Ipv4Prefix(
-        net::Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())), 24);
-    auto [key, mask] = tables::make_pooled_prefix(
-        static_cast<net::Vni>(rng.uniform(kVnis)), prefix);
-    tcam.insert(key, mask, 120, static_cast<std::uint32_t>(i));
-  }
-  const auto keys = probes(1024);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& [vni, ip] = keys[i++ & 1023];
-    benchmark::DoNotOptimize(
-        tcam.lookup(tables::make_pooled_key(vni, ip)));
-  }
-  state.SetLabel("1K rows, linear priority scan");
-}
-BENCHMARK(BM_TcamLookup);
-
 void BM_SnatTranslate(benchmark::State& state) {
   x86::SnatEngine snat({{net::Ipv4Addr(203, 0, 113, 1),
                          net::Ipv4Addr(203, 0, 113, 2)},

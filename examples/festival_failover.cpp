@@ -46,9 +46,10 @@ int main() {
   }
 
   std::printf("\ndisaster-recovery journal:\n");
-  for (const auto& event : recovery.events()) {
+  for (const auto& event :
+       system.region->controller().journal().events("failover")) {
     std::printf("  day %4.2f  %s\n", event.time / 86400.0,
-                event.description.c_str());
+                event.message.c_str());
   }
   std::printf("\ncold standby gateways remaining: %zu\n",
               recovery.cold_standby_available());

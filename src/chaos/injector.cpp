@@ -66,7 +66,7 @@ struct ChaosInjector::Run {
   ChaosInjector& injector;
   core::SailfishRegion& region;
   cluster::Controller& controller;
-  sim::EventLog& log;
+  telemetry::EventJournal& log;
   const bool sampling;
   const double deadline;
   FaultPlane plane;
@@ -119,7 +119,7 @@ struct ChaosInjector::Run {
   /// Retires fault `i` as recovered at `at`, with the log line saying why.
   void recover(std::size_t i, double at, double now, const std::string& why) {
     report.faults[i].recovered_at = at;
-    log.append(now, "recover", why);
+    log.record("recover", why, now);
   }
   /// Retires fault `i` at injection: detected and recovered on the spot.
   void retire(std::size_t i, double now) {
@@ -143,7 +143,7 @@ struct ChaosInjector::Run {
     FaultRecord& record = report.faults[index];
     const ChaosEvent& event = record.event;
     double& end = ends[index];
-    log.append(now, "inject", event.to_string());
+    log.record("inject", event.to_string(), now);
     switch (event.kind) {
       case FaultKind::kDeviceCrash:
       case FaultKind::kDeviceFlap:
@@ -154,16 +154,17 @@ struct ChaosInjector::Run {
       case FaultKind::kChannelOutage: {
         const bool was_down = plane.channel_down();
         end = plane.arm(event, index);
-        if (!was_down) log.append(now, "channel", "update channel down");
+        if (!was_down) log.record("channel", "update channel down", now);
         record.detected_at = now;
         break;
       }
       case FaultKind::kUpdateStorm: {
         const std::size_t admitted = onboard(event.count);
         record.detected_at = now;
-        log.append(now, "storm",
+        log.record("storm",
                    format("%zu vpcs admitted, %zu table ops deferred",
-                          admitted, controller.deferred_op_count()));
+                          admitted, controller.deferred_op_count()),
+                   now);
         break;
       }
       case FaultKind::kMidUpgradeFailure: {
@@ -176,9 +177,10 @@ struct ChaosInjector::Run {
             [&](const cluster::XgwHCluster& cc) { return !cc.failed_over(); });
         retire(index, now);
         record.rerouted_at = now;
-        log.append(now, "upgrade",
+        log.record("upgrade",
                    result.completed ? "roll completed"
-                                    : "roll aborted: " + result.abort_reason);
+                                    : "roll aborted: " + result.abort_reason,
+                   now);
         break;
       }
       case FaultKind::kTenantStorm: {
@@ -189,8 +191,9 @@ struct ChaosInjector::Run {
           // Without a guard (or interval sampling to meter against) there
           // is nothing to degrade or verify — retire immediately.
           retire(index, now);
-          log.append(now, "tenant-storm",
-                     "skipped: region has no guard or interval sampling");
+          log.record("tenant-storm",
+                     "skipped: region has no guard or interval sampling",
+                     now);
           break;
         }
         const double limit_bps =
@@ -198,11 +201,12 @@ struct ChaosInjector::Run {
         guard->set_limit(guard::TenantLimit{vni, limit_bps, 0.0});
         end = plane.arm_storm(event, index, vni).end;
         record.detected_at = now;
-        log.append(now, "tenant-storm",
+        log.record("tenant-storm",
                    format("vni %u armed: limit %.3e bps, flood %.1fx region "
                           "rate over %u flows for %.1fs",
                           static_cast<unsigned>(vni), limit_bps,
-                          event.error_rate, event.count, event.duration));
+                          event.error_rate, event.count, event.duration),
+                   now);
         break;
       }
       case FaultKind::kChurnStorm: {
@@ -224,17 +228,18 @@ struct ChaosInjector::Run {
           }
         }
         record.detected_at = now;
-        log.append(now, "churn-storm",
+        log.record("churn-storm",
                    format("%zu vpcs onboarded, %zu migrated, %zu table ops "
                           "deferred",
-                          admitted, migrated, controller.deferred_op_count()));
+                          admitted, migrated, controller.deferred_op_count()),
+                   now);
         break;
       }
       case FaultKind::kDpuFailure: {
         if (region.dpu_node_count() == 0) {
           // No DPU tier in this region — nothing to fail or verify.
           retire(index, now);
-          log.append(now, "dpu-failure", "skipped: region has no DPU tier");
+          log.record("dpu-failure", "skipped: region has no DPU tier", now);
           break;
         }
         const std::size_t node = event.device % region.dpu_node_count();
@@ -245,18 +250,19 @@ struct ChaosInjector::Run {
         // so detect and reroute coincide with injection.
         record.detected_at = now;
         record.rerouted_at = now;
-        log.append(now, "dpu-failure",
+        log.record("dpu-failure",
                    format("node %zu dark for %.1fs, %llu placed flows "
                           "failing over to x86",
                           node, event.duration,
-                          static_cast<unsigned long long>(placed_before)));
+                          static_cast<unsigned long long>(placed_before)),
+                   now);
         break;
       }
       case FaultKind::kControllerBrownout: {
         const bool was_browned_out = plane.browned_out();
         end = plane.arm(event, index);
         if (!was_browned_out) {
-          log.append(now, "brownout", "update channel browned out");
+          log.record("brownout", "update channel browned out", now);
         }
         // Provisioning keeps arriving during the brownout: a small wave of
         // onboardings whose pushes get refused, feeding the breaker (or
@@ -266,10 +272,11 @@ struct ChaosInjector::Run {
         // The control plane rides the retry queue until the brownout lifts
         // — the deferral itself is the reroute.
         record.rerouted_at = now;
-        log.append(now, "brownout",
+        log.record("brownout",
                    format("%zu vpcs admitted into the brownout, %zu table "
                           "ops deferred",
-                          admitted, controller.deferred_op_count()));
+                          admitted, controller.deferred_op_count()),
+                   now);
         break;
       }
     }
@@ -279,9 +286,10 @@ struct ChaosInjector::Run {
   void observe(double now) {
     const FaultPlane::Observation seen = plane.observe(now);
     for (const FaultPlane::Transition& tr : seen.transitions) {
-      log.append(now, "recovery",
+      log.record("recovery",
                  format("cluster %zu device %zu marked %s", tr.cluster,
-                        tr.device, tr.failed ? "failed" : "recovered"));
+                        tr.device, tr.failed ? "failed" : "recovered"),
+                 now);
       for (std::size_t i = 0; i < report.faults.size(); ++i) {
         FaultRecord& record = report.faults[i];
         if (!in_flight(i, now) || record.event.cluster != tr.cluster ||
@@ -302,34 +310,35 @@ struct ChaosInjector::Run {
       }
     }
     if (seen.channel_restored) {
-      log.append(now, "channel", "update channel restored");
+      log.record("channel", "update channel restored", now);
     }
     if (seen.brownout_cleared) {
-      log.append(now, "brownout", "update channel brownout cleared");
+      log.record("brownout", "update channel brownout cleared", now);
     }
     if (seen.replayed > 0) {
-      log.append(now, "retry",
+      log.record("retry",
                  format("replayed %zu deferred table ops, %zu pending",
-                        seen.replayed, controller.deferred_op_count()));
+                        seen.replayed, controller.deferred_op_count()),
+                 now);
     }
     if (report.breaker_tracked) {
       const guard::CircuitBreaker::Stats& bs = breaker->stats();
       for (auto n = breaker_prev.trips; n < bs.trips; ++n) {
         report.breaker_transitions.emplace_back(now, "open");
-        log.append(now, "breaker", "tripped open");
+        log.record("breaker", "tripped open", now);
       }
       for (auto n = breaker_prev.reopens; n < bs.reopens; ++n) {
         report.breaker_transitions.emplace_back(now, "reopen");
-        log.append(now, "breaker", "half-open probe refused; re-opened");
+        log.record("breaker", "half-open probe refused; re-opened", now);
       }
       for (auto n = breaker_prev.closes; n < bs.closes; ++n) {
         report.breaker_transitions.emplace_back(now, "close");
-        log.append(now, "breaker", "half-open probe succeeded; closed");
+        log.record("breaker", "half-open probe succeeded; closed", now);
       }
       breaker_prev = bs;
     }
     for (const std::size_t node : seen.dpu_nodes_restored) {
-      log.append(now, "dpu-failure", format("node %zu restored", node));
+      log.record("dpu-failure", format("node %zu restored", node), now);
     }
   }
 
@@ -547,11 +556,11 @@ struct ChaosInjector::Run {
       all_done = all_done && record.recovered_at >= 0;
     }
     if (all_done && !plane.control_faults_active()) {
-      log.append(now, "converged", "all faults recovered");
+      log.record("converged", "all faults recovered", now);
       return true;
     }
     if (now + kTimeEpsilon >= deadline) {
-      log.append(now, "deadline", "settle window exhausted");
+      log.record("deadline", "settle window exhausted", now);
       return true;
     }
     return false;
@@ -571,7 +580,7 @@ struct ChaosInjector::Run {
           bs.short_circuited - breaker_base.short_circuited;
     }
     for (const std::string& leak : report.leaks) {
-      log.append(deadline, "leak", leak);
+      log.record("leak", leak, deadline);
     }
 
     // Mean and max of one latency over the faults that have it.

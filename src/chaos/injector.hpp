@@ -29,7 +29,7 @@
 
 #include "chaos/schedule.hpp"
 #include "core/region.hpp"
-#include "sim/event_log.hpp"
+#include "telemetry/journal.hpp"
 #include "workload/flowgen.hpp"
 
 namespace sf::chaos {
@@ -161,7 +161,7 @@ class ChaosInjector {
   ChaosReport run(const ChaosSchedule& schedule);
 
   /// The replay log of the last run() — byte-identical for equal inputs.
-  const sim::EventLog& log() const { return log_; }
+  const telemetry::EventJournal& log() const { return log_; }
 
  private:
   struct Run;
@@ -169,7 +169,7 @@ class ChaosInjector {
   core::SailfishRegion& region_;
   std::span<const workload::Flow> flows_;
   Config config_;
-  sim::EventLog log_;
+  telemetry::EventJournal log_;
   net::Vni storm_vni_next_ = 0;
 };
 

@@ -242,8 +242,6 @@ std::optional<std::uint32_t> Controller::assign_cluster() {
   if (best) return best;
 
   if (clusters_.size() >= config_.max_clusters) {
-    alerts_.push_back(
-        "admission refused: all clusters at water level, region full");
     ctr_admission_refused_->add();
     journal_->record("alert",
                      "admission refused: all clusters at water level");
@@ -252,7 +250,6 @@ std::optional<std::uint32_t> Controller::assign_cluster() {
   XgwHCluster::Config cfg = config_.cluster_template;
   cfg.cluster_id = static_cast<std::uint32_t>(clusters_.size());
   clusters_.push_back(std::make_unique<XgwHCluster>(cfg));
-  alerts_.push_back("opened cluster " + std::to_string(cfg.cluster_id));
   ctr_clusters_opened_->add();
   journal_->record("provisioning",
                    "opened cluster " + std::to_string(cfg.cluster_id));
@@ -427,8 +424,6 @@ dataplane::TableOpStatus Controller::apply_one(const TableOp& requested) {
   if (op.kind == TableOp::Kind::kAddRoute && !software_tier &&
       clusters_[vpc.cluster_id]->route_count() ==
           config_.routes_water_level) {
-    alerts_.push_back("cluster " + std::to_string(vpc.cluster_id) +
-                      " reached its route water level; sales closed");
     journal_->record("water-level",
                      "cluster " + std::to_string(vpc.cluster_id) +
                          " reached its route water level; sales closed");
@@ -487,10 +482,6 @@ bool Controller::migrate_vpc(net::Vni vni, std::uint32_t target_cluster) {
     }
     state.cluster_id = target_cluster;
   }
-  alerts_.push_back("migrated VNI " + std::to_string(vni) + " (+" +
-                    std::to_string(group.size() - 1) +
-                    " peers) to cluster " +
-                    std::to_string(target_cluster));
   ctr_migrations_->add();
   journal_->record("migration",
                    "migrated VNI " + std::to_string(vni) + " (+" +

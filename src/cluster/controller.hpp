@@ -218,9 +218,6 @@ class Controller : public dataplane::TableProgrammer {
   /// periodic consistency checks after table download).
   ConsistencyReport check_consistency(std::size_t cluster_index) const;
 
-  /// Alerts raised so far (water levels, failovers, admission refusals).
-  const std::vector<std::string>& alerts() const { return alerts_; }
-
   /// Route entries per cluster (the Fig. 23 series).
   std::vector<std::size_t> cluster_route_counts() const;
 
@@ -229,9 +226,9 @@ class Controller : public dataplane::TableProgrammer {
   telemetry::Registry& registry() { return *registry_; }
   const telemetry::Registry& registry() const { return *registry_; }
 
-  /// Ring-buffer journal of control-plane events (provisioning,
-  /// water-level alerts, migrations, failovers recorded by the recovery
-  /// machinery).
+  /// The newest 256 control-plane events: provisioning, admission-refused
+  /// alerts, water levels, migrations, breaker and update-channel
+  /// transitions, and the failovers the recovery machinery records.
   telemetry::EventJournal& journal() { return *journal_; }
   const telemetry::EventJournal& journal() const { return *journal_; }
 
@@ -285,7 +282,6 @@ class Controller : public dataplane::TableProgrammer {
   std::unordered_map<net::Vni, VpcState> vpcs_;
   std::size_t overflow_vpcs_ = 0;
   std::function<void(const TableOp&)> mirror_;
-  std::vector<std::string> alerts_;
 
   double clock_now_ = 0;
   /// Built only when table_op_rate_limit > 0.

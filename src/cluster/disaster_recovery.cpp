@@ -21,8 +21,7 @@ DisasterRecovery::DisasterRecovery(Controller* controller, Config config)
 }
 
 void DisasterRecovery::record(double now, std::string description) {
-  controller_->journal().record("failover", description, now);
-  events_.push_back(Event{now, std::move(description)});
+  controller_->journal().record("failover", std::move(description), now);
 }
 
 void DisasterRecovery::clear_port_state(std::size_t cluster,

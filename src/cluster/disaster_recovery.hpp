@@ -7,7 +7,8 @@
 //     device's capacity until it recovers.
 //
 // The coordinator reacts to health notifications from the simulators,
-// keeps the cold-standby pool, and journals every action it takes.
+// keeps the cold-standby pool, and journals every action it takes in the
+// controller's journal under the "failover" category.
 // Decisions it takes *on its own* (port-fault escalation to node level,
 // cold-standby replacement) are pushed back to the registered
 // RecoveryListener so the health view never desyncs from the recovery
@@ -18,7 +19,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "cluster/controller.hpp"
 
@@ -52,11 +52,6 @@ class DisasterRecovery {
     double min_live_fraction = 0.5;
     /// Ports per device (capacity granularity for port-level isolation).
     unsigned ports_per_device = 32;
-  };
-
-  struct Event {
-    double time = 0;
-    std::string description;
   };
 
   DisasterRecovery(Controller* controller, Config config);
@@ -95,11 +90,11 @@ class DisasterRecovery {
   /// after a schedule fully recovers.
   bool quiescent() const { return isolated_ports_.empty(); }
 
-  const std::vector<Event>& events() const { return events_; }
-
   const Config& config() const { return config_; }
 
  private:
+  /// Journals one action as a "failover" event in the controller's
+  /// journal.
   void record(double now, std::string description);
   /// Drops the slot's isolated-port bookkeeping — the device in the slot
   /// was replaced or came back fresh, so stale counts must not keep
@@ -112,7 +107,6 @@ class DisasterRecovery {
   RecoveryListener* listener_ = nullptr;
   /// (cluster, device) -> isolated port count.
   std::unordered_map<std::uint64_t, unsigned> isolated_ports_;
-  std::vector<Event> events_;
 };
 
 }  // namespace sf::cluster

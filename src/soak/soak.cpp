@@ -7,7 +7,6 @@
 
 #include "core/sailfish.hpp"
 #include "net/hash.hpp"
-#include "sim/sim_clock.hpp"
 #include "sim/table_printer.hpp"
 #include "workload/rng.hpp"
 #include "workload/traffic_pattern.hpp"

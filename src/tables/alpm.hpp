@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "tables/entry.hpp"

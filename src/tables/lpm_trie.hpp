@@ -1,8 +1,8 @@
 // A longest-prefix-match binary trie keyed by (VNI, family, IP prefix).
 //
-// This is the reference LPM structure of the repository: the TCAM model,
-// the ALPM implementation (tables/alpm.hpp, which partitions its subtrees)
-// and the RCU route table XGW-x86 reads (rcu/rcu_lpm.hpp) are all checked
+// This is the reference LPM structure of the repository: the ALPM
+// implementation (tables/alpm.hpp, which partitions its subtrees) and the
+// RCU route table XGW-x86 reads (rcu/rcu_lpm.hpp) are both checked
 // against it. The VNI is always matched exactly (routes
 // never wildcard the tenant), so the trie keeps one root per (VNI, family)
 // and runs the binary descent only over the IP bits.

@@ -1,7 +1,5 @@
 #include "tables/tcam.hpp"
 
-#include <algorithm>
-
 #include "net/hash.hpp"
 
 namespace sf::tables {
@@ -60,19 +58,6 @@ std::pair<TcamKey, TcamKey> make_pooled_prefix(net::Vni vni,
   // Fixed fields (label + VNI) are always matched; the address contributes
   // its pooled prefix length.
   TcamKey mask = tcam_mask(1 + 24 + prefix.pooled_length());
-  return {value.masked(mask), mask};
-}
-
-TcamKey make_v4_key(net::Vni vni, net::Ipv4Addr ip) {
-  TcamKey key;
-  key.w[0] = (std::uint64_t{vni} << 40) | (std::uint64_t{ip.value()} << 8);
-  return key;
-}
-
-std::pair<TcamKey, TcamKey> make_v4_prefix(net::Vni vni,
-                                           const net::Ipv4Prefix& prefix) {
-  TcamKey value = make_v4_key(vni, prefix.address());
-  TcamKey mask = tcam_mask(24 + prefix.length());
   return {value.masked(mask), mask};
 }
 

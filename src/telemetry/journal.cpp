@@ -1,30 +1,30 @@
 #include "telemetry/journal.hpp"
 
-#include <sstream>
+#include "sim/table_printer.hpp"
 
 namespace sf::telemetry {
 
-EventJournal::EventJournal(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
+EventJournal::EventJournal(std::size_t capacity) : capacity_(capacity) {
   ring_.reserve(capacity_);
 }
 
 void EventJournal::record(std::string category, std::string message,
                           double time) {
   Event event{++sequence_, time, std::move(category), std::move(message)};
-  if (ring_.size() < capacity_) {
+  if (capacity_ == 0 || ring_.size() < capacity_) {
     ring_.push_back(std::move(event));
     return;
   }
   ring_[head_] = std::move(event);
   head_ = (head_ + 1) % capacity_;
+  ++overwritten_;
 }
 
 std::vector<Event> EventJournal::events() const {
   std::vector<Event> out;
   out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
+    out.push_back(at(i));
   }
   return out;
 }
@@ -40,19 +40,24 @@ std::vector<Event> EventJournal::events(const std::string& category) const {
 void EventJournal::clear() {
   ring_.clear();
   head_ = 0;
-  // sequence_ keeps counting: total_recorded() stays a lifetime figure.
+  overwritten_ = 0;
 }
 
 std::string EventJournal::to_string() const {
-  std::ostringstream out;
-  if (overwritten() > 0) {
-    out << "  (" << overwritten() << " older events overwritten)\n";
+  std::string out;
+  if (overwritten_ > 0) {
+    out += sim::format("(%llu older events overwritten)\n",
+                       static_cast<unsigned long long>(overwritten_));
   }
-  for (const Event& event : events()) {
-    out << "  #" << event.sequence << " [t=" << event.time << "] "
-        << event.category << ": " << event.message << "\n";
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    const Event& event = at(i);
+    out += sim::format("[t=%.3f] ", event.time);
+    out += event.category;
+    out += ": ";
+    out += event.message;
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace sf::telemetry

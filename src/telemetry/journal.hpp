@@ -1,7 +1,9 @@
-// Ring-buffer event journal: the operational paper trail (table updates,
-// failovers, water-level alerts) with bounded memory. When the ring wraps,
-// the oldest events are overwritten but the monotonic sequence numbers
-// make the loss visible to a consumer.
+// Event journal: the one (time, category, message) record of the
+// repository. The chaos injector keeps every event as the replay log of a
+// simulated schedule; the controller keeps its operational paper trail
+// (table updates, failovers, water-level alerts) in a bounded ring. When
+// a ring wraps, the oldest events are overwritten but the monotonic
+// sequence numbers make the loss visible to a consumer.
 
 #pragma once
 
@@ -20,7 +22,8 @@ struct Event {
 
 class EventJournal {
  public:
-  explicit EventJournal(std::size_t capacity = 256);
+  /// Capacity 0 keeps every event; N > 0 keeps the newest N in a ring.
+  explicit EventJournal(std::size_t capacity = 0);
 
   void record(std::string category, std::string message, double time = 0);
 
@@ -33,18 +36,31 @@ class EventJournal {
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return ring_.size(); }
   std::uint64_t total_recorded() const { return sequence_; }
-  std::uint64_t overwritten() const { return sequence_ - ring_.size(); }
+  /// Events the ring overwrote since construction or the last clear().
+  std::uint64_t overwritten() const { return overwritten_; }
 
+  /// Drops the retained events; sequence numbers keep counting, so
+  /// total_recorded() stays a lifetime figure.
   void clear();
 
-  /// One line per event: "#seq [t=...] category: message".
+  /// One line per retained event: "[t=%.3f] category: message\n", after
+  /// a "(N older events overwritten)\n" line once the ring has wrapped.
+  /// The fixed-width time format keeps millisecond resolution at week
+  /// scale and is independent of locale and platform, so two runs of the
+  /// same schedule render the same bytes.
   std::string to_string() const;
 
  private:
+  /// The i-th retained event, oldest first.
+  const Event& at(std::size_t i) const {
+    return ring_[(head_ + i) % ring_.size()];
+  }
+
   std::size_t capacity_;
   std::vector<Event> ring_;
   std::size_t head_ = 0;  // next write position once the ring is full
   std::uint64_t sequence_ = 0;
+  std::uint64_t overwritten_ = 0;
 };
 
 }  // namespace sf::telemetry

@@ -46,11 +46,11 @@ ChaosInjector::Config sampled_config() {
   return config;
 }
 
-std::size_t count_events_containing(const cluster::DisasterRecovery& recovery,
-                                    const std::string& needle) {
+std::size_t count_failovers_containing(
+    const telemetry::EventJournal& journal, const std::string& needle) {
   std::size_t count = 0;
-  for (const auto& event : recovery.events()) {
-    if (event.description.find(needle) != std::string::npos) ++count;
+  for (const auto& event : journal.events("failover")) {
+    if (event.message.find(needle) != std::string::npos) ++count;
   }
   return count;
 }
@@ -73,8 +73,10 @@ TEST(ChaosRegressions, FlappingPortIsolatesExactlyOnce) {
 
   EXPECT_TRUE(report.converged()) << report.to_json();
   const auto& recovery = system.region->disaster_recovery();
-  EXPECT_EQ(count_events_containing(recovery, "port 3 isolated"), 1u);
-  EXPECT_EQ(count_events_containing(recovery, "port 3 recovered"), 1u);
+  const auto& journal = system.region->controller().journal();
+  EXPECT_EQ(journal.overwritten(), 0u);
+  EXPECT_EQ(count_failovers_containing(journal, "port 3 isolated"), 1u);
+  EXPECT_EQ(count_failovers_containing(journal, "port 3 recovered"), 1u);
   EXPECT_GE(report.faults[0].time_to_detect(), 0.0);
   EXPECT_GT(report.faults[0].recovered_at, 0.0);
   EXPECT_TRUE(recovery.quiescent());
@@ -192,7 +194,7 @@ TEST(ChaosRegressions, MidUpgradeFailureAbortsCleanly) {
   const ChaosReport report = injector.run(schedule);
 
   EXPECT_TRUE(report.converged()) << report.to_json();
-  EXPECT_EQ(injector.log().count("upgrade"), 1u);
+  EXPECT_EQ(injector.log().events("upgrade").size(), 1u);
 }
 
 // Determinism contract: a seeded schedule replays byte-identically —
@@ -214,8 +216,6 @@ TEST(ChaosDeterminism, SeededRunByteIdenticalAcrossThreadCounts) {
   const ChaosReport report_eight = injector_eight.run(schedule);
 
   EXPECT_EQ(injector_one.log().to_string(), injector_eight.log().to_string());
-  EXPECT_EQ(injector_one.log().fingerprint(),
-            injector_eight.log().fingerprint());
   EXPECT_EQ(report_one.to_json(), report_eight.to_json());
   EXPECT_FALSE(report_one.drop_rate_series.empty());
 }

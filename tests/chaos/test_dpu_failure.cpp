@@ -105,7 +105,7 @@ TEST(ChaosDpuFailure, OverlappingFailuresHoldTheNodeDarkUntilTheLatestEnd) {
   const ChaosReport report = injector.run(schedule);
 
   EXPECT_TRUE(report.converged()) << report.to_json();
-  const auto restores = injector.log().entries("dpu-failure");
+  const auto restores = injector.log().events("dpu-failure");
   ASSERT_EQ(restores.back().message, "node 0 restored");
   EXPECT_DOUBLE_EQ(restores.back().time, 12.0);
   EXPECT_EQ(restores.size(), 3u);  // two injections, one restore

@@ -86,7 +86,7 @@ TEST(ChaosTenantStorm, StormTenantDegradesTierByTierAndVictimsStayBounded) {
   const net::Vni storm_vni = report.storm_samples.front().vni;
   EXPECT_EQ(system.region->tenant_guard()->tier_of(storm_vni),
             guard::Tier::kFull);
-  EXPECT_EQ(injector.log().count("tenant-storm"), 1u);
+  EXPECT_EQ(injector.log().events("tenant-storm").size(), 1u);
 }
 
 TEST(ChaosGolden, ScriptedTenantStormReportAndLog) {

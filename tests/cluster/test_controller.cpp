@@ -77,12 +77,13 @@ TEST(Controller, ClosesSalesWhenRegionFull) {
   EXPECT_TRUE(controller.add_vpc(make_vpc(100, 6, 1)));
   EXPECT_FALSE(controller.add_vpc(make_vpc(101, 1, 1)));
   bool alerted = false;
-  for (const std::string& alert : controller.alerts()) {
-    if (alert.find("admission refused") != std::string::npos) {
+  for (const auto& alert : controller.journal().events("alert")) {
+    if (alert.message.find("admission refused") != std::string::npos) {
       alerted = true;
     }
   }
   EXPECT_TRUE(alerted);
+  EXPECT_EQ(controller.journal().overwritten(), 0u);
 }
 
 TEST(Controller, RoutesPacketsToTheRightCluster) {
@@ -178,7 +179,8 @@ TEST(DisasterRecovery, NodeFailureJournalAndColdStandby) {
   EXPECT_EQ(recovery.cold_standby_available(), 0u);
   EXPECT_FALSE(controller.cluster(0).failed_over());
   EXPECT_EQ(controller.cluster(0).live_device_count(), 2u);
-  EXPECT_GE(recovery.events().size(), 2u);
+  EXPECT_GE(controller.journal().events("failover").size(), 2u);
+  EXPECT_EQ(controller.journal().overwritten(), 0u);
 }
 
 TEST(DisasterRecovery, FailoverWhenNoStandbyLeft) {

@@ -91,7 +91,9 @@ TEST(HealthMonitor, FlappingPortDoesNotOscillate) {
   f.monitor.report_port_errors(0, 1, 3, 1e-4, 1.0);
   f.monitor.report_port_errors(0, 1, 3, 1e-4, 2.0);
   ASSERT_TRUE(f.monitor.port_considered_isolated(0, 1, 3));
-  const std::size_t events_after_isolation = f.recovery.events().size();
+  const telemetry::EventJournal& journal = f.controller.journal();
+  const std::size_t events_after_isolation =
+      journal.events("failover").size();
   // A strict good/bad alternation never sustains recover_port_after_ok
   // clean observations, so the port must stay isolated the whole time —
   // before the recovery hysteresis existed, every single good probe
@@ -100,7 +102,8 @@ TEST(HealthMonitor, FlappingPortDoesNotOscillate) {
     f.monitor.report_port_errors(0, 1, 3, i % 2 == 0 ? 0.0 : 1e-4, 3.0 + i);
     EXPECT_TRUE(f.monitor.port_considered_isolated(0, 1, 3));
   }
-  EXPECT_EQ(f.recovery.events().size(), events_after_isolation);
+  EXPECT_EQ(journal.events("failover").size(), events_after_isolation);
+  EXPECT_EQ(journal.overwritten(), 0u);
   EXPECT_LT(f.recovery.device_capacity_fraction(0, 1), 1.0);
 }
 

@@ -50,111 +50,5 @@ TEST(PooledPrefix, MatchesItsAddresses) {
   EXPECT_NE(wrong_vni.masked(mask), value);
 }
 
-TEST(Tcam, LongestPrefixViaPriorities) {
-  Tcam<int> tcam;
-  auto add = [&](net::Vni vni, const char* prefix, int value) {
-    const IpPrefix p = IpPrefix::must_parse(prefix);
-    auto [key, mask] = make_pooled_prefix(vni, p);
-    ASSERT_TRUE(
-        tcam.insert(key, mask, static_cast<int>(p.pooled_length()), value));
-  };
-  add(1, "10.0.0.0/8", 8);
-  add(1, "10.1.0.0/16", 16);
-  add(1, "10.1.2.0/24", 24);
-  EXPECT_EQ(tcam.lookup(make_pooled_key(1, IpAddr::must_parse("10.1.2.3"))),
-            24);
-  EXPECT_EQ(tcam.lookup(make_pooled_key(1, IpAddr::must_parse("10.1.9.9"))),
-            16);
-  EXPECT_EQ(tcam.lookup(make_pooled_key(1, IpAddr::must_parse("10.9.9.9"))),
-            8);
-  EXPECT_EQ(tcam.lookup(make_pooled_key(2, IpAddr::must_parse("10.1.2.3"))),
-            std::nullopt);
-}
-
-TEST(Tcam, SlicesPerEntryFollowsKeyWidth) {
-  Tcam<int> pooled(Tcam<int>::Config{kPooledRouteKeyBits, 44, 0});
-  EXPECT_EQ(pooled.slices_per_entry(), 4u);  // ceil(153/44)
-  Tcam<int> v4(Tcam<int>::Config{56, 44, 0});
-  EXPECT_EQ(v4.slices_per_entry(), 2u);  // ceil(56/44)
-}
-
-TEST(Tcam, CapacityRejectsOverflow) {
-  Tcam<int> tcam(Tcam<int>::Config{56, 44, 4});  // room for 2 entries
-  auto p1 = make_v4_prefix(1, net::Ipv4Prefix::must_parse("10.0.0.0/8"));
-  auto p2 = make_v4_prefix(1, net::Ipv4Prefix::must_parse("11.0.0.0/8"));
-  auto p3 = make_v4_prefix(1, net::Ipv4Prefix::must_parse("12.0.0.0/8"));
-  EXPECT_TRUE(tcam.insert(p1.first, p1.second, 8, 1));
-  EXPECT_TRUE(tcam.insert(p2.first, p2.second, 8, 2));
-  EXPECT_FALSE(tcam.insert(p3.first, p3.second, 8, 3));
-  EXPECT_EQ(tcam.used_slices(), 4u);
-}
-
-TEST(Tcam, InsertReplacesIdenticalRow) {
-  Tcam<int> tcam;
-  auto p = make_v4_prefix(1, net::Ipv4Prefix::must_parse("10.0.0.0/8"));
-  EXPECT_TRUE(tcam.insert(p.first, p.second, 8, 1));
-  EXPECT_TRUE(tcam.insert(p.first, p.second, 8, 2));
-  EXPECT_EQ(tcam.size(), 1u);
-  EXPECT_EQ(tcam.lookup(make_v4_key(1, net::Ipv4Addr(10, 1, 1, 1))), 2);
-}
-
-TEST(Tcam, EraseRemovesRow) {
-  Tcam<int> tcam;
-  auto p = make_v4_prefix(1, net::Ipv4Prefix::must_parse("10.0.0.0/8"));
-  tcam.insert(p.first, p.second, 8, 1);
-  EXPECT_TRUE(tcam.erase(p.first, p.second));
-  EXPECT_FALSE(tcam.erase(p.first, p.second));
-  EXPECT_EQ(tcam.lookup(make_v4_key(1, net::Ipv4Addr(10, 1, 1, 1))),
-            std::nullopt);
-}
-
-TEST(Tcam, UpdateCostChargesRowShifts) {
-  // Physical TCAMs shift rows to open a priority slot; appending at the
-  // lowest priority is free, wedging into the middle is not.
-  Tcam<int> tcam;
-  auto prefix_of = [](unsigned len) {
-    return make_v4_prefix(1, net::Ipv4Prefix(net::Ipv4Addr(10, 0, 0, 0),
-                                             len));
-  };
-  // Descending priority appends: zero moves.
-  for (unsigned len = 24; len > 16; --len) {
-    auto [key, mask] = prefix_of(len);
-    tcam.insert(key, mask, static_cast<int>(len), 1);
-  }
-  EXPECT_EQ(tcam.update_stats().entry_moves, 0u);
-  // A /20 lands mid-table: min(4 above, 4 below) = 4 moves... but /20
-  // already exists; use /28 (highest priority -> position 0, 0 moves via
-  // the near end) and /15 (lowest -> 0 moves), then /21 replaced...
-  auto [k28, m28] = prefix_of(28);
-  tcam.insert(k28, m28, 28, 1);
-  EXPECT_EQ(tcam.update_stats().entry_moves, 0u);  // shifted toward top
-  // Now a brand-new priority in the exact middle pays.
-  auto [kmid, mmid] = make_v4_prefix(
-      2, net::Ipv4Prefix(net::Ipv4Addr(20, 0, 0, 0), 20));
-  tcam.insert(kmid, mmid, 20, 2);
-  EXPECT_GT(tcam.update_stats().entry_moves, 0u);
-  EXPECT_EQ(tcam.update_stats().inserts, 10u);
-}
-
-TEST(Tcam, ReplacementDoesNotChargeMoves) {
-  Tcam<int> tcam;
-  auto [key, mask] = make_v4_prefix(
-      1, net::Ipv4Prefix(net::Ipv4Addr(10, 0, 0, 0), 8));
-  tcam.insert(key, mask, 8, 1);
-  const auto before = tcam.update_stats();
-  tcam.insert(key, mask, 8, 2);  // replace in place
-  EXPECT_EQ(tcam.update_stats().inserts, before.inserts);
-  EXPECT_EQ(tcam.update_stats().entry_moves, before.entry_moves);
-}
-
-TEST(Tcam, TieBreaksByInsertionOrderWithinPriority) {
-  Tcam<int> tcam;
-  TcamKey any{};
-  // Two rows with the same mask-free match: first inserted wins the tie.
-  EXPECT_TRUE(tcam.insert(TcamKey{}, tcam_mask(0), 5, 1));
-  EXPECT_TRUE(tcam.insert(TcamKey{{1, 0, 0}}, tcam_mask(0), 5, 2));
-  EXPECT_EQ(tcam.lookup(any), 1);
-}
-
 }  // namespace
 }  // namespace sf::tables

@@ -145,5 +145,49 @@ TEST(EventJournal, FiltersByCategoryAndKeepsCountingAfterClear) {
   EXPECT_EQ(journal.events().front().sequence, 4u);  // monotonic
 }
 
+TEST(EventJournal, CapacityZeroKeepsEveryEvent) {
+  EventJournal journal;  // capacity 0: the chaos injector's replay log
+  EXPECT_EQ(journal.capacity(), 0u);
+  for (int i = 0; i < 1000; ++i) {
+    journal.record("inject", "fault " + std::to_string(i), i * 0.5);
+  }
+  EXPECT_EQ(journal.size(), 1000u);
+  EXPECT_EQ(journal.total_recorded(), 1000u);
+  EXPECT_EQ(journal.overwritten(), 0u);
+  EXPECT_EQ(journal.events().front().message, "fault 0");
+  EXPECT_EQ(journal.events().back().message, "fault 999");
+  const std::string text = journal.to_string();
+  EXPECT_EQ(text.find("overwritten"), std::string::npos);
+  EXPECT_EQ(text.rfind("[t=0.000] inject: fault 0\n", 0), 0u);
+}
+
+// Times render as %.3f: a week-scale time keeps its fraction and a time
+// past 1e6 s never switches to exponent form.
+TEST(EventJournal, RendersExactBytesAtWeekScale) {
+  EventJournal journal;
+  journal.record("inject", "device crash", 0.5);
+  journal.record("failover", "cluster 1: device 0 failed", 604799.5);
+  journal.record("recover", "all faults recovered", 1234567.125);
+  EXPECT_EQ(journal.to_string(),
+            "[t=0.500] inject: device crash\n"
+            "[t=604799.500] failover: cluster 1: device 0 failed\n"
+            "[t=1234567.125] recover: all faults recovered\n");
+}
+
+TEST(EventJournal, WrappedRingRendersTheLossFirst) {
+  EventJournal journal(2);
+  journal.record("alert", "one", 1.0);
+  EXPECT_EQ(journal.to_string(), "[t=1.000] alert: one\n");
+  journal.record("alert", "two", 2.0);
+  journal.record("alert", "three", 3.0);
+  EXPECT_EQ(journal.to_string(),
+            "(1 older events overwritten)\n"
+            "[t=2.000] alert: two\n"
+            "[t=3.000] alert: three\n");
+  journal.clear();
+  journal.record("alert", "four", 4.0);
+  EXPECT_EQ(journal.to_string(), "[t=4.000] alert: four\n");
+}
+
 }  // namespace
 }  // namespace sf::telemetry
