@@ -120,9 +120,10 @@ Controller::Controller(Config config)
     XgwHCluster::Config cfg = config_.cluster_template;
     cfg.cluster_id = static_cast<std::uint32_t>(clusters_.size());
     clusters_.push_back(std::make_unique<XgwHCluster>(cfg));
-    journal_->record("provisioning", "opened cluster " +
-                                         std::to_string(cfg.cluster_id) +
-                                         " (prebuilt)");
+    journal_->record("provisioning",
+                     "opened cluster " + std::to_string(cfg.cluster_id) +
+                         " (prebuilt)",
+                     clock_now_);
   }
   ctr_clusters_opened_->add(prebuilt);
 }
@@ -243,8 +244,8 @@ std::optional<std::uint32_t> Controller::assign_cluster() {
 
   if (clusters_.size() >= config_.max_clusters) {
     ctr_admission_refused_->add();
-    journal_->record("alert",
-                     "admission refused: all clusters at water level");
+    journal_->record("alert", "admission refused: all clusters at water level",
+                     clock_now_);
     return std::nullopt;
   }
   XgwHCluster::Config cfg = config_.cluster_template;
@@ -252,7 +253,8 @@ std::optional<std::uint32_t> Controller::assign_cluster() {
   clusters_.push_back(std::make_unique<XgwHCluster>(cfg));
   ctr_clusters_opened_->add();
   journal_->record("provisioning",
-                   "opened cluster " + std::to_string(cfg.cluster_id));
+                   "opened cluster " + std::to_string(cfg.cluster_id),
+                   clock_now_);
   return cfg.cluster_id;
 }
 
@@ -290,7 +292,8 @@ bool Controller::add_vpc(const workload::VpcRecord& vpc) {
     ctr_overflow_admitted_->add();
     journal_->record("provisioning",
                      "VNI " + std::to_string(vpc.vni) +
-                         " admitted into the software tier (overflow)");
+                         " admitted into the software tier (overflow)",
+                     clock_now_);
   }
   vpcs_.emplace(vpc.vni, std::move(state));
   ctr_vpcs_admitted_->add();
@@ -426,7 +429,8 @@ dataplane::TableOpStatus Controller::apply_one(const TableOp& requested) {
           config_.routes_water_level) {
     journal_->record("water-level",
                      "cluster " + std::to_string(vpc.cluster_id) +
-                         " reached its route water level; sales closed");
+                         " reached its route water level; sales closed",
+                     clock_now_);
   }
   return status;
 }
@@ -487,7 +491,8 @@ bool Controller::migrate_vpc(net::Vni vni, std::uint32_t target_cluster) {
                    "migrated VNI " + std::to_string(vni) + " (+" +
                        std::to_string(group.size() - 1) +
                        " peers) to cluster " +
-                       std::to_string(target_cluster));
+                       std::to_string(target_cluster),
+                   clock_now_);
   return true;
 }
 

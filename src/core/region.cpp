@@ -88,10 +88,7 @@ SailfishRegion::SailfishRegion(Config config)
 
   registry_ = std::make_unique<telemetry::Registry>();
   if (config_.enable_guard) {
-    // Guard shards follow the interval engine so the interval pre-pass
-    // mutates each shard's ladder state from exactly one worker.
-    guard_ = std::make_unique<guard::TenantGuard>(
-        config_.guard, config_.interval_engine.shards);
+    guard_ = std::make_unique<guard::TenantGuard>(config_.guard);
     ctr_guard_admitted_ = &registry_->counter("region.guard.admitted");
     ctr_guard_established_ =
         &registry_->counter("region.guard.established_served");
@@ -120,9 +117,8 @@ SailfishRegion::SailfishRegion(Config config)
                         static_cast<std::uint32_t>(i));
       dpu_nodes_.push_back(std::make_unique<dpu::XgwDpu>(cfg));
     }
-    // Placer shards follow the interval engine (like the guard) so the
-    // sketch pre-pass mutates each shard's tracker from exactly one
-    // worker.
+    // The placer spreads its sketches over the interval engine's shard
+    // count, which fixes each sketch's seed and so the placements.
     placer_ = std::make_unique<dpu::TierPlacer>(
         config_.tier_placer, config_.interval_engine.shards, dpu_count);
     ctr_dpu_served_ = &registry_->counter("region.dpu.served");
@@ -506,85 +502,47 @@ SailfishRegion::IntervalReport SailfishRegion::simulate_interval(
   const std::size_t nodes = x86_nodes_.size();
 
   // ---- Guard pre-pass: per-tenant metering + degradation ladder -----------
-  // Runs only when a guard with limits exists; sharded by mix64(vni) — the
-  // same pure-hash partition the guard's state uses — so each shard's
-  // ladder is stepped by exactly one worker and results are byte-
-  // identical at any thread count. Produces each tenant's admit fraction
-  // for this interval; everything downstream sees the post-shed rates.
+  // Runs only when a guard with limits exists. One sweep in flow order sums
+  // each metered tenant's offered rate, then one ladder step per interval
+  // produces each tenant's admit fraction; everything downstream sees the
+  // post-shed rates.
   std::map<net::Vni, double> guard_admit;
   if (guard_ && guard_->any_limits()) {
-    const std::size_t shard_count = guard_->shard_count();
-    std::vector<std::vector<guard::TenantGuard::TenantInterval>>
-        shard_tenants(shard_count);
-    std::vector<std::map<net::Vni, double>> shard_fractions(shard_count);
-    const telemetry::Snapshot guard_stats = engine_->run_sharded(
-        flows.size(),
-        [&flows](std::size_t i) {
-          return static_cast<std::size_t>(net::mix64(flows[i].vni));
-        },
-        [&](std::size_t shard, std::span<const std::uint32_t> indices,
-            telemetry::Registry& registry) {
-          // Offered rates of this shard's tenants (ordered map: the
-          // reduce below walks tenants in one fixed order).
-          std::map<net::Vni, guard::TenantGuard::Offered> offered;
-          for (const std::uint32_t i : indices) {
-            const workload::Flow& flow = flows[i];
-            if (!guard_->metered(flow.vni)) continue;
-            guard::TenantGuard::Offered& load = offered[flow.vni];
-            const double bps = flow.weight * total_bps;
-            load.bps += bps;
-            load.pps += bps / 8.0 / static_cast<double>(flow.packet_size);
-          }
-          shard_fractions[shard] = guard_->interval_step(
-              shard, offered, shard_tenants[shard], registry);
-        });
-    // Sequential merge in shard order, then ascending VNI overall.
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      for (const auto& [vni, fraction] : shard_fractions[s]) {
-        guard_admit[vni] = fraction;
-      }
-      report.guard_tenants.insert(report.guard_tenants.end(),
-                                  shard_tenants[s].begin(),
-                                  shard_tenants[s].end());
+    std::map<net::Vni, guard::TenantGuard::Offered> offered;
+    for (const workload::Flow& flow : flows) {
+      if (!guard_->metered(flow.vni)) continue;
+      guard::TenantGuard::Offered& load = offered[flow.vni];
+      const double bps = flow.weight * total_bps;
+      load.bps += bps;
+      load.pps += bps / 8.0 / static_cast<double>(flow.packet_size);
     }
-    std::sort(report.guard_tenants.begin(), report.guard_tenants.end(),
-              [](const auto& a, const auto& b) { return a.vni < b.vni; });
+    telemetry::Registry guard_stats;
+    guard_admit =
+        guard_->interval_step(offered, report.guard_tenants, guard_stats);
     for (const auto& tenant : report.guard_tenants) {
       report.guard_shed_pps += tenant.shed_pps;
     }
-    for (const auto& [name, value] : guard_stats.counters) {
+    for (const auto& [name, value] : guard_stats.snapshot().counters) {
       registry_->counter("region." + name).add(value);
     }
   }
 
   // ---- Tier-placement pass: sketch update + promotion/demotion ------------
-  // Only when the DPU tier is built. The observe step is sharded by
-  // mix64(vni) — each shard's tracker is touched by exactly one worker —
-  // and the apply step runs sequentially over ordered state, so the
-  // placement after any interval is byte-identical at any thread count.
+  // Only when the DPU tier is built. One sweep in flow order feeds the
+  // sketches, and the apply step runs over ordered state, so the placement
+  // after any interval is byte-identical at any thread count.
   const bool dpu_active = !dpu_nodes_.empty();
   const bool overflow_active = controller_.overflow_count() > 0;
   if (dpu_active) {
-    engine_->run_sharded(
-        flows.size(),
-        [&flows](std::size_t i) {
-          return static_cast<std::size_t>(net::mix64(flows[i].vni));
-        },
-        [&](std::size_t shard, std::span<const std::uint32_t> indices,
-            telemetry::Registry&) {
-          placer_->begin_interval(shard);
-          for (const std::uint32_t i : indices) {
-            const workload::Flow& flow = flows[i];
-            if (flow.scope == tables::RouteScope::kInternet) continue;
-            if (!controller_.is_overflow(flow.vni)) continue;
-            const double bps = flow.weight * total_bps;
-            const double pps =
-                bps / 8.0 / static_cast<double>(flow.packet_size);
-            placer_->observe(
-                shard, telemetry::FlowKey{flow.vni, flow.tuple},
-                static_cast<std::uint64_t>(pps));
-          }
-        });
+    placer_->begin_interval();
+    for (const workload::Flow& flow : flows) {
+      if (flow.scope == tables::RouteScope::kInternet) continue;
+      if (!controller_.is_overflow(flow.vni)) continue;
+      const double bps = flow.weight * total_bps;
+      const double pps = bps / 8.0 / static_cast<double>(flow.packet_size);
+      placer_->observe(telemetry::FlowKey{flow.vni, flow.tuple},
+                       static_cast<std::uint64_t>(pps));
+    }
     const dpu::TierPlacer::ApplyResult placed = placer_->apply(
         [&](const telemetry::FlowKey& key, std::size_t node) {
           // Interval-model entries carry a synthetic pre-resolved verdict;

@@ -66,15 +66,15 @@ class SailfishRegion : public dataplane::Gateway {
     /// bit errors and rare microbursts. The 1e-11..1e-10 band of Fig. 19.
     double hardware_loss_floor = 3e-11;
     unsigned x86_ecmp_max_next_hops = 64;
-    /// Sharded interval engine shape: shard count is fixed (part of the
-    /// simulation's identity — results never depend on it being spread
-    /// over more threads); threads is pure parallelism.
+    /// Interval engine shape: the shard count fixes how many sketches the
+    /// DPU placer keeps (part of the simulation's identity); threads is
+    /// pure parallelism — results never depend on it.
     dataplane::ShardPlan interval_engine{};
     /// Per-tenant overload guard (sf::guard, DESIGN.md §10). Off by
-    /// default. When absent the region registers no guard counters and behaves byte-
-    /// identically to a guard-less build. The guard's shard count is the
-    /// interval engine's, so the interval pre-pass parallelizes without
-    /// locks.
+    /// default. When absent the region registers no guard counters and
+    /// behaves byte-identically to a guard-less build. The interval
+    /// pre-pass steps every tenant's ladder once per interval, on one
+    /// thread.
     bool enable_guard = false;
     guard::TenantGuard::Config guard;
     /// Hardware→x86 punt path. When enabled, XGW-H fallback traffic and
@@ -209,8 +209,7 @@ class SailfishRegion : public dataplane::Gateway {
   /// every load, and the x86 nodes simulate in parallel. The report is
   /// byte-identical for every thread count: every floating-point sum
   /// receives its additions in flow order on one thread. The guard and
-  /// DPU sketch passes still shard by VNI hash, since they step
-  /// per-shard state.
+  /// DPU sketch pre-passes are single-threaded flow-order sweeps too.
   IntervalReport simulate_interval(std::span<const workload::Flow> flows,
                                    double total_bps,
                                    std::uint64_t jitter_key = 0) const;

@@ -20,39 +20,42 @@ void ShardEngine::set_threads(std::size_t threads) {
   pool_ = std::make_unique<ThreadPool>(plan_.threads);
 }
 
-telemetry::Snapshot ShardEngine::run_sharded(
-    std::size_t count, const std::function<std::size_t(std::size_t)>& owner,
-    const std::function<void(std::size_t, std::span<const std::uint32_t>,
-                             telemetry::Registry&)>& shard_fn) {
+std::vector<std::vector<std::uint32_t>> ShardEngine::partition(
+    std::span<const net::OverlayPacket> packets,
+    std::span<std::uint64_t> hashes) {
+  const std::size_t count = packets.size();
   const std::size_t shards = plan_.shards;
 
-  // Phase 1 — hash-partition item indices, in parallel over contiguous
-  // chunks. Per-(chunk, shard) buckets concatenated in chunk order keep
+  // Contiguous chunks across the pool. Each chunk first hashes its packets
+  // in a tight loop (independent per-packet mix chains overlap in the
+  // out-of-order window), then buckets them by hash modulo the FIXED shard
+  // count. Per-(chunk, shard) buckets concatenated in chunk order keep
   // each shard's index list ascending for ANY chunk count, so the chunk
   // count (a throughput knob) cannot influence results.
   const std::size_t chunks =
       count == 0 ? 0 : std::min(count, pool_->thread_count() * 4);
   std::vector<std::vector<std::vector<std::uint32_t>>> buckets(chunks);
-  {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      buckets[c].resize(shards);
-      const std::size_t begin = count * c / chunks;
-      const std::size_t end = count * (c + 1) / chunks;
-      tasks.push_back([&, c, begin, end] {
-        // Pre-size for the uniform-hash expectation (plus slack) so the
-        // partition loop almost never reallocates mid-run.
-        const std::size_t expect = (end - begin) / shards + 8;
-        for (auto& bucket : buckets[c]) bucket.reserve(expect);
-        for (std::size_t i = begin; i < end; ++i) {
-          buckets[c][owner(i) % shards].push_back(
-              static_cast<std::uint32_t>(i));
-        }
-      });
-    }
-    pool_->run_all(std::move(tasks));
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    buckets[c].resize(shards);
+    const std::size_t begin = count * c / chunks;
+    const std::size_t end = count * (c + 1) / chunks;
+    tasks.push_back([&, c, begin, end] {
+      for (std::size_t i = begin; i < end; ++i) {
+        hashes[i] = packets[i].inner.hash();
+      }
+      // Pre-size for the uniform-hash expectation (plus slack) so the
+      // partition loop almost never reallocates mid-run.
+      const std::size_t expect = (end - begin) / shards + 8;
+      for (auto& bucket : buckets[c]) bucket.reserve(expect);
+      for (std::size_t i = begin; i < end; ++i) {
+        buckets[c][static_cast<std::size_t>(hashes[i]) % shards].push_back(
+            static_cast<std::uint32_t>(i));
+      }
+    });
   }
+  pool_->run_all(std::move(tasks));
 
   std::vector<std::vector<std::uint32_t>> shard_items(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -64,26 +67,7 @@ telemetry::Snapshot ShardEngine::run_sharded(
                             buckets[c][s].end());
     }
   }
-
-  // Phase 2 — run the shards across the pool, each against its own
-  // private registry (no shared mutable counters on the hot path).
-  std::vector<telemetry::Registry> registries(shards);
-  {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      tasks.push_back(
-          [&, s] { shard_fn(s, shard_items[s], registries[s]); });
-    }
-    pool_->run_all(std::move(tasks));
-  }
-
-  // Reduce: merge per-shard snapshots in shard order.
-  telemetry::Snapshot merged;
-  for (std::size_t s = 0; s < shards; ++s) {
-    merged.merge(registries[s].snapshot());
-  }
-  return merged;
+  return shard_items;
 }
 
 void ShardEngine::run_tasks(std::vector<std::function<void()>> tasks) {
@@ -149,71 +133,54 @@ void ShardEngine::process_packets(
       1, plan_.batch != 0 ? plan_.batch
                           : core::RuntimeConfig::process().batch_size);
 
-  // The 5-tuple hash is computed exactly once per packet, in a tight
-  // pre-pass (chunked across the pool) rather than through the opaque
-  // owner() callback: independent per-packet mix chains overlap in the
-  // out-of-order window, and the same values thread into every gateway's
-  // hash-aware batch path for cache keys and pipe picks — the scalar path
-  // used to hash two to three times per packet.
+  // The 5-tuple hash is computed exactly once per packet, in partition(),
+  // and the same values thread into every gateway's hash-aware batch path
+  // for cache keys and pipe picks.
   std::vector<std::uint64_t> hashes(packets.size());
-  {
-    const std::size_t chunks = packets.size() == 0
-                                   ? 0
-                                   : std::min(packets.size(),
-                                              plan_.threads * 4);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t begin = packets.size() * c / chunks;
-      const std::size_t end = packets.size() * (c + 1) / chunks;
-      tasks.push_back([&, begin, end] {
-        for (std::size_t i = begin; i < end; ++i) {
-          hashes[i] = packets[i].inner.hash();
-        }
-      });
-    }
-    run_tasks(std::move(tasks));
-  }
+  const std::vector<std::vector<std::uint32_t>> shard_items =
+      partition(packets, hashes);
 
-  run_sharded(
-      packets.size(),
-      [&](std::size_t i) { return static_cast<std::size_t>(hashes[i]); },
-      [&](std::size_t shard, std::span<const std::uint32_t> indices,
-          telemetry::Registry&) {
-        Gateway& gateway = gateway_for(shard);
-        std::size_t cursor = 0;
-        // Feed the gateway sub-spans of this shard's (ascending) index
-        // list — whole bursts, no per-burst gather/scatter copies. The
-        // gateway's stateful pieces (meters, caches) see the same packet
-        // sequence regardless of thread count or burst size, so verdicts
-        // and telemetry are byte-identical at any ShardPlan.
-        std::size_t start = 0;
-        const auto flush = [&](std::size_t end_pos) {
-          if (start >= end_pos) return;
-          gateway.process_batch_indexed(
-              packets, hashes, indices.subspan(start, end_pos - start), now,
-              out);
-          start = end_pos;
-        };
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(plan_.shards);
+  for (std::size_t shard = 0; shard < plan_.shards; ++shard) {
+    tasks.push_back([&, shard] {
+      const std::span<const std::uint32_t> indices = shard_items[shard];
+      Gateway& gateway = gateway_for(shard);
+      std::size_t cursor = 0;
+      // Feed the gateway sub-spans of this shard's (ascending) index
+      // list — whole bursts, no per-burst gather/scatter copies. The
+      // gateway's stateful pieces (meters, caches) see the same packet
+      // sequence regardless of thread count or burst size, so verdicts
+      // and telemetry are byte-identical at any ShardPlan.
+      std::size_t start = 0;
+      const auto flush = [&](std::size_t end_pos) {
+        if (start >= end_pos) return;
+        gateway.process_batch_indexed(
+            packets, hashes, indices.subspan(start, end_pos - start), now,
+            out);
+        start = end_pos;
+      };
 
-        for (std::size_t k = 0; k < indices.size(); ++k) {
-          const std::uint32_t i = indices[k];
-          // Monotone per-shard cursor: `visible` for packet i is the
-          // count of updates with apply_index < i. A table-visibility
-          // boundary splits the burst — every packet inside one
-          // process_batch_indexed call reads one table version.
-          if (cursor < stream.size() && stream[cursor].apply_index < i) {
-            flush(k);
-            while (cursor < stream.size() &&
-                   stream[cursor].apply_index < i) {
-              ++cursor;
-            }
-            if (advance) advance(shard, cursor);
+      for (std::size_t k = 0; k < indices.size(); ++k) {
+        const std::uint32_t i = indices[k];
+        // Monotone per-shard cursor: `visible` for packet i is the
+        // count of updates with apply_index < i. A table-visibility
+        // boundary splits the burst — every packet inside one
+        // process_batch_indexed call reads one table version.
+        if (cursor < stream.size() && stream[cursor].apply_index < i) {
+          flush(k);
+          while (cursor < stream.size() &&
+                 stream[cursor].apply_index < i) {
+            ++cursor;
           }
-          if (k - start + 1 >= batch) flush(k + 1);
+          if (advance) advance(shard, cursor);
         }
-        flush(indices.size());
-      });
+        if (k - start + 1 >= batch) flush(k + 1);
+      }
+      flush(indices.size());
+    });
+  }
+  pool_->run_all(std::move(tasks));
 
   if (mutator.joinable()) mutator.join();
 }

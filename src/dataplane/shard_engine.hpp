@@ -1,30 +1,31 @@
-// The sharded parallel work engine behind SailfishRegion::simulate_interval.
+// The deterministic parallel executor: a worker pool for independent tasks
+// (SailfishRegion::simulate_interval's chunked classification and per-node
+// simulation) and the sharded packet-batch path, process_packets.
 //
 // Determinism contract: results are byte-identical for every thread count.
-// Two properties make that hold by construction:
+// process_packets makes that hold by construction:
 //
-//   * the shard partition is a pure hash of the work item (the same
-//     RSS/VNI-style flow hash the steering uses) modulo a FIXED shard
-//     count — never the thread count — so which shard owns which item is a
+//   * packets are partitioned by a pure hash of their 5-tuple (the same
+//     RSS-style flow hash the steering uses) modulo a FIXED shard count —
+//     never the thread count — so which shard owns which packet is a
 //     property of the workload, not of the machine;
-//   * shard work writes only shard-private state (per-item output slots,
-//     per-shard registries), and every floating-point reduction runs in a
-//     fixed order (shard 0..S-1, item index ascending) on one thread.
+//   * each shard's packets reach its own gateway in ascending input order,
+//     and verdicts land only in the packet's own output slot.
 //
 // Threads only decide which worker executes which shard; they never change
-// what is computed or in which order it is summed.
+// what is computed or in which order.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "dataplane/gateway.hpp"
 #include "dataplane/table_programmer.hpp"
 #include "dataplane/thread_pool.hpp"
-#include "telemetry/registry.hpp"
 
 namespace sf::dataplane {
 
@@ -48,21 +49,6 @@ class ShardEngine {
   /// Re-sizes the worker pool (shard count stays fixed, so results are
   /// unchanged). Used by the scaling bench and operators tuning a host.
   void set_threads(std::size_t threads);
-
-  /// Partitions items [0, count) by `owner` (a pure hash -> shard index,
-  /// values >= shards are reduced modulo shards), then runs
-  /// `shard_fn(shard, indices, registry)` across the pool. Each shard gets
-  /// a fresh private telemetry registry; after the barrier the per-shard
-  /// snapshots are merged (shard order) into the returned snapshot via the
-  /// standard snapshot-merge machinery. The index lists are ascending, so
-  /// a shard that processes its items in list order sees them in the
-  /// original sequence.
-  telemetry::Snapshot run_sharded(
-      std::size_t count,
-      const std::function<std::size_t(std::size_t)>& owner,
-      const std::function<void(std::size_t shard,
-                               std::span<const std::uint32_t> indices,
-                               telemetry::Registry& registry)>& shard_fn);
 
   /// Runs independent tasks on the pool; returns after all finish.
   void run_tasks(std::vector<std::function<void()>> tasks);
@@ -122,6 +108,13 @@ class ShardEngine {
                        std::span<Verdict> out, const UpdatePlan& updates);
 
  private:
+  /// Hashes every packet's 5-tuple into `hashes` and returns each shard's
+  /// ascending index list (hash modulo the shard count), chunked across
+  /// the pool.
+  std::vector<std::vector<std::uint32_t>> partition(
+      std::span<const net::OverlayPacket> packets,
+      std::span<std::uint64_t> hashes);
+
   ShardPlan plan_;
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -22,17 +22,17 @@ TierPlacer::TierPlacer(Config config, std::size_t shards, std::size_t nodes)
   }
 }
 
-std::size_t TierPlacer::shard_of(net::Vni vni) const {
-  return static_cast<std::size_t>(net::mix64(vni)) % trackers_.size();
+telemetry::HeavyHitterTracker& TierPlacer::tracker_for(net::Vni vni) {
+  return trackers_[static_cast<std::size_t>(net::mix64(vni)) %
+                   trackers_.size()];
 }
 
-void TierPlacer::begin_interval(std::size_t shard) {
-  trackers_[shard].decay(config_.decay);
+void TierPlacer::begin_interval() {
+  for (auto& tracker : trackers_) tracker.decay(config_.decay);
 }
 
-void TierPlacer::observe(std::size_t shard, const telemetry::FlowKey& key,
-                         std::uint64_t pps) {
-  trackers_[shard].add(key, pps);
+void TierPlacer::observe(const telemetry::FlowKey& key, std::uint64_t pps) {
+  tracker_for(key.vni).add(key, pps);
 }
 
 TierPlacer::ApplyResult TierPlacer::apply(const InstallFn& install,
@@ -43,8 +43,7 @@ TierPlacer::ApplyResult TierPlacer::apply(const InstallFn& install,
   // promotions. placements_ iterates in key order — deterministic.
   for (auto it = placements_.begin(); it != placements_.end();) {
     const telemetry::FlowKey key{it->first.first, it->first.second};
-    const std::uint64_t estimate =
-        trackers_[shard_of(key.vni)].estimate(key);
+    const std::uint64_t estimate = tracker_for(key.vni).estimate(key);
     if (estimate >= config_.promote_min_pps) {
       it->second.idle_intervals = 0;
       ++it;

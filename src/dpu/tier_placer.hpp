@@ -9,15 +9,15 @@
 // a single sequential pass promotes the heaviest unplaced candidates into
 // the DPU flow tables and demotes placed flows that have gone quiet.
 //
-// Determinism contract (the same one the interval engine lives by):
-//   * observe()/begin_interval() are shard-private — the region partitions
-//     flows by mix64(vni) % shards, the same owner function used here, so
-//     no two threads ever touch one tracker;
-//   * apply() runs once, sequentially, in the reduce phase: placements_
-//     is an ordered map, candidates are sorted by (estimate desc, vni asc,
-//     tuple asc), and node choice is a pure hash of the VNI — so the
-//     placement state after any interval is byte-identical at any thread
-//     count.
+// Determinism contract: the region calls begin_interval() and observe()
+// from one thread, in flow order, so each sketch sees its additions in one
+// fixed sequence; apply() runs once per interval over ordered state —
+// placements_ is an ordered map, candidates are sorted by (estimate desc,
+// vni asc, tuple asc), and node choice is a pure hash of the VNI — so the
+// placement state after any interval is byte-identical at any thread
+// count. Flows spread over `shards` sketches by mix64(vni), each with its
+// own seed, so one tenant's hash collisions never alias into another
+// sketch's estimates; the partition stays inside the placer.
 //
 // The placer decides; the region executes. apply() takes install/remove
 // callbacks so the policy is testable without any XgwDpu behind it, and so
@@ -41,7 +41,7 @@ namespace sf::dpu {
 class TierPlacer {
  public:
   struct Config {
-    /// Per-shard elephant tracker shape.
+    /// Per-sketch elephant tracker shape.
     telemetry::HeavyHitterTracker::Config tracker;
     /// Interval decay factor for the sketches (see CountMinSketch::decay).
     double decay = 0.5;
@@ -69,21 +69,18 @@ class TierPlacer {
   using RemoveFn =
       std::function<void(const telemetry::FlowKey& key, std::size_t node)>;
 
+  /// `shards` fixes how many sketches the flows spread over (the region
+  /// passes its interval engine's shard count); `nodes` is the DPU count.
   TierPlacer(Config config, std::size_t shards, std::size_t nodes);
 
-  std::size_t shards() const { return trackers_.size(); }
   std::size_t nodes() const { return nodes_; }
-  /// Owner shard of a tenant — must match the region's partition function.
-  std::size_t shard_of(net::Vni vni) const;
 
-  /// Interval start, per shard: decay the shard's sketch so estimates
-  /// track recent rate. Safe to call concurrently across distinct shards.
-  void begin_interval(std::size_t shard);
+  /// Interval start: decays every sketch so estimates track recent rate.
+  void begin_interval();
 
-  /// Feeds one software-tier flow's interval packet rate into its shard's
-  /// tracker. `shard` must be shard_of(key.vni).
-  void observe(std::size_t shard, const telemetry::FlowKey& key,
-               std::uint64_t pps);
+  /// Feeds one software-tier flow's interval packet rate into the sketch
+  /// that owns its tenant.
+  void observe(const telemetry::FlowKey& key, std::uint64_t pps);
 
   /// Sequential reduce-phase pass: demote idle placed flows, then promote
   /// the heaviest unplaced candidates (up to the per-interval budget).
@@ -115,6 +112,8 @@ class TierPlacer {
     /// Consecutive intervals with estimate < promote_min_pps.
     unsigned idle_intervals = 0;
   };
+
+  telemetry::HeavyHitterTracker& tracker_for(net::Vni vni);
 
   Config config_;
   std::size_t nodes_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "net/hash.hpp"
-
 namespace sf::guard {
 
 const char* name(Tier tier) {
@@ -21,9 +19,7 @@ const char* name(Tier tier) {
 
 std::string to_string(Tier tier) { return name(tier); }
 
-TenantGuard::TenantGuard(Config config, std::size_t shards)
-    : config_(std::move(config)),
-      shards_(std::max<std::size_t>(1, shards)) {
+TenantGuard::TenantGuard(Config config) : config_(std::move(config)) {
   if (config_.burst_seconds <= 0) {
     throw std::invalid_argument("guard burst_seconds must be positive");
   }
@@ -35,42 +31,34 @@ TenantGuard::TenantGuard(Config config, std::size_t shards)
   for (const TenantLimit& limit : config_.tenants) set_limit(limit);
 }
 
-std::size_t TenantGuard::shard_of(net::Vni vni) const {
-  return static_cast<std::size_t>(net::mix64(vni)) % shards_.size();
-}
-
 void TenantGuard::set_limit(const TenantLimit& limit) {
   TenantState state;
   state.rate_bps = limit.rate_bps;
   state.rate_pps = limit.rate_pps;
-  shards_[shard_of(limit.vni)].tenants[limit.vni] = state;
+  tenants_[limit.vni] = state;
 }
 
 bool TenantGuard::any_limits() const {
   if (has_default_limit_) return true;
-  for (const Shard& shard : shards_) {
-    for (const auto& [vni, state] : shard.tenants) {
-      if (state.rate_bps > 0 || state.rate_pps > 0) return true;
-    }
+  for (const auto& [vni, state] : tenants_) {
+    if (state.rate_bps > 0 || state.rate_pps > 0) return true;
   }
   return false;
 }
 
 TenantGuard::TenantState* TenantGuard::state_for(net::Vni vni) {
-  Shard& shard = shards_[shard_of(vni)];
-  auto it = shard.tenants.find(vni);
-  if (it != shard.tenants.end()) return &it->second;
+  auto it = tenants_.find(vni);
+  if (it != tenants_.end()) return &it->second;
   if (!has_default_limit_) return nullptr;
   TenantState state;
   state.rate_bps = config_.default_rate_bps;
   state.rate_pps = config_.default_rate_pps;
-  return &shard.tenants.emplace(vni, state).first->second;
+  return &tenants_.emplace(vni, state).first->second;
 }
 
 const TenantGuard::TenantState* TenantGuard::state_for(net::Vni vni) const {
-  const Shard& shard = shards_[shard_of(vni)];
-  auto it = shard.tenants.find(vni);
-  return it == shard.tenants.end() ? nullptr : &it->second;
+  auto it = tenants_.find(vni);
+  return it == tenants_.end() ? nullptr : &it->second;
 }
 
 bool TenantGuard::metered(net::Vni vni) const {
@@ -179,11 +167,10 @@ TenantGuard::PacketDecision TenantGuard::admit_packet(
 }
 
 std::map<net::Vni, double> TenantGuard::interval_step(
-    std::size_t shard_index, const std::map<net::Vni, Offered>& offered,
+    const std::map<net::Vni, Offered>& offered,
     std::vector<TenantInterval>& out, telemetry::Registry& registry) {
   std::map<net::Vni, double> fractions;
-  Shard& shard = shards_[shard_index];
-  if (shard.tenants.empty()) return fractions;
+  if (tenants_.empty()) return fractions;
 
   telemetry::Counter& ctr_over = registry.counter("guard.interval.over");
   telemetry::Counter& ctr_esc =
@@ -193,7 +180,7 @@ std::map<net::Vni, double> TenantGuard::interval_step(
   telemetry::Counter& ctr_shed_kpps =
       registry.counter("guard.interval.shed_kpps_sum");
 
-  for (auto& [vni, state] : shard.tenants) {
+  for (auto& [vni, state] : tenants_) {
     if (state.rate_bps <= 0 && state.rate_pps <= 0) continue;
     Offered load;
     if (auto it = offered.find(vni); it != offered.end()) load = it->second;

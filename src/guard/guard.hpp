@@ -21,13 +21,10 @@
 // it is one simulate_interval() step comparing the tenant's offered rate
 // to its budget.
 //
-// Determinism: all guard state is per-shard — a tenant's ladder lives
-// wholly in shard mix64(vni) % shards, the same pure-hash partition the
-// interval engine uses — so the interval pre-pass mutates each shard's
-// tenants from exactly one worker, with no locks, and results are
-// byte-identical at any thread count. Tenants inside a shard are kept in
-// an ordered map so iteration (and therefore every merge) has one fixed
-// order.
+// Determinism: every ladder is per tenant, kept in one ordered map, so the
+// interval step walks tenants in ascending VNI order and its summaries and
+// counters come out in one fixed order at any thread count. The region
+// calls it once per interval, from one thread.
 //
 // A region builds a guard only when SailfishRegion::Config::enable_guard
 // asks for one; without it nothing is constructed and no counters
@@ -122,7 +119,7 @@ class TenantGuard {
     std::uint64_t deescalations = 0;
   };
 
-  TenantGuard(Config config, std::size_t shards);
+  explicit TenantGuard(Config config);
 
   /// Adds or replaces one tenant's budget at runtime (chaos storms arm the
   /// storm tenant this way). Ladder state for the VNI is reset.
@@ -134,9 +131,6 @@ class TenantGuard {
 
   bool metered(net::Vni vni) const;
 
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t shard_of(net::Vni vni) const;
-
   /// Functional path: meters one packet. `established` is consulted only
   /// when a tier-1 decision needs it (it probes the serving device's flow
   /// cache, which costs a hash).
@@ -144,17 +138,15 @@ class TenantGuard {
                               double now,
                               const std::function<bool()>& established);
 
-  /// Interval path, called once per simulate_interval per shard, from the
-  /// engine worker that owns `shard` (touches only that shard's state).
-  /// `offered` carries this interval's offered rates for the shard's
-  /// tenants; tenants known to the shard but absent from the map are
-  /// stepped as conforming (that is how a storm tenant walks back down the
-  /// ladder after its flows vanish). Appends one TenantInterval per
-  /// metered tenant to `out` (ascending VNI), records ladder moves and
-  /// shed totals into `registry` ("guard.*" counters, merged shard-order
-  /// by the engine), and returns each tenant's admit fraction in [0, 1].
+  /// Interval path, called once per simulate_interval. `offered` carries
+  /// this interval's offered rates per tenant; known tenants absent from
+  /// the map are stepped as conforming (that is how a storm tenant walks
+  /// back down the ladder after its flows vanish). Appends one
+  /// TenantInterval per metered tenant to `out` (ascending VNI), records
+  /// ladder moves and shed totals into `registry` ("guard.*" counters),
+  /// and returns each tenant's admit fraction in [0, 1].
   std::map<net::Vni, double> interval_step(
-      std::size_t shard, const std::map<net::Vni, Offered>& offered,
+      const std::map<net::Vni, Offered>& offered,
       std::vector<TenantInterval>& out, telemetry::Registry& registry);
 
   Tier tier_of(net::Vni vni) const;
@@ -175,17 +167,13 @@ class TenantGuard {
     unsigned conform_streak = 0;
   };
 
-  struct Shard {
-    std::map<net::Vni, TenantState> tenants;  // ordered: stable iteration
-  };
-
   TenantState* state_for(net::Vni vni);
   const TenantState* state_for(net::Vni vni) const;
   /// Steps the ladder with one observation; returns +1/-1/0 tier delta.
   int observe(TenantState& state, bool over);
 
   Config config_;
-  std::vector<Shard> shards_;
+  std::map<net::Vni, TenantState> tenants_;  // ordered: stable iteration
   bool has_default_limit_ = false;
   Stats stats_;
 };

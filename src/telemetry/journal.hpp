@@ -25,7 +25,9 @@ class EventJournal {
   /// Capacity 0 keeps every event; N > 0 keeps the newest N in a ring.
   explicit EventJournal(std::size_t capacity = 0);
 
-  void record(std::string category, std::string message, double time = 0);
+  /// `time` is the producer's clock; every caller must pass it, so no
+  /// event can silently land at t=0.
+  void record(std::string category, std::string message, double time);
 
   /// Retained events, oldest first.
   std::vector<Event> events() const;

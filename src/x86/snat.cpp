@@ -99,21 +99,24 @@ std::optional<net::FiveTuple> SnatEngine::reverse(const SnatBinding& binding,
 }
 
 std::size_t SnatEngine::expire(double now) {
-  std::size_t reclaimed = 0;
-  for (auto it = by_tuple_.begin(); it != by_tuple_.end();) {
-    const std::size_t slot = it->second;
+  // Release in ascending slot order, not in the hash map's iteration order
+  // (which each standard library defines differently), so the free-port
+  // blocks and free slots refill in one defined order everywhere.
+  std::vector<std::size_t> expired;
+  for (const auto& [tuple, slot] : by_tuple_) {
     if (now - sessions_[slot].last_used > config_.session_timeout_s) {
-      by_binding_.erase(BindingKey{sessions_[slot].binding});
-      release(sessions_[slot].binding);
-      free_slots_.push_back(slot);
-      it = by_tuple_.erase(it);
-      ++reclaimed;
-    } else {
-      ++it;
+      expired.push_back(slot);
     }
   }
-  expired_ += reclaimed;
-  return reclaimed;
+  std::sort(expired.begin(), expired.end());
+  for (const std::size_t slot : expired) {
+    by_binding_.erase(BindingKey{sessions_[slot].binding});
+    release(sessions_[slot].binding);
+    free_slots_.push_back(slot);
+    by_tuple_.erase(sessions_[slot].tuple);
+  }
+  expired_ += expired.size();
+  return expired.size();
 }
 
 SnatEngine::Stats SnatEngine::stats() const {

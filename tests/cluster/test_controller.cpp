@@ -86,6 +86,21 @@ TEST(Controller, ClosesSalesWhenRegionFull) {
   EXPECT_EQ(controller.journal().overwritten(), 0u);
 }
 
+TEST(Controller, JournalsEventsAtTheControllerClock) {
+  Controller::Config config = small_config();
+  config.max_clusters = 1;
+  Controller controller(config);
+  EXPECT_TRUE(controller.add_vpc(make_vpc(100, 6, 1)));
+  controller.advance_clock(5);
+  EXPECT_FALSE(controller.add_vpc(make_vpc(101, 1, 1)));
+  const auto alerts = controller.journal().events("alert");
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].time, 5.0);
+  EXPECT_NE(controller.journal().to_string().find(
+                "[t=5.000] alert: admission refused"),
+            std::string::npos);
+}
+
 TEST(Controller, RoutesPacketsToTheRightCluster) {
   Controller controller(small_config());
   controller.add_vpc(make_vpc(100, 4, 2));

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <vector>
 
 #include "dataplane/shard_engine.hpp"
 
@@ -52,73 +53,55 @@ TEST(ThreadPool, EmptyBatchIsANoOp) {
   pool.run_all({});
 }
 
-TEST(ShardEngine, OwnerHashDecidesShardMembership) {
-  ShardEngine engine(ShardPlan{4, 2});
-  std::vector<std::vector<std::uint32_t>> seen(4);
-  engine.run_sharded(
-      40, [](std::size_t i) { return i; },  // owner = index mod shards
-      [&](std::size_t shard, std::span<const std::uint32_t> indices,
-          telemetry::Registry&) {
-        seen[shard].assign(indices.begin(), indices.end());
-      });
-  for (std::size_t shard = 0; shard < 4; ++shard) {
-    ASSERT_EQ(seen[shard].size(), 10u) << shard;
-    for (std::uint32_t index : seen[shard]) {
-      EXPECT_EQ(index % 4, shard);
-    }
-    // Ascending order — the contract the deterministic reduce leans on.
-    EXPECT_TRUE(std::is_sorted(seen[shard].begin(), seen[shard].end()));
+/// Stateful test gateway: each verdict's latency is a running sum over the
+/// packets this gateway has seen, so it depends on their exact sequence.
+class SequenceGateway : public Gateway {
+ public:
+  Verdict process(const net::OverlayPacket& packet, double) override {
+    ports.push_back(packet.inner.src_port);
+    sum_ += 0.1 * static_cast<double>(packet.inner.src_port);
+    Verdict verdict;
+    verdict.action = Action::kForwardToNc;
+    verdict.latency_us = sum_;
+    return verdict;
   }
-}
 
-TEST(ShardEngine, PartitionIsIndependentOfThreadCount) {
-  auto partition = [](std::size_t threads) {
-    ShardEngine engine(ShardPlan{8, threads});
-    std::vector<std::vector<std::uint32_t>> shards(8);
-    engine.run_sharded(
-        1000, [](std::size_t i) { return i * 2654435761u; },
-        [&](std::size_t shard, std::span<const std::uint32_t> indices,
-            telemetry::Registry&) {
-          shards[shard].assign(indices.begin(), indices.end());
-        });
-    return shards;
-  };
-  EXPECT_EQ(partition(1), partition(4));
-  EXPECT_EQ(partition(1), partition(8));
-}
+  std::vector<std::uint16_t> ports;
 
-TEST(ShardEngine, MergesPerShardRegistriesInShardOrder) {
-  ShardEngine engine(ShardPlan{4, 3});
-  const auto snapshot = engine.run_sharded(
-      16, [](std::size_t i) { return i; },
-      [](std::size_t shard, std::span<const std::uint32_t> indices,
-         telemetry::Registry& registry) {
-        registry.counter("engine.items").add(indices.size());
-        if (shard == 2) registry.counter("engine.special").add(7);
-      });
-  EXPECT_EQ(snapshot.counter("engine.items"), 16u);
-  EXPECT_EQ(snapshot.counter("engine.special"), 7u);
-}
+ private:
+  double sum_ = 0;
+};
 
 TEST(ShardEngine, SetThreadsPreservesResults) {
-  ShardEngine engine(ShardPlan{4, 1});
+  std::vector<net::OverlayPacket> packets(200);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    packets[i].inner.proto = 17;
+    packets[i].inner.src_port = static_cast<std::uint16_t>(i);
+    packets[i].inner.dst_port = 4789;
+  }
+  ShardEngine engine(ShardPlan{4, 1, 8});
   auto run = [&] {
-    std::vector<double> sums(4, 0);
-    engine.run_sharded(
-        100, [](std::size_t i) { return i % 4; },
-        [&](std::size_t shard, std::span<const std::uint32_t> indices,
-            telemetry::Registry&) {
-          for (std::uint32_t index : indices) {
-            sums[shard] += 0.1 * static_cast<double>(index);
-          }
-        });
-    return std::accumulate(sums.begin(), sums.end(), 0.0);
+    std::vector<SequenceGateway> fleet(4);
+    const std::vector<Verdict> verdicts = engine.process_packets(
+        packets, 0.0, [&](std::size_t s) -> Gateway& { return fleet[s]; });
+    std::vector<double> latencies;
+    for (const Verdict& verdict : verdicts) {
+      latencies.push_back(verdict.latency_us);
+    }
+    // Each shard sees exactly the packets its tuple hash picks, in input
+    // order.
+    for (std::size_t s = 0; s < fleet.size(); ++s) {
+      EXPECT_TRUE(std::is_sorted(fleet[s].ports.begin(), fleet[s].ports.end()));
+      for (const std::uint16_t port : fleet[s].ports) {
+        EXPECT_EQ(packets[port].inner.hash() % 4, s) << port;
+      }
+    }
+    return latencies;
   };
-  const double single = run();
+  const std::vector<double> single = run();
   engine.set_threads(8);
   EXPECT_EQ(engine.plan().shards, 4u);
-  const double parallel = run();
-  EXPECT_EQ(single, parallel);  // bit-identical, not just close
+  EXPECT_EQ(run(), single);  // bit-identical, not just close
 }
 
 }  // namespace

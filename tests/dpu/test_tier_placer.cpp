@@ -2,7 +2,7 @@
 // elephants promote in estimate order under the per-interval budget, idle
 // flows demote after the configured patience, refused installs leave
 // flows unplaced, and the whole pass is a deterministic function of the
-// observations regardless of shard feed order.
+// observations regardless of feed order.
 
 #include <gtest/gtest.h>
 
@@ -36,17 +36,12 @@ TierPlacer::Config small_config() {
   return config;
 }
 
-/// Feeds one interval of observations (each key into its owner shard) and
-/// applies with always-succeeding callbacks, returning the pass result.
+/// Feeds one interval of observations and applies with always-succeeding callbacks, returning the pass result.
 TierPlacer::ApplyResult run_interval(
     TierPlacer& placer,
     const std::vector<std::pair<telemetry::FlowKey, std::uint64_t>>& obs) {
-  for (std::size_t shard = 0; shard < placer.shards(); ++shard) {
-    placer.begin_interval(shard);
-  }
-  for (const auto& [key, pps] : obs) {
-    placer.observe(placer.shard_of(key.vni), key, pps);
-  }
+  placer.begin_interval();
+  for (const auto& [key, pps] : obs) placer.observe(key, pps);
   return placer.apply(
       [](const telemetry::FlowKey&, std::size_t) { return true; },
       [](const telemetry::FlowKey&, std::size_t) {});
@@ -93,9 +88,7 @@ TEST(TierPlacer, DemotesAfterIdlePatience) {
   std::vector<telemetry::FlowKey> removed;
   // Interval with no traffic for the flow: sketch decays, estimate falls
   // below the threshold — one idle strike, still placed.
-  for (std::size_t shard = 0; shard < placer.shards(); ++shard) {
-    placer.begin_interval(shard);
-  }
+  placer.begin_interval();
   auto result = placer.apply(
       [](const telemetry::FlowKey&, std::size_t) { return true; },
       [&](const telemetry::FlowKey& key, std::size_t) {
@@ -106,9 +99,7 @@ TEST(TierPlacer, DemotesAfterIdlePatience) {
   for (int interval = 0;
        interval < 8 && placer.placement(key_n(1, 1)).has_value();
        ++interval) {
-    for (std::size_t shard = 0; shard < placer.shards(); ++shard) {
-      placer.begin_interval(shard);
-    }
+    placer.begin_interval();
     result = placer.apply(
         [](const telemetry::FlowKey&, std::size_t) { return true; },
         [&](const telemetry::FlowKey& key, std::size_t) {
@@ -124,10 +115,8 @@ TEST(TierPlacer, DemotesAfterIdlePatience) {
 TEST(TierPlacer, RefusedInstallLeavesFlowUnplaced) {
   TierPlacer placer(small_config(), 4, 2);
   const auto refused_all = [&] {
-    for (std::size_t shard = 0; shard < placer.shards(); ++shard) {
-      placer.begin_interval(shard);
-    }
-    placer.observe(placer.shard_of(1), key_n(1, 1), 50'000);
+    placer.begin_interval();
+    placer.observe(key_n(1, 1), 50'000);
     return placer.apply(
         [](const telemetry::FlowKey&, std::size_t) { return false; },
         [](const telemetry::FlowKey&, std::size_t) {});
@@ -157,9 +146,9 @@ TEST(TierPlacer, EvictNodeAndVniForgetPlacements) {
 }
 
 TEST(TierPlacer, ApplyIsIndependentOfObservationOrder) {
-  // Same observations fed in opposite orders across shards must yield the
-  // same placements and the same node assignments — the byte-identity
-  // property the interval engine's thread pool relies on.
+  // Same observations fed in opposite orders must yield the same
+  // placements and the same node assignments: apply() ranks candidates by
+  // (estimate, vni, tuple), never by arrival.
   std::vector<std::pair<telemetry::FlowKey, std::uint64_t>> obs;
   for (std::uint16_t n = 0; n < 32; ++n) {
     obs.emplace_back(key_n(1 + n % 7, n), 1'000 + 7'000ull * n);

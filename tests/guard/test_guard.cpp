@@ -27,7 +27,7 @@ const std::function<bool()> kNeverEstablished = [] { return false; };
 const std::function<bool()> kAlwaysEstablished = [] { return true; };
 
 TEST(TenantGuard, UnmeteredTenantIsTransparent) {
-  TenantGuard guard(limited_config(8000, 0), 4);
+  TenantGuard guard(limited_config(8000, 0));
   EXPECT_TRUE(guard.metered(kVni));
   EXPECT_FALSE(guard.metered(kVni + 1));
   // The other tenant is never throttled no matter the offered load.
@@ -41,7 +41,7 @@ TEST(TenantGuard, UnmeteredTenantIsTransparent) {
 
 TEST(TenantGuard, ConformingTenantStaysFullService) {
   // 8000 bps = 1000 bytes/s; one 100-byte packet every 0.2 s conforms.
-  TenantGuard guard(limited_config(8000, 0), 4);
+  TenantGuard guard(limited_config(8000, 0));
   for (int i = 0; i < 50; ++i) {
     const auto decision = guard.admit_packet(kVni, 100, 0.2 * i,
                                              kNeverEstablished);
@@ -55,7 +55,7 @@ TEST(TenantGuard, ConformingTenantStaysFullService) {
 TEST(TenantGuard, FloodWalksTheLadderTierByTier) {
   TenantGuard::Config config = limited_config(8000, 0);
   config.escalate_after = 3;
-  TenantGuard guard(config, 4);
+  TenantGuard guard(config);
 
   // Flood at one instant: the burst allowance (0.1 s = 100 bytes) admits
   // the first packet, then every packet is over-limit.
@@ -77,7 +77,7 @@ TEST(TenantGuard, TierOneServesEstablishedPuntsTheRest) {
   TenantGuard::Config config = limited_config(8000, 0);
   config.escalate_after = 1;
   config.deescalate_after = 100;  // stay at tier 1 for the whole test
-  TenantGuard guard(config, 4);
+  TenantGuard guard(config);
   guard.admit_packet(kVni, 100, 0.0, kNeverEstablished);  // burst
   guard.admit_packet(kVni, 100, 0.0, kNeverEstablished);  // over -> tier 1
 
@@ -100,7 +100,7 @@ TEST(TenantGuard, TierOneServesEstablishedPuntsTheRest) {
 TEST(TenantGuard, TierTwoShedsTheTenantOutright) {
   TenantGuard::Config config = limited_config(8000, 0);
   config.escalate_after = 1;
-  TenantGuard guard(config, 4);
+  TenantGuard guard(config);
   guard.admit_packet(kVni, 200, 0.0, kNeverEstablished);  // burst spent
   guard.admit_packet(kVni, 200, 0.0, kNeverEstablished);  // -> tier 1
   guard.admit_packet(kVni, 200, 0.0, kNeverEstablished);  // -> tier 2
@@ -116,7 +116,7 @@ TEST(TenantGuard, ConformingStreakDeescalates) {
   TenantGuard::Config config = limited_config(8000, 0);
   config.escalate_after = 1;
   config.deescalate_after = 2;
-  TenantGuard guard(config, 4);
+  TenantGuard guard(config);
   // A 200-byte packet against a 100-byte burst is over-limit at once.
   guard.admit_packet(kVni, 200, 0.0, kNeverEstablished);  // -> tier 1
   ASSERT_EQ(guard.tier_of(kVni), Tier::kShedNewFlows);
@@ -131,8 +131,7 @@ TEST(TenantGuard, ConformingStreakDeescalates) {
 TEST(TenantGuard, IntervalStepShedsOverLimitFractionally) {
   TenantGuard::Config config = limited_config(1e6, 0);  // 1 Mbps budget
   config.escalate_after = 1;
-  TenantGuard guard(config, 4);
-  const std::size_t shard = guard.shard_of(kVni);
+  TenantGuard guard(config);
 
   telemetry::Registry registry;
   std::vector<TenantGuard::TenantInterval> out;
@@ -140,7 +139,7 @@ TEST(TenantGuard, IntervalStepShedsOverLimitFractionally) {
   offered[kVni] = TenantGuard::Offered{1000.0, 4e6};  // 4x over budget
 
   const auto fractions =
-      guard.interval_step(shard, offered, out, registry);
+      guard.interval_step(offered, out, registry);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].vni, kVni);
   EXPECT_EQ(out[0].tier, Tier::kShedNewFlows);
@@ -153,15 +152,14 @@ TEST(TenantGuard, IntervalAbsenceWalksBackDown) {
   TenantGuard::Config config = limited_config(1e6, 0);
   config.escalate_after = 1;
   config.deescalate_after = 2;
-  TenantGuard guard(config, 4);
-  const std::size_t shard = guard.shard_of(kVni);
+  TenantGuard guard(config);
 
   telemetry::Registry registry;
   std::vector<TenantGuard::TenantInterval> out;
   std::map<net::Vni, TenantGuard::Offered> storm;
   storm[kVni] = TenantGuard::Offered{1000.0, 8e6};
-  guard.interval_step(shard, storm, out, registry);  // -> tier 1
-  guard.interval_step(shard, storm, out, registry);  // -> tier 2
+  guard.interval_step(storm, out, registry);  // -> tier 1
+  guard.interval_step(storm, out, registry);  // -> tier 2
   EXPECT_EQ(guard.tier_of(kVni), Tier::kShedTenant);
 
   // The storm stops: the tenant vanishes from the offered map, and every
@@ -169,7 +167,7 @@ TEST(TenantGuard, IntervalAbsenceWalksBackDown) {
   const std::map<net::Vni, TenantGuard::Offered> quiet;
   for (int i = 0; i < 4; ++i) {
     out.clear();
-    guard.interval_step(shard, quiet, out, registry);
+    guard.interval_step(quiet, out, registry);
     ASSERT_EQ(out.size(), 1u);  // still reported while walking down
   }
   EXPECT_EQ(guard.tier_of(kVni), Tier::kFull);
@@ -178,7 +176,7 @@ TEST(TenantGuard, IntervalAbsenceWalksBackDown) {
 TEST(TenantGuard, SetLimitResetsLadderState) {
   TenantGuard::Config config = limited_config(8000, 0);
   config.escalate_after = 1;
-  TenantGuard guard(config, 4);
+  TenantGuard guard(config);
   guard.admit_packet(kVni, 200, 0.0, kNeverEstablished);
   guard.admit_packet(kVni, 200, 0.0, kNeverEstablished);
   ASSERT_NE(guard.tier_of(kVni), Tier::kFull);
@@ -186,22 +184,50 @@ TEST(TenantGuard, SetLimitResetsLadderState) {
   EXPECT_EQ(guard.tier_of(kVni), Tier::kFull);
 }
 
-TEST(TenantGuard, ShardOfIsStableAndInRange) {
-  TenantGuard guard(limited_config(1, 0), 16);
-  for (net::Vni vni = 0; vni < 256; ++vni) {
-    const std::size_t shard = guard.shard_of(vni);
-    EXPECT_LT(shard, 16u);
-    EXPECT_EQ(shard, guard.shard_of(vni));
-  }
+TEST(TenantGuard, IntervalStepReportsEveryMeteredTenantInVniOrder) {
+  // Limits listed out of VNI order, one unmetered entry among them.
+  TenantGuard::Config config;
+  config.escalate_after = 1;
+  config.tenants = {TenantLimit{900, 1e6, 0}, TenantLimit{7, 1e6, 0},
+                    TenantLimit{300, 0, 0}, TenantLimit{55, 0, 100}};
+  TenantGuard guard(config);
+
+  telemetry::Registry registry;
+  std::vector<TenantGuard::TenantInterval> out;
+  std::map<net::Vni, TenantGuard::Offered> offered;
+  offered[900] = TenantGuard::Offered{10.0, 4e6};  // over on bps
+  offered[55] = TenantGuard::Offered{400.0, 1e3};  // over on pps
+  offered[300] = TenantGuard::Offered{1e6, 1e9};   // unmetered
+  // VNI 7 offers nothing and is stepped as conforming.
+
+  const auto fractions = guard.interval_step(offered, out, registry);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].vni, 7u);
+  EXPECT_EQ(out[1].vni, 55u);
+  EXPECT_EQ(out[2].vni, 900u);
+  EXPECT_EQ(out[0].tier, Tier::kFull);
+  EXPECT_EQ(out[1].tier, Tier::kShedNewFlows);
+  EXPECT_EQ(out[2].tier, Tier::kShedNewFlows);
+  EXPECT_DOUBLE_EQ(out[0].offered_pps, 0.0);
+  EXPECT_DOUBLE_EQ(out[2].offered_bps, 4e6);
+
+  ASSERT_EQ(fractions.size(), 3u);
+  EXPECT_FALSE(fractions.contains(300));
+  EXPECT_DOUBLE_EQ(fractions.at(7), 1.0);
+  EXPECT_DOUBLE_EQ(fractions.at(55), 0.25);
+  EXPECT_DOUBLE_EQ(fractions.at(900), 0.25);
+
+  EXPECT_EQ(registry.counter("guard.interval.over").value(), 2u);
+  EXPECT_EQ(registry.counter("guard.interval.escalations").value(), 2u);
 }
 
 TEST(TenantGuard, ValidatesConfig) {
   TenantGuard::Config bad;
   bad.burst_seconds = 0;
-  EXPECT_THROW(TenantGuard(bad, 4), std::invalid_argument);
+  EXPECT_THROW(TenantGuard{bad}, std::invalid_argument);
   bad = TenantGuard::Config{};
   bad.escalate_after = 0;
-  EXPECT_THROW(TenantGuard(bad, 4), std::invalid_argument);
+  EXPECT_THROW(TenantGuard{bad}, std::invalid_argument);
 }
 
 // ---- PuntQueue -----------------------------------------------------------

@@ -126,9 +126,9 @@ TEST(EventJournal, RingOverwritesOldestButKeepsSequence) {
 
 TEST(EventJournal, FiltersByCategoryAndKeepsCountingAfterClear) {
   EventJournal journal(8);
-  journal.record("failover", "device 2 down");
-  journal.record("table-update", "route added");
-  journal.record("failover", "device 2 recovered");
+  journal.record("failover", "device 2 down", 1.0);
+  journal.record("table-update", "route added", 2.0);
+  journal.record("failover", "device 2 recovered", 3.0);
 
   const auto failovers = journal.events("failover");
   ASSERT_EQ(failovers.size(), 2u);
@@ -141,7 +141,7 @@ TEST(EventJournal, FiltersByCategoryAndKeepsCountingAfterClear) {
 
   journal.clear();
   EXPECT_EQ(journal.size(), 0u);
-  journal.record("alert", "after clear");
+  journal.record("alert", "after clear", 4.0);
   EXPECT_EQ(journal.events().front().sequence, 4u);  // monotonic
 }
 

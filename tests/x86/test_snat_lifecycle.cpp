@@ -81,8 +81,7 @@ TEST(SnatLifecycle, FifoRecyclingUnderExhaustion) {
   SnatEngine snat(config);
 
   // Fill the pool with staggered creation times so later sweeps can age
-  // out exactly one session each (bulk expiry walks a hash map, so only
-  // single-expiry sweeps give a determined freed order).
+  // out exactly one session each.
   std::vector<std::uint16_t> port(4);
   for (std::uint32_t id = 0; id < 4; ++id) {
     const auto binding = snat.translate(session(id), 10.0 * id);
@@ -118,6 +117,36 @@ TEST(SnatLifecycle, FifoRecyclingUnderExhaustion) {
   const auto third = snat.translate(session(1002), kInterval + 50.0);
   ASSERT_TRUE(third.has_value());
   EXPECT_EQ(third->public_port, port[3]);
+}
+
+TEST(SnatLifecycle, ExpiryReleasesPortsInSlotOrder) {
+  SnatEngine::Config config;
+  config.public_ips = {net::Ipv4Addr(198, 51, 100, 5)};
+  config.port_min = 4000;
+  config.port_max = 4003;  // four ports
+  config.session_timeout_s = kInterval;
+  SnatEngine snat(config);
+
+  // Sessions 0..3 take slots 0..3 and ports 4000..4003. Sessions 0 and 1
+  // expire; the replacements reuse slot 1 (port 4000), then slot 0 (port
+  // 4001), so slot order no longer matches port order.
+  for (std::uint32_t id = 0; id < 4; ++id) {
+    ASSERT_EQ(snat.translate(session(id), id < 2 ? 0.0 : 500.0)->public_port,
+              4000 + id);
+  }
+  ASSERT_EQ(snat.expire(kInterval + 1.0), 2u);
+  ASSERT_EQ(snat.translate(session(10), 700.0)->public_port, 4000);
+  ASSERT_EQ(snat.translate(session(11), 700.0)->public_port, 4001);
+
+  // Expire every session at once: ports return to the free block in slot
+  // order (4001, 4000, 4002, 4003) and are handed out again in that order.
+  ASSERT_EQ(snat.expire(1e9), 4u);
+  EXPECT_EQ(total_free(snat, config), 4u);
+  std::vector<std::uint16_t> reissued;
+  for (std::uint32_t id = 20; id < 24; ++id) {
+    reissued.push_back(snat.translate(session(id), 2e9)->public_port);
+  }
+  EXPECT_EQ(reissued, (std::vector<std::uint16_t>{4001, 4000, 4002, 4003}));
 }
 
 TEST(SnatLifecycle, LeakAuditAllocatedEqualsRecycledPlusLive) {
