@@ -76,7 +76,8 @@ void BM_AlpmLookup(benchmark::State& state) {
 BENCHMARK(BM_AlpmLookup)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_DigestVmNcLookup(benchmark::State& state) {
-  // 2^19 buckets: the geometry this bench has always measured.
+  // 2^19 buckets: the modeled geometry this bench has always declared.
+  // The host slot array grows only as far as its 50k entries need.
   tables::DigestVmNcTable::Config config;
   config.buckets = 1 << 19;
   tables::DigestVmNcTable table(config);

@@ -170,6 +170,11 @@ std::map<net::Vni, double> TenantGuard::interval_step(
     const std::map<net::Vni, Offered>& offered,
     std::vector<TenantInterval>& out, telemetry::Registry& registry) {
   std::map<net::Vni, double> fractions;
+  // A tenant metered only by the default budget has no state until it is
+  // first seen; an interval that offers its load is that first sight.
+  if (has_default_limit_) {
+    for (const auto& [vni, load] : offered) state_for(vni);
+  }
   if (tenants_.empty()) return fractions;
 
   telemetry::Counter& ctr_over = registry.counter("guard.interval.over");

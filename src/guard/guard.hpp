@@ -139,9 +139,11 @@ class TenantGuard {
                               const std::function<bool()>& established);
 
   /// Interval path, called once per simulate_interval. `offered` carries
-  /// this interval's offered rates per tenant; known tenants absent from
-  /// the map are stepped as conforming (that is how a storm tenant walks
-  /// back down the ladder after its flows vanish). Appends one
+  /// this interval's offered rates per tenant; a tenant it names that only
+  /// the default budget meters gets its ladder here, as admit_packet would
+  /// give it one. Known tenants absent from the map are stepped as
+  /// conforming (that is how a storm tenant walks back down the ladder
+  /// after its flows vanish). Appends one
   /// TenantInterval per metered tenant to `out` (ascending VNI), records
   /// ladder moves and shed totals into `registry` ("guard.*" counters),
   /// and returns each tenant's admit fraction in [0, 1].

@@ -15,7 +15,7 @@ namespace sf::net {
 
 /// CRC32-C (Castagnoli, polynomial 0x1EDC6F41 reflected) over a byte span.
 /// This is the polynomial used by RSS-style NIC hashing and by switch hash
-/// units, implemented with a software lookup table.
+/// units, implemented in software with slicing-by-8 lookup tables.
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t seed = 0);
 

@@ -63,9 +63,11 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
     /// Rate limit toward XGW-x86 (overload protection, §4.2).
     double fallback_rate_bps = 20e9;
     double fallback_burst_bytes = 32e6;
-    /// Hash buckets of each shard's VM-NC table (4 ways each). Sized for
-    /// the expected mapping count; fleet simulations spawn many devices,
-    /// so the default stays modest.
+    /// Hash buckets of each shard's VM-NC table (4 ways each): the
+    /// modeled SRAM capacity, set by hand rather than read from the
+    /// placement. Host memory follows the installed mappings (the slot
+    /// array starts at one page and doubles up to this count), so
+    /// sparsely filled fleet devices do not pay for the capacity.
     std::size_t vm_table_buckets = 1 << 14;
     /// Flow-cache slots in front of the pipeline walk (0 disables; the
     /// default honors the SF_FLOW_CACHE environment gate). The cache table

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -227,14 +228,17 @@ TEST(FastPath, RegionProcessWarmMakesZeroHeapAllocations) {
 }
 
 TEST(FastPath, XgwHConstructionAllocatesOnlyItsDeclaredTables) {
-  // Each of the two shards owns one VM-NC slot array of
-  // vm_table_buckets x ways slots; everything else a device builds
-  // (ALPM roots, program, registry) fits in 1 MiB. A table first built at
-  // a default geometry and then replaced would add tens of MiB here.
+  // Each of the two shards owns one VM-NC slot array, which starts at
+  // ExactTable::kInitialBuckets x ways slots and grows only as mappings
+  // arrive; everything else a device builds (ALPM roots, program,
+  // registry) fits in 1 MiB. A slot array allocated at its modeled
+  // vm_table_buckets capacity, or a table first built at a default
+  // geometry and then replaced, would exceed this.
+  using PooledTable = tables::ExactTable<std::uint64_t, tables::VmNcAction>;
   const xgwh::XgwH::Config config;
   const std::uint64_t slot_array =
-      config.vm_table_buckets * tables::DigestVmNcTable::Config{}.ways *
-      tables::ExactTable<std::uint64_t, tables::VmNcAction>::slot_bytes();
+      std::min(config.vm_table_buckets, PooledTable::kInitialBuckets) *
+      tables::DigestVmNcTable::Config{}.ways * PooledTable::slot_bytes();
 
   const std::uint64_t before =
       g_allocated_bytes.load(std::memory_order_relaxed);

@@ -221,6 +221,38 @@ TEST(TenantGuard, IntervalStepReportsEveryMeteredTenantInVniOrder) {
   EXPECT_EQ(registry.counter("guard.interval.escalations").value(), 2u);
 }
 
+TEST(TenantGuard, IntervalStepMetersDefaultRateTenants) {
+  // No listed tenants: VNI 5 is metered by the default budget alone and
+  // has never sent a packet, so only the interval step can meter it.
+  TenantGuard::Config config;
+  config.default_rate_bps = 1e6;
+  TenantGuard guard(config);
+  ASSERT_TRUE(guard.metered(5));
+
+  telemetry::Registry registry;
+  std::vector<TenantGuard::TenantInterval> out;
+  std::map<net::Vni, TenantGuard::Offered> offered;
+  offered[5] = TenantGuard::Offered{1000.0, 4e6};  // 4x over budget
+
+  std::vector<double> admitted;
+  for (int step = 0; step < 3; ++step) {
+    const auto fractions = guard.interval_step(offered, out, registry);
+    ASSERT_EQ(fractions.size(), 1u) << "step " << step;
+    admitted.push_back(fractions.at(5));
+  }
+  ASSERT_EQ(out.size(), 3u);
+  for (const TenantGuard::TenantInterval& summary : out) {
+    EXPECT_EQ(summary.vni, 5u);
+    EXPECT_DOUBLE_EQ(summary.offered_bps, 4e6);
+  }
+  EXPECT_EQ(out[0].tier, Tier::kShedNewFlows);
+  EXPECT_EQ(out[1].tier, Tier::kShedTenant);
+  EXPECT_EQ(out[2].tier, Tier::kShedTenant);
+  EXPECT_EQ(admitted, (std::vector<double>{0.25, 0.0, 0.0}));
+  EXPECT_EQ(guard.tier_of(5), Tier::kShedTenant);
+  EXPECT_EQ(registry.counter("guard.interval.escalations").value(), 2u);
+}
+
 TEST(TenantGuard, ValidatesConfig) {
   TenantGuard::Config bad;
   bad.burst_seconds = 0;

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "net/checksum.hpp"
 #include "net/hash.hpp"
+#include "net/headers.hpp"
 #include "net/mac.hpp"
+#include "workload/rng.hpp"
 
 namespace sf::net {
 namespace {
@@ -49,6 +57,81 @@ TEST(Crc32c, MatchesKnownVectors) {
 TEST(Crc32c, SeedChangesResult) {
   std::array<std::uint8_t, 4> data{1, 2, 3, 4};
   EXPECT_NE(crc32c(data, 0), crc32c(data, 1));
+}
+
+// The byte-at-a-time table CRC32-C: the reference the sliced
+// implementation must match bit for bit.
+std::uint32_t crc32c_bytewise(std::span<const std::uint8_t> data,
+                              std::uint32_t seed) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  std::uint32_t crc = ~seed;
+  for (std::uint8_t byte : data) {
+    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xff];
+  }
+  return ~crc;
+}
+
+TEST(Crc32c, MatchesBytewiseReference) {
+  workload::Rng rng(2024);
+  // Room for the longest span at the largest misalignment.
+  std::vector<std::uint8_t> buffer(64 + 8);
+  for (int round = 0; round < 40; ++round) {
+    for (std::uint8_t& byte : buffer) {
+      byte = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    const std::uint32_t seed =
+        round == 0 ? 0 : static_cast<std::uint32_t>(rng.next_u64());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t length = 0; length <= 64; ++length) {
+        const std::span<const std::uint8_t> data(buffer.data() + offset,
+                                                 length);
+        ASSERT_EQ(crc32c(data, seed), crc32c_bytewise(data, seed))
+            << "round " << round << " offset " << offset << " length "
+            << length;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, RssHashMatchesBytewiseReference) {
+  // FiveTuple::rss_hash's 37-byte layout: src | dst | proto | ports.
+  workload::Rng rng(77);
+  for (int i = 0; i < 200; ++i) {
+    FiveTuple tuple;
+    if (i % 2 == 0) {
+      tuple.src = IpAddr(Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())));
+      tuple.dst = IpAddr(Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())));
+    } else {
+      tuple.src = IpAddr(Ipv6Addr(rng.next_u64(), rng.next_u64()));
+      tuple.dst = IpAddr(Ipv6Addr(rng.next_u64(), rng.next_u64()));
+    }
+    tuple.proto = static_cast<std::uint8_t>(rng.uniform(256));
+    tuple.src_port = static_cast<std::uint16_t>(rng.uniform(65536));
+    tuple.dst_port = static_cast<std::uint16_t>(rng.uniform(65536));
+    std::array<std::uint8_t, 37> bytes{};
+    const auto s = tuple.src.widened().bytes();
+    const auto d = tuple.dst.widened().bytes();
+    std::copy(s.begin(), s.end(), bytes.begin());
+    std::copy(d.begin(), d.end(), bytes.begin() + 16);
+    bytes[32] = tuple.proto;
+    bytes[33] = static_cast<std::uint8_t>(tuple.src_port >> 8);
+    bytes[34] = static_cast<std::uint8_t>(tuple.src_port);
+    bytes[35] = static_cast<std::uint8_t>(tuple.dst_port >> 8);
+    bytes[36] = static_cast<std::uint8_t>(tuple.dst_port);
+    const std::uint32_t seed =
+        i < 100 ? 0 : static_cast<std::uint32_t>(rng.next_u64());
+    EXPECT_EQ(tuple.rss_hash(seed), crc32c_bytewise(bytes, seed)) << i;
+  }
 }
 
 TEST(Mix64, AvalanchesSingleBitFlips) {

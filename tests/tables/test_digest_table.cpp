@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "workload/rng.hpp"
 
@@ -121,6 +123,68 @@ TEST(DigestVmNcTable, ErasePromotesConflictEntry) {
   auto stale = table.lookup(1, first.vm_ip);
   ASSERT_TRUE(stale.has_value());
   EXPECT_EQ(stale->nc_ip, net::Ipv4Addr(2));
+}
+
+TEST(DigestVmNcTable, ErasePromotesConflictEntryAcrossGrowth) {
+  // ErasePromotesConflictEntry's shape, with the main table's host array
+  // grown between the collision and the erase that promotes.
+  DigestVmNcTable::Config config = small_config();
+  config.digest_bits = 1;
+  DigestVmNcTable table(config);
+  workload::Rng rng(19);
+  const VmNcKey first{1,
+                      IpAddr(net::Ipv6Addr(rng.next_u64(), rng.next_u64()))};
+  ASSERT_TRUE(table.insert(first, VmNcAction{net::Ipv4Addr(1)}));
+  VmNcKey second;
+  while (true) {
+    second = VmNcKey{1, IpAddr(net::Ipv6Addr(rng.next_u64(), rng.next_u64()))};
+    if (second == first) continue;
+    table.insert(second, VmNcAction{net::Ipv4Addr(2)});
+    if (table.stats().conflict_entries == 1) break;
+    table.erase(second);
+  }
+
+  // Fill well past the first host array (kInitialBuckets x 4 slots) with
+  // v4 mappings; each must resolve exactly when its insert succeeded.
+  std::vector<std::pair<VmNcKey, bool>> v4;
+  auto fill = [&](net::Vni vni, int count) {
+    for (int i = 0; i < count; ++i) {
+      const VmNcKey key{vni, IpAddr(net::Ipv4Addr(0x0a000000u + i))};
+      v4.emplace_back(key, table.insert(key, VmNcAction{net::Ipv4Addr(
+                                                 static_cast<std::uint32_t>(i))}));
+    }
+  };
+  auto check_v4 = [&] {
+    for (const auto& [key, inserted] : v4) {
+      EXPECT_EQ(table.lookup(key.vni, key.vm_ip).has_value(), inserted)
+          << key.vni << " " << key.vm_ip.to_string();
+    }
+  };
+  constexpr std::size_t kFirstArraySlots =
+      ExactTable<std::uint64_t, VmNcAction>::kInitialBuckets * 4;
+  fill(2, 300);
+  ASSERT_GT(table.stats().main_entries, kFirstArraySlots);
+  EXPECT_EQ(table.stats().conflict_entries, 1u);
+  EXPECT_EQ(table.lookup(1, first.vm_ip)->nc_ip, net::Ipv4Addr(1));
+  EXPECT_EQ(table.lookup(1, second.vm_ip)->nc_ip, net::Ipv4Addr(2));
+
+  // Erasing the main-table owner promotes the conflict entry into the
+  // grown array.
+  const std::size_t main_before = table.stats().main_entries;
+  EXPECT_TRUE(table.erase(first));
+  EXPECT_EQ(table.stats().conflict_entries, 0u);
+  EXPECT_EQ(table.stats().main_entries, main_before);
+  EXPECT_EQ(table.lookup(1, second.vm_ip)->nc_ip, net::Ipv4Addr(2));
+  check_v4();
+
+  // The promoted entry is re-homed like any other on the next growth.
+  fill(3, 300);
+  EXPECT_GT(table.stats().main_entries, 2 * kFirstArraySlots);
+  EXPECT_EQ(table.lookup(1, second.vm_ip)->nc_ip, net::Ipv4Addr(2));
+  check_v4();
+  EXPECT_TRUE(table.erase(second));
+  EXPECT_FALSE(table.lookup(1, second.vm_ip).has_value());
+  check_v4();
 }
 
 TEST(DigestVmNcTable, ReplaceKeepsSingleEntry) {

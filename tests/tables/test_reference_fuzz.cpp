@@ -57,6 +57,7 @@ class BucketModel {
     for (Way& way : ways) {
       if (!way) {
         way.emplace(key, value);
+        ++size_;
         return true;
       }
     }
@@ -68,6 +69,7 @@ class BucketModel {
     for (Way& way : bucket(key)) {
       if (way && way->first == key) {
         way.reset();
+        --size_;
         return true;
       }
     }
@@ -93,6 +95,7 @@ class BucketModel {
   }
 
   std::size_t insert_failures() const { return insert_failures_; }
+  std::size_t size() const { return size_; }
 
  private:
   using Way = std::optional<std::pair<std::uint64_t, VmNcAction>>;
@@ -102,6 +105,7 @@ class BucketModel {
   }
 
   std::vector<std::vector<Way>> buckets_;
+  std::size_t size_ = 0;
   std::size_t insert_failures_ = 0;
 };
 
@@ -150,6 +154,72 @@ TEST(ExactTableFuzz, MatchesPerBucketReferenceModel) {
   EXPECT_EQ(table.stats().insert_failures, model.insert_failures());
   EXPECT_GT(model.insert_failures(), 0u);
   EXPECT_EQ(table.size(), model.entries().size());
+}
+
+TEST(ExactTableFuzz, GrowingTableMatchesFixedGeometry) {
+  // The host array starts at kInitialBuckets and doubles on demand; the
+  // fixed-geometry model holds the configured 1024 buckets from the start.
+  // Growth must be invisible: every op returns what the model returns, and
+  // capacity() always reports the configured slots.
+  constexpr std::size_t kBuckets = 1024;
+  constexpr unsigned kWays = 4;
+  constexpr std::uint64_t kUniverse = 6000;
+  PooledTable table({kBuckets, kWays});
+  BucketModel model(kBuckets, kWays);
+  workload::Rng rng(53);
+
+  std::vector<std::size_t> host_sizes{table.host_slots()};
+  auto check_every_key = [&](int op) {
+    for (std::uint64_t key = 0; key < kUniverse; ++key) {
+      ASSERT_EQ(table.lookup(key), model.lookup(key))
+          << "op " << op << " key " << key;
+    }
+  };
+
+  for (int op = 0; op < 60'000; ++op) {
+    const std::uint64_t key = rng.uniform(kUniverse);
+    const int roll = static_cast<int>(rng.uniform(10));
+    if (roll < 6) {
+      const VmNcAction value{
+          net::Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64()))};
+      const bool inserted = model.insert(key, value);
+      ASSERT_EQ(table.insert(key, value), inserted) << op;
+      // A bucket full at the configured size is full at every smaller
+      // one, so a failing insert has grown the array to the cap first.
+      if (!inserted) {
+        ASSERT_EQ(table.host_slots(), table.capacity()) << op;
+      }
+    } else if (roll < 8) {
+      ASSERT_EQ(table.erase(key), model.erase(key)) << op;
+    }
+    ASSERT_EQ(table.lookup(key), model.lookup(key)) << op;
+    ASSERT_EQ(table.size(), model.size()) << op;
+    ASSERT_EQ(table.stats().insert_failures, model.insert_failures()) << op;
+    ASSERT_EQ(table.capacity(), kBuckets * kWays) << op;
+    ASSERT_EQ(table.stats().capacity, kBuckets * kWays) << op;
+    ASSERT_LE(table.host_slots(), table.capacity()) << op;
+    if (table.host_slots() != host_sizes.back()) {
+      host_sizes.push_back(table.host_slots());
+      check_every_key(op);
+    }
+  }
+  check_every_key(60'000);
+
+  // 64 -> 128 -> 256 -> 512 -> 1024 buckets, each size seen in turn, and
+  // the stream overflowed buckets at the cap.
+  const std::vector<std::size_t> expected_sizes{
+      64 * kWays, 128 * kWays, 256 * kWays, 512 * kWays, 1024 * kWays};
+  EXPECT_EQ(host_sizes, expected_sizes);
+  EXPECT_GT(model.insert_failures(), 0u);
+}
+
+TEST(ExactTableLayout, HostArrayStartsAtOnePage) {
+  PooledTable large({1 << 14, 4});
+  EXPECT_EQ(large.host_slots() * PooledTable::slot_bytes(), 4096u);
+  EXPECT_EQ(large.capacity(), (std::size_t{1} << 14) * 4);
+  // A table configured below one page starts at its full size.
+  PooledTable tiny({16, 4});
+  EXPECT_EQ(tiny.host_slots(), tiny.capacity());
 }
 
 TEST(ExactTableFuzz, AgreesWithUnorderedMap) {
