@@ -28,9 +28,10 @@ using namespace sf;
 
 namespace {
 
-// Detection is bounded by fail_after_missed (3 probes at 0.5 s = 1.0 s)
-// and port isolation by isolate_port_after (2 reports = 0.5 s); give both
-// a 2x margin before calling it a regression.
+// Detection is bounded by DisasterRecovery::Config::fail_after_missed (3
+// probes at 0.5 s = 1.0 s) and port isolation by
+// DisasterRecovery::kIsolatePortAfter (2 reports = 0.5 s); give both a 2x
+// margin before calling it a regression.
 constexpr double kDetectBudgetS = 2.0;
 constexpr double kRerouteBudgetS = 2.0;
 

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "cluster/health.hpp"
 #include "cluster/probe.hpp"
 #include "core/sailfish.hpp"
 
@@ -53,16 +52,15 @@ int main() {
     return 1;
   }
 
-  // 4. Runtime monitoring: debounced health checks drive the disaster-
-  //    recovery coordinator; a flap is absorbed, a sustained failure acts.
-  cluster::HealthMonitor monitor(&system.region->disaster_recovery(),
-                                 cluster::HealthMonitor::Config{});
-  monitor.report_heartbeat(0, 0, false, 100.0);  // one blip: ignored
-  monitor.report_heartbeat(0, 0, true, 101.0);
+  // 4. Runtime monitoring: disaster recovery debounces the heartbeats it
+  //    is fed; a flap is absorbed, a sustained failure acts.
+  cluster::DisasterRecovery& recovery = system.region->disaster_recovery();
+  recovery.report_heartbeat(0, 0, false, 100.0);  // one blip: ignored
+  recovery.report_heartbeat(0, 0, true, 101.0);
   for (double t = 102; t < 105; t += 1.0) {
-    monitor.report_heartbeat(0, 1, false, t);     // sustained: acts
+    recovery.report_heartbeat(0, 1, false, t);  // sustained: acts
   }
-  std::printf("\nstep 4: health monitor: device 0 flap absorbed; device 1 "
+  std::printf("\nstep 4: health checks: device 0 flap absorbed; device 1 "
               "failed after 3 misses -> %zu/%zu devices live\n",
               system.region->controller().cluster(0).live_device_count(),
               system.region->controller().cluster(0).config()

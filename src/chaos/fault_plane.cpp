@@ -47,47 +47,9 @@ std::size_t onboard_wave(cluster::Controller& controller,
   return admitted;
 }
 
-/// Records every recovery-initiated device transition, then forwards it to
-/// the monitor. A slot that serves again (recovery debounce or a cold
-/// standby) is fresh hardware: its remaining down-windows are cut at once
-/// so its heartbeats arrive clean.
-struct FaultPlane::Tap : cluster::RecoveryListener {
-  FaultPlane* plane = nullptr;
-
-  void on_device_marked_failed(std::size_t cluster, std::size_t device,
-                               double now) override {
-    plane->transitions_.push_back({cluster, device, true, now});
-    plane->monitor_.on_device_marked_failed(cluster, device, now);
-  }
-  void on_device_marked_recovered(std::size_t cluster, std::size_t device,
-                                  double now) override {
-    plane->transitions_.push_back({cluster, device, false, now});
-    auto it = plane->windows_.find(slot_key(cluster, device));
-    if (it != plane->windows_.end()) {
-      for (FaultWindow& w : it->second) w.end = std::min(w.end, now);
-    }
-    plane->monitor_.on_device_marked_recovered(cluster, device, now);
-  }
-};
-
-FaultPlane::FaultPlane(core::SailfishRegion& region,
-                       cluster::HealthMonitor::Config health, double tick_s,
+FaultPlane::FaultPlane(core::SailfishRegion& region, double tick_s,
                        const ChaosSchedule& schedule)
-    : region_(region),
-      health_(health),
-      tick_s_(tick_s),
-      schedule_(schedule),
-      monitor_(&region.disaster_recovery(), health),
-      tap_(std::make_unique<Tap>()) {
-  // The monitor registered itself as recovery's listener; the tap takes
-  // the slot and forwards.
-  tap_->plane = this;
-  region_.disaster_recovery().set_listener(tap_.get());
-}
-
-FaultPlane::~FaultPlane() {
-  region_.disaster_recovery().set_listener(nullptr);
-}
+    : region_(region), tick_s_(tick_s), schedule_(schedule) {}
 
 std::optional<std::size_t> FaultPlane::next_due(double now) {
   const auto& events = schedule_.events();
@@ -121,7 +83,8 @@ double FaultPlane::arm(const ChaosEvent& event, std::size_t owner) {
       // isolation threshold.
       const bool burst_fault = event.kind == FaultKind::kPortErrorBurst;
       const unsigned reports =
-          burst_fault ? event.count : health_.isolate_port_after + 1;
+          burst_fault ? event.count
+                      : cluster::DisasterRecovery::kIsolatePortAfter + 1;
       const unsigned first = burst_fault ? event.port : 0;
       const unsigned span = burst_fault ? 1 : event.count;
       for (unsigned p = first; p < first + span; ++p) {
@@ -170,35 +133,43 @@ const StormWindow& FaultPlane::arm_storm(const ChaosEvent& event,
 FaultPlane::Observation FaultPlane::observe(double now) {
   Observation seen;
   cluster::Controller& controller = region_.controller();
-  transitions_.clear();
+  cluster::DisasterRecovery& recovery = region_.disaster_recovery();
+  const auto take = [&](cluster::DisasterRecovery::Transitions caused) {
+    for (const cluster::DisasterRecovery::Transition& tr : caused) {
+      if (!tr.failed) {
+        auto it = windows_.find(slot_key(tr.cluster, tr.device));
+        if (it != windows_.end()) {
+          for (FaultWindow& w : it->second) w.end = std::min(w.end, tr.time);
+        }
+      }
+      seen.transitions.push_back(tr);
+    }
+  };
   // Heartbeats in cluster-major order: missed while a window is active.
   for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
     const std::size_t devices = controller.cluster(c).device_count();
     for (std::size_t d = 0; d < devices; ++d) {
-      monitor_.report_heartbeat(c, d, !slot_down(c, d, now), now);
+      take(recovery.report_heartbeat(c, d, !slot_down(c, d, now), now));
     }
   }
   // Port error reports in sorted port-key order. Clean reports continue
-  // until the monitor lets the port back in, then the track retires.
+  // until recovery lets the port back in, then the track retires.
   for (auto it = tracks_.begin(); it != tracks_.end();) {
     PortTrack& track = it->second;
     if (track.bad_remaining > 0) {
       --track.bad_remaining;
-      monitor_.report_port_errors(track.cluster, track.device, track.port,
-                                  track.error_rate, now);
+      take(recovery.report_port_errors(track.cluster, track.device,
+                                       track.port, track.error_rate, now));
       ++it;
       continue;
     }
-    monitor_.report_port_errors(track.cluster, track.device, track.port, 0.0,
-                                now);
-    it = monitor_.port_considered_isolated(track.cluster, track.device,
+    take(recovery.report_port_errors(track.cluster, track.device, track.port,
+                                     0.0, now));
+    it = recovery.port_considered_isolated(track.cluster, track.device,
                                            track.port)
              ? std::next(it)
              : tracks_.erase(it);
   }
-  // Only the transitions the probes caused: anything recorded from here to
-  // the next observe() is cleared unseen.
-  seen.transitions.swap(transitions_);
 
   // Level-triggered restores: the channel outage, the brownout and every
   // DPU dark window whose latest end has passed.
@@ -239,7 +210,7 @@ FaultPlane::PortState FaultPlane::port_state(std::size_t owner) const {
     if (std::ranges::find(track.owners, owner) == track.owners.end()) continue;
     state.tracked = true;
     state.isolated = state.isolated ||
-                     monitor_.port_considered_isolated(
+                     region_.disaster_recovery().port_considered_isolated(
                          track.cluster, track.device, track.port);
   }
   return state;
@@ -261,11 +232,12 @@ bool FaultPlane::device_faults_active(double now) const {
     if (dark.held) return true;
   }
   const cluster::Controller& controller = region_.controller();
+  const cluster::DisasterRecovery& recovery = region_.disaster_recovery();
   for (std::size_t c = 0; c < controller.cluster_count(); ++c) {
     const cluster::XgwHCluster& cl = controller.cluster(c);
     for (std::size_t d = 0; d < cl.device_count(); ++d) {
       if (cl.device_health(d) != cluster::DeviceHealth::kHealthy ||
-          monitor_.device_considered_failed(c, d)) {
+          recovery.device_considered_failed(c, d)) {
         return true;
       }
     }
@@ -275,7 +247,6 @@ bool FaultPlane::device_faults_active(double now) const {
 
 std::vector<std::string> FaultPlane::audit(
     const core::SailfishRegion& region, double now,
-    const cluster::HealthMonitor* monitor,
     std::span<const net::Vni> storm_vnis) {
   const cluster::Controller& controller = region.controller();
   const cluster::DisasterRecovery& recovery = region.disaster_recovery();
@@ -305,9 +276,10 @@ std::vector<std::string> FaultPlane::audit(
         leaks.push_back(
             format("cluster %zu device %zu still out of ECMP", c, d));
       }
-      if (monitor != nullptr && monitor->device_considered_failed(c, d)) {
+      if (recovery.device_considered_failed(c, d)) {
         leaks.push_back(format(
-            "cluster %zu device %zu still failed in monitor", c, d));
+            "cluster %zu device %zu still failed in disaster recovery", c,
+            d));
       }
       if (recovery.isolated_port_count(c, d) != 0) {
         leaks.push_back(format(
@@ -348,7 +320,7 @@ std::vector<std::string> FaultPlane::audit(
 std::vector<std::string> FaultPlane::final_audit(double now) const {
   std::vector<net::Vni> storm_vnis;
   for (const StormWindow& storm : storms_) storm_vnis.push_back(storm.vni);
-  std::vector<std::string> leaks = audit(region_, now, &monitor_, storm_vnis);
+  std::vector<std::string> leaks = audit(region_, now, storm_vnis);
   if (next_event_ != schedule_.size()) {
     leaks.insert(leaks.begin(), format("%zu scheduled events never fired",
                                        schedule_.size() - next_event_));

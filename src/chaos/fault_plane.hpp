@@ -8,9 +8,10 @@
 //
 //   * the schedule cursor, which yields each event once, at the first tick
 //     at or after its time;
-//   * the HealthMonitor, with a RecoveryListener tap spliced in front of it
-//     so every device transition recovery decides on its own (escalation,
-//     cold-standby replacement) is seen at the instant it happens;
+//   * the observation feed into the region's DisasterRecovery: heartbeats
+//     and port error reports go in, and the slot transitions each report
+//     caused (including recovery's own escalations and cold-standby
+//     replacements) come back, in decision order;
 //   * device down-windows (crashes, flaps), during which heartbeats are
 //     missed, and port error tracks (error bursts, link loss);
 //   * the update channel's outage and brownout windows and each DPU node's
@@ -31,14 +32,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "chaos/schedule.hpp"
-#include "cluster/health.hpp"
 #include "core/region.hpp"
 #include "workload/topology.hpp"
 
@@ -86,18 +85,10 @@ struct StormWindow : FaultWindow {
 
 class FaultPlane {
  public:
-  /// A device transition recovery made while probes were delivered.
-  struct Transition {
-    std::size_t cluster = 0;
-    std::size_t device = 0;
-    bool failed = false;
-    double time = 0;
-  };
-
   /// What one observe() saw, in the order it happened: the probes'
   /// transitions, the windows lifted, the deferred ops replayed.
   struct Observation {
-    std::vector<Transition> transitions;
+    cluster::DisasterRecovery::Transitions transitions;
     bool channel_restored = false;
     bool brownout_cleared = false;
     std::vector<std::size_t> dpu_nodes_restored;
@@ -107,17 +98,14 @@ class FaultPlane {
   /// Port tracks owned by one fault.
   struct PortState {
     bool tracked = false;   // some port still reports or awaits recovery
-    bool isolated = false;  // some port is isolated by the monitor
+    bool isolated = false;  // some port is isolated by recovery
   };
 
-  /// Splices the monitor (behind the tap) into the region's recovery
-  /// listener slot; the destructor detaches it. `tick_s` is the probe
-  /// cadence: one port error report goes out per tick. `schedule` must
-  /// outlive the plane.
-  FaultPlane(core::SailfishRegion& region,
-             cluster::HealthMonitor::Config health, double tick_s,
+  /// `tick_s` is the probe cadence: one port error report goes out per
+  /// tick. The region's DisasterRecovery config sets the heartbeat
+  /// thresholds. `schedule` must outlive the plane.
+  FaultPlane(core::SailfishRegion& region, double tick_s,
              const ChaosSchedule& schedule);
-  ~FaultPlane();
 
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
@@ -144,7 +132,10 @@ class FaultPlane {
   /// One tick's observation: heartbeats in cluster-major order (missed
   /// while a down-window is active), port error reports in sorted
   /// port-key order, then the restores of every channel, brownout and DPU
-  /// window whose latest end has passed, then the controller's clock.
+  /// window whose latest end has passed, then the controller's clock. A
+  /// slot the reports bring back into service is fresh hardware: its
+  /// remaining down-windows are cut at once so its heartbeats arrive
+  /// clean.
   Observation observe(double now);
 
   /// Whether a down-window covers the slot; `owner` receives its tag.
@@ -165,21 +156,16 @@ class FaultPlane {
            region_.controller().deferred_op_count() != 0;
   }
 
-  const cluster::HealthMonitor& monitor() const { return monitor_; }
-
   /// The one region leak audit: everything a fully recovered region must
   /// have unwound — control plane drained and undegraded, breaker closed,
-  /// every device healthy, in ECMP and (with a monitor, e.g. a plane's) not
-  /// failed in it, no ports isolated, desired state installed, DPU nodes
-  /// back, and every tenant in `storm_vnis` at full service. Returns the
-  /// violations.
-  static std::vector<std::string> audit(
-      const core::SailfishRegion& region, double now,
-      const cluster::HealthMonitor* monitor,
-      std::span<const net::Vni> storm_vnis);
+  /// every device healthy, in ECMP and not failed in disaster recovery, no
+  /// ports isolated, desired state installed, DPU nodes back, and every
+  /// tenant in `storm_vnis` at full service. Returns the violations.
+  static std::vector<std::string> audit(const core::SailfishRegion& region,
+                                        double now,
+                                        std::span<const net::Vni> storm_vnis);
   /// The end-of-run audit: "N scheduled events never fired" when the
-  /// cursor stopped short, then audit() with this plane's monitor and
-  /// storm tenants.
+  /// cursor stopped short, then audit() with this plane's storm tenants.
   std::vector<std::string> final_audit(double now) const;
 
  private:
@@ -209,16 +195,11 @@ class FaultPlane {
       return true;
     }
   };
-  struct Tap;
 
   core::SailfishRegion& region_;
-  cluster::HealthMonitor::Config health_;
   double tick_s_;
   const ChaosSchedule& schedule_;
   std::size_t next_event_ = 0;
-  cluster::HealthMonitor monitor_;
-  std::unique_ptr<Tap> tap_;
-  std::vector<Transition> transitions_;
   // slot -> down-windows; port key -> track; node -> dark window.
   std::map<std::uint64_t, std::vector<FaultWindow>> windows_;
   std::map<std::uint64_t, PortTrack> tracks_;

@@ -93,8 +93,7 @@ struct ChaosInjector::Run {
         log(owner.log_),
         sampling(owner.config_.interval_bps > 0),
         deadline(schedule.horizon() + owner.config_.settle_s),
-        plane(region, cluster::HealthMonitor::Config{}, kProbeIntervalS,
-              schedule),
+        plane(region, kProbeIntervalS, schedule),
         ends(schedule.size()),
         breaker(controller.breaker()) {
     report.schedule_seed = schedule.seed();
@@ -285,7 +284,7 @@ struct ChaosInjector::Run {
   // ---- phase 2: probes, restores and the control-plane clock, logged -----
   void observe(double now) {
     const FaultPlane::Observation seen = plane.observe(now);
-    for (const FaultPlane::Transition& tr : seen.transitions) {
+    for (const auto& tr : seen.transitions) {
       log.record("recovery",
                  format("cluster %zu device %zu marked %s", tr.cluster,
                         tr.device, tr.failed ? "failed" : "recovered"),
@@ -344,7 +343,6 @@ struct ChaosInjector::Run {
 
   // ---- phase 3: fault lifecycle updates (level-triggered) ----------------
   void update_faults(double now) {
-    const cluster::HealthMonitor& monitor = plane.monitor();
     const cluster::DisasterRecovery& recovery = region.disaster_recovery();
     for (std::size_t i = 0; i < report.faults.size(); ++i) {
       if (!in_flight(i, now)) continue;
@@ -356,7 +354,7 @@ struct ChaosInjector::Run {
         case FaultKind::kDeviceCrash:
         case FaultKind::kDeviceFlap:
           if (now + kTimeEpsilon >= end &&
-              !monitor.device_considered_failed(ec, ed) &&
+              !recovery.device_considered_failed(ec, ed) &&
               controller.cluster(ec).device_health(ed) ==
                   cluster::DeviceHealth::kHealthy) {
             // Either fully recovered, or so brief the debounce never acted
@@ -373,10 +371,10 @@ struct ChaosInjector::Run {
           }
           if (record.rerouted_at < 0 &&
               (recovery.device_capacity_fraction(ec, ed) < 1.0 ||
-               monitor.device_considered_failed(ec, ed))) {
+               recovery.device_considered_failed(ec, ed))) {
             record.rerouted_at = now;
           }
-          if (!ports.tracked && !monitor.device_considered_failed(ec, ed) &&
+          if (!ports.tracked && !recovery.device_considered_failed(ec, ed) &&
               recovery.isolated_port_count(ec, ed) == 0) {
             recover(i, now, now,
                     format("cluster %zu device %zu ports clean", ec, ed));
@@ -460,7 +458,7 @@ struct ChaosInjector::Run {
             c.device_health(*device) == cluster::DeviceHealth::kHealthy &&
             plane.slot_down(*cluster_id, *device, now, &owner)) {
           // ECMP still steers into a device the schedule has killed but
-          // the monitor has not yet failed: the packet blackholes.
+          // recovery has not yet failed: the packet blackholes.
           ++report.faults[owner].blackholed;
           ++report.probe_drops;
           continue;
@@ -550,12 +548,14 @@ struct ChaosInjector::Run {
   // ---- phase 6: termination ----------------------------------------------
   bool finished(double now) {
     // A fault recovers only once fired, so this also waits for the rest
-    // of the schedule.
+    // of the schedule; the device check also waits out recovery state an
+    // earlier run on the region left unwinding.
     bool all_done = true;
     for (const FaultRecord& record : report.faults) {
       all_done = all_done && record.recovered_at >= 0;
     }
-    if (all_done && !plane.control_faults_active()) {
+    if (all_done && !plane.control_faults_active() &&
+        !plane.device_faults_active(now)) {
       log.record("converged", "all faults recovered", now);
       return true;
     }

@@ -3,7 +3,7 @@
 // The injector replays a ChaosSchedule against a full SailfishRegion on a
 // fixed 0.5 s probe tick. Device, port, channel, brownout and DPU faults go
 // through the FaultPlane (fault_plane.hpp), which turns them into the
-// observations the health monitor would see; the injector owns the other
+// observations health monitoring would see; the injector owns the other
 // faces (update, tenant and churn storms, aborted upgrades) and watches
 // the recovery machinery converge. run() is the plane's tick, one named
 // phase after another: fire the due faces, observe and log, update each
@@ -155,9 +155,10 @@ class ChaosInjector {
                 std::span<const workload::Flow> flows, Config config);
 
   /// Replays the schedule to quiescence (or the settle deadline) and
-  /// returns the measured report. Repeatable: each run() constructs fresh
-  /// monitoring state, but the region keeps any tables the run installed —
-  /// drive one schedule per region for clean-room results.
+  /// returns the measured report. Repeatable, but the region keeps its
+  /// recovery state and any tables the run installed, so a later run picks
+  /// up where this one stopped — drive one schedule per region for
+  /// clean-room results.
   ChaosReport run(const ChaosSchedule& schedule);
 
   /// The replay log of the last run() — byte-identical for equal inputs.

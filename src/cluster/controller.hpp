@@ -19,9 +19,9 @@
 #include "cluster/cluster.hpp"
 #include "cluster/load_balancer.hpp"
 #include "cluster/update_queue.hpp"
-#include "core/rate_limiter.hpp"
 #include "dataplane/table_programmer.hpp"
 #include "guard/circuit_breaker.hpp"
+#include "tables/token_bucket.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/registry.hpp"
 #include "workload/topology.hpp"
@@ -47,7 +47,7 @@ class Controller : public dataplane::TableProgrammer {
     /// Update-channel budget (table ops per second; 0 disables). Protects
     /// the devices' install path (§2.3's install-speed pain): ops beyond
     /// the budget return kRateLimited and must be retried. A positive rate
-    /// builds a core::TokenBucket of `table_op_burst` tokens, which must
+    /// builds a tables::TokenBucket of `table_op_burst` tokens, which must
     /// then be positive too.
     double table_op_rate_limit = 0;
     std::size_t table_op_burst = 64;
@@ -285,7 +285,7 @@ class Controller : public dataplane::TableProgrammer {
 
   double clock_now_ = 0;
   /// Built only when table_op_rate_limit > 0.
-  std::optional<core::TokenBucket> op_budget_;
+  std::optional<tables::TokenBucket> op_budget_;
   bool update_channel_up_ = true;
   bool update_channel_degraded_ = false;
   /// Redelivery of rate-limited pushes; targets this controller itself.

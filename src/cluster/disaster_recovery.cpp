@@ -1,15 +1,9 @@
 #include "cluster/disaster_recovery.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sf::cluster {
-namespace {
-
-std::uint64_t slot_key(std::size_t cluster, std::size_t device) {
-  return (static_cast<std::uint64_t>(cluster) << 32) | device;
-}
-
-}  // namespace
 
 DisasterRecovery::DisasterRecovery(Controller* controller, Config config)
     : controller_(controller),
@@ -18,34 +12,92 @@ DisasterRecovery::DisasterRecovery(Controller* controller, Config config)
   if (controller_ == nullptr) {
     throw std::invalid_argument("DisasterRecovery needs a controller");
   }
+  if (config_.fail_after_missed == 0 || config_.recover_after_ok == 0) {
+    throw std::invalid_argument("DisasterRecovery thresholds must be >= 1");
+  }
 }
 
 void DisasterRecovery::record(double now, std::string description) {
   controller_->journal().record("failover", std::move(description), now);
 }
 
-void DisasterRecovery::clear_port_state(std::size_t cluster,
-                                        std::size_t device) {
-  isolated_ports_.erase(slot_key(cluster, device));
+void DisasterRecovery::reset_slot(std::size_t cluster, std::size_t device) {
+  slots_.erase(slot_key(cluster, device));
+  ports_.erase(ports_.lower_bound(port_key(cluster, device, 0)),
+               ports_.lower_bound(port_key(cluster, device + 1, 0)));
 }
 
-void DisasterRecovery::on_device_failure(std::size_t cluster,
-                                         std::size_t device, double now) {
+DisasterRecovery::Transitions DisasterRecovery::report_heartbeat(
+    std::size_t cluster, std::size_t device, bool ok, double now) {
+  SlotState& slot = slots_[slot_key(cluster, device)];
+  if (ok) {
+    slot.consecutive_missed = 0;
+    if (slot.failed && ++slot.consecutive_ok >= config_.recover_after_ok) {
+      return on_device_recovery(cluster, device, now);
+    }
+    return {};
+  }
+  slot.consecutive_ok = 0;
+  if (!slot.failed &&
+      ++slot.consecutive_missed >= config_.fail_after_missed) {
+    return on_device_failure(cluster, device, now);
+  }
+  return {};
+}
+
+DisasterRecovery::Transitions DisasterRecovery::report_port_errors(
+    std::size_t cluster, std::size_t device, unsigned port,
+    double error_rate, double now) {
+  PortState& state = ports_[port_key(cluster, device, port)];
+  if (error_rate <= kPortErrorRateThreshold) {
+    state.consecutive_bad = 0;
+    // Symmetric hysteresis: a port leaves isolation only on *sustained*
+    // clean observations, mirroring how it entered. Without this a
+    // flapping port re-enters the ECMP spread on every good probe and
+    // oscillates.
+    if (state.isolated && ++state.consecutive_ok >= kRecoverPortAfterOk) {
+      on_port_recovery(cluster, device, port, now);
+    }
+    return {};
+  }
+  state.consecutive_ok = 0;
+  if (!state.isolated && ++state.consecutive_bad >= kIsolatePortAfter) {
+    return on_port_fault(cluster, device, port, now);
+  }
+  return {};
+}
+
+bool DisasterRecovery::device_considered_failed(std::size_t cluster,
+                                                std::size_t device) const {
+  auto it = slots_.find(slot_key(cluster, device));
+  return it != slots_.end() && it->second.failed;
+}
+
+bool DisasterRecovery::port_considered_isolated(std::size_t cluster,
+                                                std::size_t device,
+                                                unsigned port) const {
+  auto it = ports_.find(port_key(cluster, device, port));
+  return it != ports_.end() && it->second.isolated;
+}
+
+DisasterRecovery::Transitions DisasterRecovery::on_device_failure(
+    std::size_t cluster, std::size_t device, double now) {
   XgwHCluster& c = controller_->cluster(cluster);
   c.fail_device(device);
+  // Failed even when decided here (the port-fault escalation below), so
+  // a later ok heartbeat drives a real recovery instead of being ignored.
+  SlotState& slot = slots_[slot_key(cluster, device)];
+  slot.failed = true;
+  slot.consecutive_missed = 0;
+  slot.consecutive_ok = 0;
   record(now, "cluster " + std::to_string(cluster) + ": device " +
                   std::to_string(device) + " failed; removed from ECMP");
-  // Keep observers (the HealthMonitor) in sync even when the failure was
-  // decided here — e.g. the port-fault escalation below — so a later ok
-  // heartbeat drives a real recovery instead of being ignored.
-  if (listener_ != nullptr) {
-    listener_->on_device_marked_failed(cluster, device, now);
-  }
+  Transitions caused{{cluster, device, true, now}};
   if (c.failed_over()) {
     record(now, "cluster " + std::to_string(cluster) +
                     ": all primaries down, failed over to hot-standby "
                     "backup set");
-    return;
+    return caused;
   }
   const double live_fraction =
       static_cast<double>(c.live_device_count()) /
@@ -58,10 +110,8 @@ void DisasterRecovery::on_device_failure(std::size_t cluster,
       // It is fresh hardware: the dead device's isolated-port ledger must
       // not keep shaving the new device's reported capacity.
       c.recover_device(device);
-      clear_port_state(cluster, device);
-      if (listener_ != nullptr) {
-        listener_->on_device_marked_recovered(cluster, device, now);
-      }
+      reset_slot(cluster, device);
+      caused.push_back({cluster, device, false, now});
       record(now, "cluster " + std::to_string(cluster) +
                       ": activated cold-standby gateway in slot " +
                       std::to_string(device));
@@ -71,41 +121,43 @@ void DisasterRecovery::on_device_failure(std::size_t cluster,
                       "left — alert operators");
     }
   }
+  return caused;
 }
 
-void DisasterRecovery::on_device_recovery(std::size_t cluster,
-                                          std::size_t device, double now) {
+DisasterRecovery::Transitions DisasterRecovery::on_device_recovery(
+    std::size_t cluster, std::size_t device, double now) {
   controller_->cluster(cluster).recover_device(device);
   // A recovering slot comes back with healthy ports (replaced hardware or
   // a clean reboot); stale isolation counts would under-report capacity
   // forever since the new ports never emit the matching recoveries.
-  clear_port_state(cluster, device);
-  if (listener_ != nullptr) {
-    listener_->on_device_marked_recovered(cluster, device, now);
-  }
+  reset_slot(cluster, device);
   record(now, "cluster " + std::to_string(cluster) + ": device " +
                   std::to_string(device) + " recovered; rejoined ECMP");
+  return {{cluster, device, false, now}};
 }
 
-void DisasterRecovery::on_port_fault(std::size_t cluster, std::size_t device,
-                                     unsigned port, double now) {
-  unsigned& isolated = isolated_ports_[slot_key(cluster, device)];
+DisasterRecovery::Transitions DisasterRecovery::on_port_fault(
+    std::size_t cluster, std::size_t device, unsigned port, double now) {
+  ports_[port_key(cluster, device, port)] = PortState{0, 0, true};
+  unsigned& isolated = slots_[slot_key(cluster, device)].isolated_ports;
   if (isolated < config_.ports_per_device) ++isolated;
   record(now, "cluster " + std::to_string(cluster) + ": device " +
                   std::to_string(device) + " port " + std::to_string(port) +
                   " isolated; traffic migrated to sibling ports");
   if (isolated == config_.ports_per_device) {
     // Whole device unusable: escalate to node-level failure.
-    on_device_failure(cluster, device, now);
+    return on_device_failure(cluster, device, now);
   }
+  return {};
 }
 
 void DisasterRecovery::on_port_recovery(std::size_t cluster,
                                         std::size_t device, unsigned port,
                                         double now) {
-  auto it = isolated_ports_.find(slot_key(cluster, device));
-  if (it != isolated_ports_.end() && it->second > 0) {
-    if (--it->second == 0) isolated_ports_.erase(it);
+  ports_[port_key(cluster, device, port)] = PortState{};
+  auto it = slots_.find(slot_key(cluster, device));
+  if (it != slots_.end() && it->second.isolated_ports > 0) {
+    --it->second.isolated_ports;
   }
   record(now, "cluster " + std::to_string(cluster) + ": device " +
                   std::to_string(device) + " port " + std::to_string(port) +
@@ -114,16 +166,20 @@ void DisasterRecovery::on_port_recovery(std::size_t cluster,
 
 double DisasterRecovery::device_capacity_fraction(std::size_t cluster,
                                                   std::size_t device) const {
-  auto it = isolated_ports_.find(slot_key(cluster, device));
-  if (it == isolated_ports_.end()) return 1.0;
-  return 1.0 - static_cast<double>(it->second) /
+  return 1.0 - static_cast<double>(isolated_port_count(cluster, device)) /
                    static_cast<double>(config_.ports_per_device);
 }
 
 unsigned DisasterRecovery::isolated_port_count(std::size_t cluster,
                                                std::size_t device) const {
-  auto it = isolated_ports_.find(slot_key(cluster, device));
-  return it == isolated_ports_.end() ? 0 : it->second;
+  auto it = slots_.find(slot_key(cluster, device));
+  return it == slots_.end() ? 0 : it->second.isolated_ports;
+}
+
+bool DisasterRecovery::quiescent() const {
+  return std::ranges::none_of(slots_, [](const auto& entry) {
+    return entry.second.isolated_ports != 0;
+  });
 }
 
 }  // namespace sf::cluster

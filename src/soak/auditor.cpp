@@ -126,7 +126,7 @@ void InvariantAuditor::check_placement(std::vector<std::string>& out) const {
 void InvariantAuditor::check_quiescent(double now,
                                        std::vector<std::string>& out) const {
   const std::vector<std::string> leaks =
-      chaos::FaultPlane::audit(region_, now, nullptr, {});
+      chaos::FaultPlane::audit(region_, now, {});
   out.insert(out.end(), leaks.begin(), leaks.end());
 }
 

@@ -145,6 +145,10 @@ void SoakEngine::build_region(std::size_t index) {
   // The live placement engine rides along in region 0 only — enough to
   // audit placement parity without doubling the cost everywhere.
   rc.controller.placement_enabled = index == 0;
+  // Heartbeat thresholds at interval granularity: a crash spanning two
+  // boundaries is detected, and one clean interval brings it back.
+  rc.recovery.fail_after_missed = 2;
+  rc.recovery.recover_after_ok = 1;
 
   // x86 fleet sized so the overflow tail (everything the DPU tier does
   // not hold) fits with headroom even while a DPU node is dark.

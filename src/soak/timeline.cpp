@@ -8,13 +8,6 @@
 namespace sf::soak {
 namespace {
 
-/// Health thresholds at interval granularity: a crash spanning two
-/// boundaries is detected.
-constexpr cluster::HealthMonitor::Config kHealth{
-    /*fail_after_missed=*/2, /*recover_after_ok=*/1,
-    /*port_error_rate_threshold=*/1e-6,
-    /*isolate_port_after=*/2, /*recover_port_after_ok=*/2};
-
 // Churn tenants take VNIs from 0xB0A000, /24s out of 10.128/9 and NCs out
 // of 172.32/16.
 constexpr chaos::SyntheticBlock kChurnTenants{0xB0A000, 0x0a800000u,
@@ -119,7 +112,7 @@ ChaosTimeline::ChaosTimeline(core::SailfishRegion& region, Config config)
     : region_(region),
       config_(std::move(config)),
       schedule_(draw_schedule(region, config_)),
-      plane_(region, kHealth, config_.interval_s, schedule_) {}
+      plane_(region, config_.interval_s, schedule_) {}
 
 void ChaosTimeline::retarget_wave(unsigned count) {
   if (config_.migratable_vms.empty()) return;

@@ -1,7 +1,6 @@
 #include "tables/service_tables.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "tables/range_expansion.hpp"
 
@@ -58,48 +57,6 @@ AclVerdict AclTable::evaluate(net::Vni vni,
     if (rule.matches(vni, tuple)) return rule.verdict;
   }
   return default_verdict_;
-}
-
-std::size_t MeterTable::add(Config config) {
-  meters_.push_back(Meter{config, config.burst_bytes, 0});
-  return meters_.size() - 1;
-}
-
-MeterColor MeterTable::offer(std::size_t index, double bytes, double now) {
-  Meter& meter = meters_.at(index);
-  if (now > meter.last_refill) {
-    meter.tokens = std::min(
-        meter.config.burst_bytes,
-        meter.tokens + (now - meter.last_refill) * meter.config.rate_bps / 8);
-    meter.last_refill = now;
-  }
-  if (meter.tokens >= bytes) {
-    meter.tokens -= bytes;
-    return MeterColor::kGreen;
-  }
-  return MeterColor::kRed;
-}
-
-void MeterTable::reconfigure(std::size_t index, Config config) {
-  Meter& meter = meters_.at(index);
-  meter.config = config;
-  meter.tokens = std::min(meter.tokens, config.burst_bytes);
-}
-
-std::size_t CounterTable::add() {
-  counters_.emplace_back();
-  return counters_.size() - 1;
-}
-
-void CounterTable::count(std::size_t index, std::uint64_t bytes,
-                         std::uint64_t packets) {
-  Counter& counter = counters_.at(index);
-  counter.packets += packets;
-  counter.bytes += bytes;
-}
-
-const CounterTable::Counter& CounterTable::at(std::size_t index) const {
-  return counters_.at(index);
 }
 
 }  // namespace sf::tables

@@ -1,14 +1,14 @@
 // QoS / policy service tables (§3.3 "Handling diverse cloud services"):
-// ACL, meter and counter tables installed per the SLAs signed with
-// customers. They ride in the same pipelines as the two major tables and
-// are what Table 4's "all the actual tables" occupancy adds on top of
-// Table 3.
+// the ACL table installed per the SLAs signed with customers. It rides in
+// the same pipelines as the two major tables; with the meter and counter
+// memory the placer bills, it is what Table 4's "all the actual tables"
+// occupancy adds on top of Table 3. XGW-H's one meter, the fallback rate
+// limiter, is a tables::TokenBucket.
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "net/headers.hpp"
@@ -64,56 +64,4 @@ class AclTable {
   AclVerdict default_verdict_;
   std::vector<AclRule> rules_;  // kept sorted by descending priority
 };
-
-/// Color result of a two-color token-bucket meter.
-enum class MeterColor : std::uint8_t { kGreen, kRed };
-
-/// A bank of token-bucket meters, one per index (per tenant/SLA). Time is
-/// the simulation clock in seconds; buckets refill lazily on offer().
-class MeterTable {
- public:
-  struct Config {
-    double rate_bps = 1e9;
-    double burst_bytes = 1e6;
-  };
-
-  /// Creates a meter; returns its index.
-  std::size_t add(Config config);
-  std::size_t size() const { return meters_.size(); }
-
-  /// Offers `bytes` at time `now`; returns green when tokens sufficed.
-  MeterColor offer(std::size_t index, double bytes, double now);
-
-  /// Reconfigures an existing meter (SLA change).
-  void reconfigure(std::size_t index, Config config);
-
- private:
-  struct Meter {
-    Config config;
-    double tokens = 0;
-    double last_refill = 0;
-  };
-
-  std::vector<Meter> meters_;
-};
-
-/// A bank of packet/byte counters, one per index.
-class CounterTable {
- public:
-  struct Counter {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-  };
-
-  std::size_t add();
-  std::size_t size() const { return counters_.size(); }
-
-  void count(std::size_t index, std::uint64_t bytes,
-             std::uint64_t packets = 1);
-  const Counter& at(std::size_t index) const;
-
- private:
-  std::vector<Counter> counters_;
-};
-
 }  // namespace sf::tables

@@ -1,8 +1,10 @@
-// A standalone token-bucket rate limiter. The controller builds one as its
-// update-channel budget (Controller::Config::table_op_rate_limit): every
-// table op pushed to the devices spends one token, because install speed
-// is the channel's operational pain (§2.3). Header-only, because the
-// controller's library (sf_cluster) links below sf_core.
+// A standalone token-bucket rate limiter, the one token bucket in the
+// tree. The controller builds one as its update-channel budget
+// (Controller::Config::table_op_rate_limit): every table op pushed to the
+// devices spends one token, because install speed is the channel's
+// operational pain (§2.3). XGW-H builds one in bytes as its fallback
+// meter, the overload protection in front of the software gateway.
+// Header-only, at the bottom of the library stack, so both can include it.
 
 #pragma once
 
@@ -10,7 +12,7 @@
 #include <cstdint>
 #include <stdexcept>
 
-namespace sf::core {
+namespace sf::tables {
 
 class TokenBucket {
  public:
@@ -64,4 +66,4 @@ class TokenBucket {
   std::uint64_t rejected_ = 0;
 };
 
-}  // namespace sf::core
+}  // namespace sf::tables

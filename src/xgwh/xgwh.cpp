@@ -38,6 +38,8 @@ XgwH::Shard XgwH::make_shard(const Config& config) {
 XgwH::XgwH(Config config)
     : config_(std::move(config)),
       shards_{make_shard(config_), make_shard(config_)},
+      fallback_meter_(config_.fallback_rate_bps / 8,
+                      config_.fallback_burst_bytes),
       program_(config_.chip.pipelines),
       walker_(config_.chip, &program_),
       flow_cache_(dataplane::FlowCache<CachedWalk>::Config{
@@ -45,8 +47,6 @@ XgwH::XgwH(Config config)
   if (config_.chip.pipelines != 4) {
     throw std::invalid_argument("XGW-H expects a 4-pipeline chip");
   }
-  fallback_meter_index_ = fallback_meter_.add(tables::MeterTable::Config{
-      config_.fallback_rate_bps, config_.fallback_burst_bytes});
 
   registry_ = std::make_unique<telemetry::Registry>();
   ctr_packets_in_ = &registry_->counter("xgwh.packets_in");
@@ -614,9 +614,8 @@ void XgwH::finish_into(dataplane::Verdict& dest,
   if (info.action == dataplane::Action::kFallbackToX86) {
     // Overload protection before handing to the software gateway. The
     // meter is stateful, so it runs on every packet — cache hits included.
-    if (fallback_meter_.offer(fallback_meter_index_,
-                              static_cast<double>(packet.wire_size()),
-                              now) == tables::MeterColor::kRed) {
+    if (!fallback_meter_.try_consume(static_cast<double>(packet.wire_size()),
+                                     now)) {
       ctr_rate_limited_->add();
       ctr_dropped_->add();
       dest.action = dataplane::Action::kDrop;

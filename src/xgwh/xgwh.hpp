@@ -38,6 +38,7 @@
 #include "tables/alpm.hpp"
 #include "tables/digest_table.hpp"
 #include "tables/service_tables.hpp"
+#include "tables/token_bucket.hpp"
 #include "telemetry/registry.hpp"
 
 namespace sf::xgwh {
@@ -375,8 +376,8 @@ class XgwH : public dataplane::Gateway, public dataplane::TableProgrammer {
   Config config_;
   std::array<Shard, 2> shards_;
   tables::AclTable acl_;
-  tables::MeterTable fallback_meter_;
-  std::size_t fallback_meter_index_ = 0;
+  /// The fallback rate limiter, in bytes per second.
+  tables::TokenBucket fallback_meter_;
 
   asic::PipelineProgram program_;
   asic::Walker walker_;  // borrows config_.chip and program_

@@ -112,10 +112,10 @@ TEST(ChaosRegressions, ColdStandbyReplacementLeavesNoStaleState) {
 }
 
 // Satellite 3: when every port of a device is lost, DisasterRecovery
-// escalates to a node-level failure on its own. The HealthMonitor must
-// adopt that state, or the clean heartbeats that follow are ignored and
-// the device never rejoins the ECMP set — before the fix this run ended
-// with the device still out and the report listing leaks.
+// escalates to a node-level failure on its own. The heartbeat debounce
+// must see that state, or the clean heartbeats that follow are ignored
+// and the device never rejoins the ECMP set — before the fix this run
+// ended with the device still out and the report listing leaks.
 TEST(ChaosRegressions, PortEscalationRecoversViaHeartbeats) {
   core::SailfishSystem system = core::make_system(chaos_options());
   ChaosInjector injector(*system.region, system.flows, injector_config());
@@ -135,6 +135,51 @@ TEST(ChaosRegressions, PortEscalationRecoversViaHeartbeats) {
     EXPECT_EQ(cluster.device_health(d), cluster::DeviceHealth::kHealthy);
   }
   EXPECT_TRUE(system.region->disaster_recovery().quiescent());
+}
+
+// Crashes device (0,0) in a run cut off at its deadline, so the device is
+// still failed when that run ends, then replays an empty schedule on the
+// same region. Returns the second run's report.
+ChaosReport rerun_after_cut_short_crash(core::SailfishSystem& system) {
+  ChaosInjector::Config cut_short = injector_config();
+  cut_short.settle_s = 0.0;
+  ChaosInjector first(*system.region, system.flows, cut_short);
+  ChaosSchedule crash;
+  crash.add(ChaosEvent{0.0, FaultKind::kDeviceCrash, 0, 0, 0, 0, 3.0, 1e-3});
+  EXPECT_FALSE(first.run(crash).converged());
+  EXPECT_EQ(system.region->controller().cluster(0).device_health(0),
+            cluster::DeviceHealth::kFailed);
+
+  ChaosInjector second(*system.region, system.flows, injector_config());
+  return second.run(ChaosSchedule{});
+}
+
+// Recovery state belongs to the region, not to one run: the second run
+// must bring the device the first left failed back on clean heartbeats.
+// Before the health debounce moved into DisasterRecovery, each run built
+// a fresh monitor that never learned of the failure, so the second run
+// ended with the device still out of ECMP.
+TEST(ChaosRegressions, SecondRunRecoversADeviceTheFirstLeftFailed) {
+  core::SailfishSystem system = core::make_system(chaos_options());
+  const ChaosReport report = rerun_after_cut_short_crash(system);
+  EXPECT_TRUE(report.converged()) << report.to_json();
+  EXPECT_EQ(system.region->controller().cluster(0).device_health(0),
+            cluster::DeviceHealth::kHealthy);
+  EXPECT_TRUE(system.region->disaster_recovery().quiescent());
+}
+
+// The first run ends one clean heartbeat into the device's recovery; at
+// three heartbeats to recover, the second run's first tick cannot finish
+// it, so that run must keep ticking instead of stopping at tick 0 with
+// the device still failed.
+TEST(ChaosRegressions, InheritedFailureKeepsTheNextRunTicking) {
+  core::SailfishOptions options = chaos_options();
+  options.region.recovery.recover_after_ok = 3;
+  core::SailfishSystem system = core::make_system(options);
+  const ChaosReport report = rerun_after_cut_short_crash(system);
+  EXPECT_TRUE(report.converged()) << report.to_json();
+  EXPECT_EQ(system.region->controller().cluster(0).device_health(0),
+            cluster::DeviceHealth::kHealthy);
 }
 
 // Tentpole: a crashed device blackholes traffic until detection fails it

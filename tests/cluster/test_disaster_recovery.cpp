@@ -80,34 +80,38 @@ TEST(DisasterRecovery, AllPortsGoneEscalatesToDeviceFailure) {
   EXPECT_EQ(controller.cluster(0).device_health(3), DeviceHealth::kFailed);
 }
 
-TEST(DisasterRecovery, ListenerHearsEscalationAndReplacement) {
-  struct Spy : RecoveryListener {
-    std::vector<std::pair<bool, std::size_t>> calls;  // (failed?, device)
-    void on_device_marked_failed(std::size_t, std::size_t device,
-                                 double) override {
-      calls.emplace_back(true, device);
-    }
-    void on_device_marked_recovered(std::size_t, std::size_t device,
-                                    double) override {
-      calls.emplace_back(false, device);
-    }
-  };
-
+TEST(DisasterRecovery, EscalationReturnsFailureThenReplacement) {
   Controller controller(small_cluster());
   DisasterRecovery recovery(&controller, recovery_config(1, 0.9));
-  Spy spy;
-  recovery.set_listener(&spy);
 
-  // Escalation via port faults notifies "failed", and the immediate
-  // cold-standby replacement notifies "recovered" — in that order.
+  // Escalation via port faults returns "failed", and the immediate
+  // cold-standby replacement returns "recovered" — in that order, both
+  // from the fault that took the last port.
+  DisasterRecovery::Transitions caused;
   for (unsigned port = 0; port < 8; ++port) {
-    recovery.on_port_fault(0, 1, port, 1.0);
+    for (const auto& tr : recovery.on_port_fault(0, 1, port, 1.0 + port)) {
+      caused.push_back(tr);
+    }
   }
-  ASSERT_EQ(spy.calls.size(), 2u);
-  EXPECT_EQ(spy.calls[0], (std::pair<bool, std::size_t>{true, 1}));
-  EXPECT_EQ(spy.calls[1], (std::pair<bool, std::size_t>{false, 1}));
+  ASSERT_EQ(caused.size(), 2u);
+  EXPECT_TRUE(caused[0].failed);
+  EXPECT_FALSE(caused[1].failed);
+  for (const auto& tr : caused) {
+    EXPECT_EQ(tr.cluster, 0u);
+    EXPECT_EQ(tr.device, 1u);
+    EXPECT_DOUBLE_EQ(tr.time, 8.0);
+  }
   EXPECT_EQ(controller.cluster(0).live_device_count(), 4u);
-  recovery.set_listener(nullptr);
+
+  // With the pool spent the next escalation only fails the slot.
+  for (unsigned port = 0; port < 7; ++port) {
+    EXPECT_TRUE(recovery.on_port_fault(0, 2, port, 9.0).empty());
+  }
+  caused = recovery.on_port_fault(0, 2, 7, 9.0);
+  ASSERT_EQ(caused.size(), 1u);
+  EXPECT_TRUE(caused[0].failed);
+  EXPECT_TRUE(recovery.device_considered_failed(0, 2));
+  EXPECT_EQ(controller.cluster(0).live_device_count(), 3u);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "core/cache_cluster.hpp"
-#include "core/rate_limiter.hpp"
+#include "tables/token_bucket.hpp"
 #include "core/table_sharing.hpp"
 
 namespace sf::core {
 namespace {
 
 TEST(TokenBucket, AllowsBurstThenRate) {
-  TokenBucket bucket(1000.0, 500.0);
+  tables::TokenBucket bucket(1000.0, 500.0);
   EXPECT_TRUE(bucket.try_consume(500, 0.0));
   EXPECT_FALSE(bucket.try_consume(1, 0.0));
   // 0.1s refills 100 tokens.
@@ -19,13 +19,13 @@ TEST(TokenBucket, AllowsBurstThenRate) {
 }
 
 TEST(TokenBucket, BurstCapsIdleAccumulation) {
-  TokenBucket bucket(1000.0, 500.0);
+  tables::TokenBucket bucket(1000.0, 500.0);
   EXPECT_NEAR(bucket.available(100.0), 500.0, 1e-9);
 }
 
 TEST(TokenBucket, RejectsBadConfig) {
-  EXPECT_THROW(TokenBucket(0, 1), std::invalid_argument);
-  EXPECT_THROW(TokenBucket(1, 0), std::invalid_argument);
+  EXPECT_THROW(tables::TokenBucket(0, 1), std::invalid_argument);
+  EXPECT_THROW(tables::TokenBucket(1, 0), std::invalid_argument);
 }
 
 TEST(TableSharing, StatefulTablesGoToSoftware) {

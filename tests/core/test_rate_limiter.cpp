@@ -7,13 +7,13 @@
 #include <stdexcept>
 
 #include "cluster/controller.hpp"
-#include "core/rate_limiter.hpp"
+#include "tables/token_bucket.hpp"
 
 namespace sf {
 namespace {
 
 TEST(TokenBucket, BackwardsTimestampDoesNotMintTokens) {
-  core::TokenBucket bucket(10.0, 10.0);
+  tables::TokenBucket bucket(10.0, 10.0);
   EXPECT_TRUE(bucket.try_consume(10.0, 100.0));  // drain the burst
   EXPECT_DOUBLE_EQ(bucket.available(100.0), 0.0);
   // A stale (earlier) timestamp — reordered probes, clock slew — must not
@@ -26,7 +26,7 @@ TEST(TokenBucket, BackwardsTimestampDoesNotMintTokens) {
 }
 
 TEST(TokenBucket, RepeatedIdenticalTimestampRefillsOnce) {
-  core::TokenBucket bucket(10.0, 10.0);
+  tables::TokenBucket bucket(10.0, 10.0);
   ASSERT_TRUE(bucket.try_consume(10.0, 0.0));
   ASSERT_DOUBLE_EQ(bucket.available(1.0), 10.0);
   ASSERT_TRUE(bucket.try_consume(10.0, 1.0));
@@ -38,7 +38,7 @@ TEST(TokenBucket, RepeatedIdenticalTimestampRefillsOnce) {
 }
 
 TEST(TokenBucket, AccountingSurvivesNonMonotonicMix) {
-  core::TokenBucket bucket(100.0, 50.0);
+  tables::TokenBucket bucket(100.0, 50.0);
   std::uint64_t accepted = 0;
   // Interleave forward and stale timestamps; total acceptances must be
   // bounded by burst + rate * (max forward time), never inflated by the
@@ -101,7 +101,7 @@ TEST(ControllerRetry, RateLimitedProvisioningConvergesViaRetryQueue) {
 }
 
 TEST(ControllerRetry, PositiveRateNeedsPositiveBurst) {
-  // The budget is a core::TokenBucket: a rate with no burst would refuse
+  // The budget is a tables::TokenBucket: a rate with no burst would refuse
   // every op forever, so the controller refuses to build.
   cluster::Controller::Config config;
   config.cluster_template.primary_devices = 1;

@@ -17,6 +17,15 @@
 namespace sf::soak {
 namespace {
 
+/// A quickstart region with the soak's interval-granular heartbeat
+/// thresholds (SoakEngine::build_region sets the same).
+core::SailfishSystem timeline_system() {
+  core::SailfishOptions options = core::quickstart_options();
+  options.region.recovery.fail_after_missed = 2;
+  options.region.recovery.recover_after_ok = 1;
+  return core::make_system(options);
+}
+
 ChaosTimeline::Config day_config(const core::SailfishSystem& system,
                                  std::uint64_t seed) {
   ChaosTimeline::Config config;
@@ -37,21 +46,21 @@ ChaosTimeline::Config day_config(const core::SailfishSystem& system,
 }
 
 TEST(ChaosTimeline, SchedulesAreAPureFunctionOfSeedAndConfig) {
-  core::SailfishSystem a = core::make_system(core::quickstart_options());
-  core::SailfishSystem b = core::make_system(core::quickstart_options());
+  core::SailfishSystem a = timeline_system();
+  core::SailfishSystem b = timeline_system();
   ChaosTimeline first(*a.region, day_config(a, 42));
   ChaosTimeline second(*b.region, day_config(b, 42));
   ASSERT_FALSE(first.schedule().empty());
   EXPECT_EQ(first.schedule().to_string(), second.schedule().to_string());
 
   // A different seed must draw a different schedule.
-  core::SailfishSystem c = core::make_system(core::quickstart_options());
+  core::SailfishSystem c = timeline_system();
   ChaosTimeline third(*c.region, day_config(c, 43));
   EXPECT_NE(first.schedule().to_string(), third.schedule().to_string());
 }
 
 TEST(ChaosTimeline, EventCensusMatchesTheDrawnSchedule) {
-  core::SailfishSystem system = core::make_system(core::quickstart_options());
+  core::SailfishSystem system = timeline_system();
   ChaosTimeline timeline(*system.region, day_config(system, 7));
   std::size_t counted = 0;
   for (const auto& [kind, count] : timeline.event_counts()) {
@@ -64,7 +73,7 @@ TEST(ChaosTimeline, EventCensusMatchesTheDrawnSchedule) {
 }
 
 TEST(ChaosTimeline, FullDayStepsFireEverythingAndSettleLeakFree) {
-  core::SailfishSystem system = core::make_system(core::quickstart_options());
+  core::SailfishSystem system = timeline_system();
   const ChaosTimeline::Config config = day_config(system, 11);
   ChaosTimeline timeline(*system.region, config);
 
@@ -108,7 +117,7 @@ TEST(ChaosTimeline, FullDayStepsFireEverythingAndSettleLeakFree) {
 // Golden: the seed-11 day above as a byte-stable trace — the drawn
 // schedule, one line per step (horizon plus settle), then the final audit.
 TEST(SoakGolden, OneDayTimelineTrace) {
-  core::SailfishSystem system = core::make_system(core::quickstart_options());
+  core::SailfishSystem system = timeline_system();
   const ChaosTimeline::Config config = day_config(system, 11);
   ChaosTimeline timeline(*system.region, config);
 

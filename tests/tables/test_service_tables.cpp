@@ -66,63 +66,5 @@ TEST(AclTable, PrefixFieldsMatchSubnets) {
             AclVerdict::kPermit);
 }
 
-TEST(MeterTable, GreenWithinRateRedBeyond) {
-  MeterTable meters;
-  // 8 Mbps, 1 KB burst: 1 KB available immediately.
-  const std::size_t index = meters.add({8e6, 1000});
-  EXPECT_EQ(meters.offer(index, 800, 0.0), MeterColor::kGreen);
-  EXPECT_EQ(meters.offer(index, 800, 0.0), MeterColor::kRed);
-  // After 1 ms, 1e6 B/s * 1e-3 s = 1000 B refilled (capped at burst).
-  EXPECT_EQ(meters.offer(index, 800, 0.001), MeterColor::kGreen);
-}
-
-TEST(MeterTable, BurstCapsAccumulation) {
-  MeterTable meters;
-  const std::size_t index = meters.add({8e6, 1000});
-  // A long idle period cannot bank more than one burst.
-  EXPECT_EQ(meters.offer(index, 1000, 100.0), MeterColor::kGreen);
-  EXPECT_EQ(meters.offer(index, 1, 100.0), MeterColor::kRed);
-}
-
-TEST(MeterTable, ReconfigureAppliesNewRate) {
-  MeterTable meters;
-  const std::size_t index = meters.add({8e6, 1000});
-  meters.offer(index, 1000, 0.0);  // drain
-  meters.reconfigure(index, {80e6, 10000});
-  // New rate: 10 MB/s -> 10 KB after 1 ms... capped by elapsed refill.
-  EXPECT_EQ(meters.offer(index, 9000, 1.0), MeterColor::kGreen);
-}
-
-TEST(MeterTable, IndependentMeters) {
-  MeterTable meters;
-  const std::size_t a = meters.add({8e6, 1000});
-  const std::size_t b = meters.add({8e6, 1000});
-  EXPECT_EQ(meters.offer(a, 1000, 0.0), MeterColor::kGreen);
-  EXPECT_EQ(meters.offer(b, 1000, 0.0), MeterColor::kGreen);
-}
-
-TEST(MeterTable, OutOfRangeThrows) {
-  MeterTable meters;
-  EXPECT_THROW(meters.offer(0, 1, 0.0), std::out_of_range);
-}
-
-TEST(CounterTable, AccumulatesPacketsAndBytes) {
-  CounterTable counters;
-  const std::size_t index = counters.add();
-  counters.count(index, 1500);
-  counters.count(index, 64, 2);
-  EXPECT_EQ(counters.at(index).packets, 3u);
-  EXPECT_EQ(counters.at(index).bytes, 1564u);
-}
-
-TEST(CounterTable, IndependentIndices) {
-  CounterTable counters;
-  const std::size_t a = counters.add();
-  const std::size_t b = counters.add();
-  counters.count(a, 100);
-  EXPECT_EQ(counters.at(b).packets, 0u);
-  EXPECT_EQ(counters.at(a).bytes, 100u);
-}
-
 }  // namespace
 }  // namespace sf::tables

@@ -187,6 +187,16 @@ TEST(XgwH, FallbackRateLimiterDropsExcess) {
   EXPECT_EQ(first.action, dataplane::Action::kFallbackToX86);
   EXPECT_EQ(second.action, dataplane::Action::kDrop);
   EXPECT_EQ(gw.registry().counter_value("xgwh.fallback_rate_limited"), 1u);
+  // 8000 bps refills 1000 B/s: the bucket (400 B less one packet) holds a
+  // packet again only after `refill_s`.
+  const double wire = static_cast<double>(packet.wire_size());
+  const double refill_s = (2 * wire - 400) / 1000;
+  ASSERT_GT(refill_s, 0);
+  EXPECT_EQ(gw.forward(packet, 0.9 * refill_s).action,
+            dataplane::Action::kDrop);
+  EXPECT_EQ(gw.forward(packet, 1.1 * refill_s).action,
+            dataplane::Action::kFallbackToX86);
+  EXPECT_EQ(gw.registry().counter_value("xgwh.fallback_rate_limited"), 2u);
 }
 
 TEST(XgwH, ShardPipesSplitByVniHash) {
